@@ -38,6 +38,7 @@ from .harness import (
     ProtocolConfig,
     addition_kernel,
     best_single_kernel,
+    fit_and_score,
     make_splits,
     report_from_json,
     report_to_json,

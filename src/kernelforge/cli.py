@@ -23,10 +23,10 @@ import numpy as np
 from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
-from .expr import Leaf, canonical_string, depth, node_count, parse_expr
-from .gp import evolve, train_final_model, write_evolution_log
+from .expr import Leaf, canonical_string, depth, evaluate, node_count, parse_expr
+from .gp import evolve, write_evolution_log
 from .gram import KernelBank, build_bank
-from .harness import ProtocolConfig, make_splits, run_comparison, write_comparison_outputs
+from .harness import ProtocolConfig, fit_and_score, make_splits, run_comparison, write_comparison_outputs
 from .retrieval import ORDERS, load_index, query
 from .rng import derive_seed
 from .svm import save_multiclass
@@ -120,6 +120,7 @@ def cmd_evolve(args) -> int:
     gp_params = replace(config.gp, rng_seed=derive_seed(config.seed, "gp", 0))
 
     result = evolve(bank, labels, split, gp_params, config.svm, threads=args.threads)
+    test_acc, model, _ = fit_and_score(evaluate(result.best_expr, bank), labels, split, config.svm)
     best_text = canonical_string(result.best_expr)
 
     rundir = _run_dir(config)
@@ -129,16 +130,14 @@ def cmd_evolve(args) -> int:
         "schema": "kf-evolve-1",
         "best_expr": best_text,
         "best_fitness": result.best_fitness,
-        "final_test_accuracy": result.final_test_accuracy,
+        "final_test_accuracy": test_acc,
         "generations": [[g, b, m] for g, b, m in result.per_generation],
         "config": config.echo(),
     }
     (rundir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    model, _, _ = train_final_model(bank, labels, split, result.best_expr, config.svm)
     save_multiclass(rundir / "model.json", model)
     print(f"best expression: {best_text}")
-    if result.final_test_accuracy is not None:
-        print(f"test accuracy: {100.0 * result.final_test_accuracy:.2f}")
+    print(f"test accuracy: {100.0 * test_acc:.2f}")
     print(f"outputs in {rundir}")
     return 0
 

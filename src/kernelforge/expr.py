@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import gram
+import numpy as np
+
 from .errors import DataError, ExprSyntaxError
 from .gram import GramMatrix, KernelBank
 
@@ -175,16 +176,22 @@ def parse_expr(text: str) -> KernelExpr:
 
 
 def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
-    """Fold the tree over the bank with the entrywise kernel algebra."""
+    """Fold the tree over the bank's raw arrays and wrap the result once.
 
-    def fold(node: KernelExpr) -> GramMatrix:
+    Sums and products of the intermediate arrays skip the checks and copies of
+    ``gram.add``/``gram.multiply``; the one ``GramMatrix`` built at the end
+    still rejects a non-finite or asymmetric result and returns a read-only
+    copy tagged with the canonical string.
+    """
+
+    def fold(node: KernelExpr) -> np.ndarray:
         if isinstance(node, Leaf):
             if not 0 <= node.index < len(bank):
                 raise DataError(
                     f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels"
                 )
-            return bank.kernels[node.index]
-        op = gram.add if isinstance(node, Add) else gram.multiply
+            return bank.kernels[node.index].values
+        op = np.add if isinstance(node, Add) else np.multiply
         return op(fold(node.left), fold(node.right))
 
-    return fold(expr).with_tag(canonical_string(expr))
+    return GramMatrix(fold(expr), canonical_string(expr))

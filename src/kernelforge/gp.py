@@ -5,7 +5,9 @@ mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
 Per-chromosome RNG streams are derived from (seed, generation, slot), so a
-parallel fitness pass returns exactly what a sequential one does.
+parallel fitness pass returns exactly what a sequential one does.  The search
+never sees the test set: retraining the winner on train+validation and scoring
+it on test is ``harness.fit_and_score``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class EvolutionResult:
     best_expr: KernelExpr
     best_fitness: float
     per_generation: list[tuple[int, float, float]]  # (generation, best, mean)
-    final_test_accuracy: float | None
     generation_best_exprs: list[str] = field(default_factory=list)
 
 
@@ -186,12 +187,8 @@ def tournament_select(fitnesses, k: int, rng: np.random.Generator, node_counts=N
     return int(min(pool, key=lambda i: (-fitnesses[i], sizes[i], i)))
 
 
-def _split_indices(split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.asarray(split.train_idx, dtype=int),
-        np.asarray(split.val_idx, dtype=int),
-        np.asarray(split.test_idx, dtype=int),
-    )
+def _split_indices(split) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(split.train_idx, dtype=int), np.asarray(split.val_idx, dtype=int)
 
 
 def _require_converged(model) -> None:
@@ -217,7 +214,7 @@ def fitness(
     """
     labels = np.asarray(labels)
     kernel = evaluate(expr, bank)
-    train_idx, val_idx, _ = _split_indices(split)
+    train_idx, val_idx = _split_indices(split)
     seed = derive_seed(split.seed, canonical_string(expr))
     try:
         if mode == "validation":
@@ -248,20 +245,6 @@ def fitness(
         return 0.0
 
 
-def train_final_model(bank: KernelBank, labels, split, expr: KernelExpr, svm_params: SvmParams):
-    """Retrain on train+validation for the one test-set evaluation.
-
-    Returns (model, evaluated kernel, fit indices).
-    """
-    labels = np.asarray(labels)
-    kernel = evaluate(expr, bank)
-    train_idx, val_idx, _ = _split_indices(split)
-    fit_idx = np.concatenate([train_idx, val_idx])
-    seed = derive_seed(split.seed, "final", kernel.source_tag)
-    model = train_multiclass(kernel, labels, fit_idx, svm_params, seed=seed)
-    return model, kernel, fit_idx
-
-
 def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
     population: list[KernelExpr] = []
     if params.seed_leaves:
@@ -288,17 +271,16 @@ def evolve(
     svm_params: SvmParams,
     threads: int = 1,
 ) -> EvolutionResult:
-    """Run the generational loop and score the winner once on the test set.
+    """Run the generational loop and return the fittest chromosome found.
 
     Elites pass through unchanged, so the best fitness never decreases.  The
     loop stops at max_generations, or earlier once the best fitness has not
-    improved by more than 1e-6 for stagnation_limit generations.  The final
-    model is retrained on train+validation before the single test evaluation,
-    so test points never influence the search.
+    improved by more than 1e-6 for stagnation_limit generations.  Only the
+    training and validation points are used; split.test_idx is never read.
     """
     labels = np.asarray(labels)
     n = len(bank)
-    train_idx, val_idx, test_idx = _split_indices(split)
+    train_idx, val_idx = _split_indices(split)
     if len(set(labels[train_idx].tolist())) < 2:
         raise DataError("split.train_idx must cover at least 2 classes")
     if params.fitness_mode == "validation" and len(set(labels[val_idx].tolist())) < 2:
@@ -370,17 +352,10 @@ def evolve(
         ):
             best_expr, best_fit = population[best_i], fits[best_i]
 
-    final_acc: float | None = None
-    if test_idx.size:
-        model, kernel, fit_idx = train_final_model(bank, labels, split, best_expr, svm_params)
-        pred = predict(model, kernel.values[test_idx], fit_idx)
-        final_acc = accuracy(pred, labels[test_idx])
-
     return EvolutionResult(
         best_expr=best_expr,
         best_fitness=best_fit,
         per_generation=history,
-        final_test_accuracy=final_acc,
         generation_best_exprs=best_strings,
     )
 

@@ -3,20 +3,22 @@ of addition kernel vs. best single kernel vs. evolved kernel.
 
 Every repeat draws its own train/validation/test split; baselines and the
 evolved winner are all retrained on train+validation before the one test-set
-evaluation, so the three columns are like-for-like.  Reports aggregate
-mean and sample (n-1) standard deviation across repeats.
+evaluation, so the three columns are like-for-like.  ``fit_and_score`` is the
+only place that trains on train+validation and scores on test; the CLI's
+``evolve`` uses it too.  Reports aggregate mean and sample (n-1) standard
+deviation across repeats.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from . import gram
-from .errors import ComparisonError, DataError, KernelForgeError, ParameterError
+from .errors import ComparisonError, DataError, KernelForgeError, NumericalError, ParameterError
 from .expr import Add, Leaf, canonical_string, evaluate
 from .gp import EvolutionResult, GpParams, evolve, fitness, write_evolution_log
 from .gram import GramMatrix, KernelBank
@@ -94,13 +96,9 @@ def make_splits(labels, per_class_train: int, per_class_val: int, repeats: int, 
 
 
 def addition_kernel(bank: KernelBank) -> GramMatrix:
-    """Entrywise sum of every bank kernel (the linear-combination baseline)."""
-    total = bank.kernels[0]
-    chain = Leaf(0)
-    for i in range(1, len(bank)):
-        total = gram.add(total, bank.kernels[i])
-        chain = Add(chain, Leaf(i))
-    return total.with_tag(canonical_string(chain))
+    """Entrywise sum of every bank kernel (the linear-combination baseline),
+    evaluated as the left-leaning chain ``(+ (+ K1 K2) K3)`` and so on."""
+    return evaluate(reduce(Add, (Leaf(i) for i in range(len(bank)))), bank)
 
 
 def best_single_kernel(bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> tuple[int, float]:
@@ -144,17 +142,22 @@ def _select_c(kernel: GramMatrix, labels, split: DatasetSplit, svm_params: SvmPa
     return best_params
 
 
-def _score_final(
+def fit_and_score(
     kernel: GramMatrix, labels, split: DatasetSplit, svm_params: SvmParams
 ) -> tuple[float, MulticlassModel, np.ndarray]:
-    """Train on train+validation, score once on test."""
-    train_idx = np.asarray(split.train_idx)
-    val_idx = np.asarray(split.val_idx)
-    test_idx = np.asarray(split.test_idx)
-    fit_idx = np.concatenate([train_idx, val_idx])
-    assert not set(test_idx.tolist()) & set(fit_idx.tolist())
+    """Train the final model on train+validation and score it once on test.
+
+    Returns (test accuracy, model, fit indices).  Test points cannot reach the
+    fit, since DatasetSplit rejects overlapping index sets.  A model that stops
+    at max_passes raises NumericalError instead of reporting an accuracy.
+    """
+    labels = np.asarray(labels)
+    fit_idx = np.asarray(split.train_idx + split.val_idx, dtype=int)
+    test_idx = np.asarray(split.test_idx, dtype=int)
     seed = derive_seed(split.seed, "final", kernel.source_tag)
     model = train_multiclass(kernel, labels, fit_idx, svm_params, seed=seed)
+    if not model.converged:
+        raise NumericalError(f"final model on kernel {kernel.source_tag!r} did not converge within max_passes")
     acc = accuracy(predict(model, kernel.values[test_idx], fit_idx), labels[test_idx])
     return acc, model, fit_idx
 
@@ -223,7 +226,7 @@ def run_comparison(
                     if protocol.grid_search_c
                     else svm_params
                 )
-                acc, model, fit_idx = _score_final(kernel, labels, split, params)
+                acc, model, fit_idx = fit_and_score(kernel, labels, split, params)
                 per_method[method].append(acc)
                 for pair, value in _pair_accuracies(model, kernel, labels, test_idx, fit_idx).items():
                     pair_series[method].setdefault(pair, []).append(value)

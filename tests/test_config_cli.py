@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelforge import ConfigError, Leaf, build_index, save_index
+from kernelforge import ConfigError, Leaf, accuracy, build_index, evaluate, make_splits, parse_expr, predict, save_index
 from kernelforge.cli import main
 from kernelforge.config import build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import GramMatrix, KernelBank
 from kernelforge.kernel_io import load_bank_from_manifest, save_feature_csv
+from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
 
 
@@ -196,6 +197,38 @@ class TestEvolveCommand:
         log = (rundir / "evolution.csv").read_text().splitlines()
         assert log[0] == "generation,best_fitness,mean_fitness,best_expr"
         assert (rundir / "model.json").exists()
+
+    def test_one_final_training_gives_result_and_model(self, xor_workspace, final_trainings):
+        cfg = xor_workspace / "run.cfg"
+        run_cli(["gram", "--config", cfg])
+        common = ["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
+        assert run_cli([*common, "--set", "run_dir=a", "--threads", "1"]) == 0
+        assert len(final_trainings) == 1
+        rundir = xor_workspace / "runs" / "a"
+        result = json.loads((rundir / "result.json").read_text())
+        bank, labels, _ = load_bank_from_manifest(xor_workspace / "kernels" / "manifest.json")
+        split = make_splits(labels, 8, 3, 1, 11)[0]
+        kernel = evaluate(parse_expr(result["best_expr"]), bank)
+        model = load_multiclass(rundir / "model.json")
+        test_idx = list(split.test_idx)
+        pred = predict(model, kernel.values[test_idx], [*split.train_idx, *split.val_idx])
+        assert accuracy(pred, labels[test_idx]) == result["final_test_accuracy"]
+        assert run_cli([*common, "--set", "run_dir=b", "--threads", "1"]) == 0
+        for name in ("result.json", "model.json"):
+            assert (rundir / name).read_bytes() == (xor_workspace / "runs" / "b" / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:fitness of")
+    def test_unconverged_final_model_exits_4(self, xor_workspace, capsys):
+        cfg = xor_workspace / "run.cfg"
+        run_cli(["gram", "--config", cfg])
+        code = run_cli(
+            ["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json",
+             "--set", "svm.max_passes=0", "--set", "gp.max_generations=1", "--output", "runs"]
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError"
+        assert not (xor_workspace / "runs").exists()
 
     def test_single_kernel_bank_yields_first_leaf(self, xor_workspace):
         cfg = xor_workspace / "run.cfg"

@@ -129,6 +129,17 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(Leaf(1), bank)
 
+    def test_overflowing_product_rejected(self):
+        bank = bank_of([np.full((3, 3), 1e200)])
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+            evaluate(Mul(Leaf(0), Leaf(0)), bank)
+
+    def test_result_is_read_only_copy(self, rng):
+        bank = bank_of([random_psd(3, rng)])
+        values = evaluate(Leaf(0), bank).values
+        assert not values.flags.writeable
+        assert not np.shares_memory(values, bank.kernels[0].values)
+
     @given(seed=st.integers(0, 10**6))
     def test_fold_matches_algebra_exactly(self, seed):
         rng = np.random.default_rng(seed)

@@ -271,13 +271,6 @@ class TestEvolve:
         result = evolve(bank, labels, split, params, SvmParams())
         assert result.best_fitness == 1.0
 
-    def test_final_test_accuracy_uses_held_out_points(self):
-        bank, labels = xor_bank(n_per_class=12, seed=5)
-        split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
-        result = evolve(bank, labels, split, quick_params(max_generations=8), SvmParams())
-        assert result.final_test_accuracy is not None
-        assert 0.0 <= result.final_test_accuracy <= 1.0
-
     def test_duplicate_chromosomes_hit_the_cache(self, rng, monkeypatch):
         bank, labels = two_cluster_bank(rng)
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)

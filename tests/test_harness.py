@@ -3,18 +3,22 @@ import pytest
 
 from kernelforge import (
     Add,
+    ComparisonError,
     DataError,
     DatasetSplit,
     GpParams,
     GramMatrix,
     KernelBank,
     Leaf,
+    NumericalError,
     ParameterError,
     ProtocolConfig,
     SvmParams,
     addition_kernel,
     best_single_kernel,
     evaluate,
+    evolve,
+    fit_and_score,
     make_splits,
     report_from_json,
     report_to_json,
@@ -124,6 +128,24 @@ class TestBestSingleKernel:
         assert idx == 0
 
 
+class TestFitAndScore:
+    def test_final_test_accuracy_uses_held_out_points(self):
+        bank, labels = xor_bank(n_per_class=12, seed=5)
+        split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
+        params = GpParams(population_size=12, max_generations=8, rng_seed=3, stagnation_limit=3)
+        result = evolve(bank, labels, split, params, SvmParams())
+        acc, _, fit_idx = fit_and_score(evaluate(result.best_expr, bank), labels, split, SvmParams())
+        assert fit_idx.tolist() == [*split.train_idx, *split.val_idx]
+        assert not set(fit_idx.tolist()) & set(split.test_idx)
+        assert 0.0 <= acc <= 1.0
+
+    def test_unconverged_final_model_raises(self):
+        bank, labels = xor_bank(n_per_class=12, seed=5)
+        split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
+        with pytest.raises(NumericalError, match="did not converge"):
+            fit_and_score(bank.kernels[0], labels, split, SvmParams(max_passes=0))
+
+
 def small_protocol(repeats=2, seed=21, **kw):
     return ProtocolConfig(per_class_train=8, per_class_val=3, repeats=repeats, seed=seed, **kw)
 
@@ -188,6 +210,19 @@ class TestRunComparison:
         a, _ = run_comparison(bank, labels, small_protocol(), small_gp(), SvmParams())
         b, _ = run_comparison(bank, labels, small_protocol(), small_gp(), SvmParams())
         assert report_to_json(a) == report_to_json(b)
+
+    def test_each_final_model_is_trained_once(self, final_trainings):
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        run_comparison(bank, labels, small_protocol(repeats=2), small_gp(), SvmParams())
+        assert len(final_trainings) == len(METHODS) * 2
+
+    @pytest.mark.filterwarnings("ignore:fitness of")
+    def test_unconverged_final_model_fails_the_repeat(self):
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        with pytest.raises(ComparisonError, match="repeat 0 failed: .*did not converge"):
+            run_comparison(
+                bank, labels, small_protocol(), small_gp(max_generations=1), SvmParams(max_passes=0)
+            )
 
     def test_grid_search_c_runs(self):
         bank, labels = xor_bank(n_per_class=10, seed=6)
