@@ -23,7 +23,6 @@ def main() -> None:
     parser.add_argument("--per-class-val", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", help="also write report.json / CSV emissions here")
     args = parser.parse_args()
     if args.per_class <= args.per_class_train:
@@ -37,7 +36,7 @@ def main() -> None:
         seed=args.seed,
     )
     gp_params = GpParams(population_size=40, max_generations=12, stagnation_limit=4)
-    report, results = run_comparison(bank, labels, protocol, gp_params, SvmParams(), threads=args.threads)
+    report, results = run_comparison(bank, labels, protocol, gp_params, SvmParams())
 
     if args.out:
         print(write_comparison_outputs(report, results, Path(args.out)))

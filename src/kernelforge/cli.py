@@ -119,7 +119,7 @@ def cmd_evolve(args) -> int:
     split = make_splits(labels, config.per_class_train, config.per_class_val, 1, config.seed)[0]
     gp_params = replace(config.gp, rng_seed=derive_seed(config.seed, "gp", 0))
 
-    result = evolve(bank, labels, split, gp_params, config.svm, threads=args.threads)
+    result = evolve(bank, labels, split, gp_params, config.svm)
     test_acc, model, _ = fit_and_score(evaluate(result.best_expr, bank), labels, split, config.svm)
     best_text = canonical_string(result.best_expr)
 
@@ -152,9 +152,7 @@ def cmd_compare(args) -> int:
         seed=config.seed,
         grid_search_c=config.grid_search_c,
     )
-    report, results = run_comparison(
-        bank, labels, protocol, config.gp, config.svm, threads=args.threads, config_echo=config.echo()
-    )
+    report, results = run_comparison(bank, labels, protocol, config.gp, config.svm, config_echo=config.echo())
     rundir = _run_dir(config)
     text = write_comparison_outputs(report, results, rundir)
     print(text)
@@ -212,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--seed", type=int, help="master seed (overrides the config file)")
         p.add_argument("--output", help="output directory (overrides the config file)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="parallel fitness workers; results are identical at any value")
 
     p = sub.add_parser("gram", help="build normalized Gaussian kernels from feature CSVs")
     add_config_flags(p)

@@ -4,16 +4,17 @@ The population is evolved by tournament selection, subtree crossover and
 mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
-Per-chromosome RNG streams are derived from (seed, generation, slot), so a
-parallel fitness pass returns exactly what a sequential one does.  The search
-never sees the test set: retraining the winner on train+validation and scoring
-it on test is ``harness.fit_and_score``.
+Fitness reads only the train x train and validation x train entries, so it
+folds the chromosome over the bank restricted to the training and validation
+items.  Per-chromosome RNG streams are derived from (seed, generation, slot),
+so a run is reproducible from its seed.  The search never sees the test set:
+retraining the winner on train+validation and scoring it on test is
+``harness.fit_and_score``.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,12 +210,15 @@ def fitness(
 
     validation: train on split.train_idx, score on split.val_idx.
     leave_one_out / k_fold: cross-validated accuracy over split.train_idx.
+    The expression is folded over the bank restricted to train_idx ++ val_idx.
     SVM failures (non-convergence, degenerate folds) score 0 with a warning
     instead of raising, so evolution keeps moving.
     """
-    labels = np.asarray(labels)
-    kernel = evaluate(expr, bank)
     train_idx, val_idx = _split_indices(split)
+    fit_idx = np.concatenate([train_idx, val_idx])
+    kernel = evaluate(expr, bank.restrict(fit_idx))
+    labels = np.asarray(labels)[fit_idx]
+    train_idx, val_idx = np.arange(train_idx.size), np.arange(train_idx.size, fit_idx.size)
     seed = derive_seed(split.seed, canonical_string(expr))
     try:
         if mode == "validation":
@@ -269,7 +273,6 @@ def evolve(
     split,
     params: GpParams,
     svm_params: SvmParams,
-    threads: int = 1,
 ) -> EvolutionResult:
     """Run the generational loop and return the fittest chromosome found.
 
@@ -289,28 +292,15 @@ def evolve(
     cache: dict[str, float] = {}
     mode, folds = params.fitness_mode, params.n_folds
 
-    def eval_population(pop: list[KernelExpr]) -> tuple[list[float], list[str]]:
+    def eval_population(pop: list[KernelExpr]) -> list[float]:
         canons = [canonical_string(e) for e in pop]
-        fresh: dict[str, KernelExpr] = {}
         for expr_, canon in zip(pop, canons):
-            if canon not in cache and canon not in fresh:
-                fresh[canon] = expr_
-        keys = list(fresh)
-        if threads > 1 and len(keys) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(
-                    pool.map(
-                        lambda e: fitness(e, bank, labels, split, svm_params, mode, folds),
-                        fresh.values(),
-                    )
-                )
-        else:
-            values = [fitness(e, bank, labels, split, svm_params, mode, folds) for e in fresh.values()]
-        cache.update(zip(keys, values))
-        return [cache[c] for c in canons], canons
+            if canon not in cache:
+                cache[canon] = fitness(expr_, bank, labels, split, svm_params, mode, folds)
+        return [cache[c] for c in canons]
 
     population = _initial_population(params, n)
-    fits, _ = eval_population(population)
+    fits = eval_population(population)
     sizes = [node_count(e) for e in population]
 
     def gen_best(fit_list, size_list) -> int:
@@ -338,7 +328,7 @@ def evolve(
                 child = mutate(child, rng, params, n)
             next_pop.append(child)
         population = next_pop
-        fits, _ = eval_population(population)
+        fits = eval_population(population)
         sizes = [node_count(e) for e in population]
         best_i = gen_best(fits, sizes)
         history.append((gen, fits[best_i], float(np.mean(fits))))

@@ -38,7 +38,7 @@ class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
 
     Instances are immutable: the array is copied on construction and marked
-    read-only, so they are safe to share across parallel workers.
+    read-only, so they can be shared without defensive copies.
     """
 
     values: np.ndarray
@@ -93,6 +93,13 @@ class KernelBank:
 
     def __getitem__(self, i: int) -> GramMatrix:
         return self.kernels[i]
+
+    def restrict(self, idx) -> "KernelBank":
+        """The bank over the items ``idx`` in that order: each kernel's idx x idx block.
+
+        Out-of-range indices raise IndexError (see ``submatrix``).
+        """
+        return KernelBank(tuple(GramMatrix(submatrix(k, idx, idx), k.source_tag) for k in self.kernels), self.names)
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

@@ -184,7 +184,6 @@ def run_comparison(
     protocol: ProtocolConfig,
     gp_params: GpParams,
     svm_params: SvmParams,
-    threads: int = 1,
     config_echo: dict | None = None,
 ) -> tuple[ComparisonReport, list[EvolutionResult]]:
     """Run all repeats of the three-way comparison.
@@ -214,7 +213,7 @@ def run_comparison(
             candidates["best_single"] = bank.kernels[idx]
 
             gp_r = replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
-            result = evolve(bank, labels, split, gp_r, svm_params, threads=threads)
+            result = evolve(bank, labels, split, gp_r, svm_params)
             evolution_results.append(result)
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])

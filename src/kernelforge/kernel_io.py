@@ -35,13 +35,17 @@ def read_kernel(path) -> GramMatrix:
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a kernel file (bad magic {blob[:4]!r})")
+    if len(blob) < 8:
+        raise DataError(f"{path}: truncated kernel file")
     (m,) = struct.unpack_from("<I", blob, 4)
     body = 8 + 8 * m * m
     if len(blob) < body + 4:
         raise DataError(f"{path}: truncated kernel file")
-    values = np.frombuffer(blob, dtype="<f8", count=m * m, offset=8).reshape(m, m)
     (name_len,) = struct.unpack_from("<I", blob, body)
-    name = blob[body + 4 : body + 4 + name_len].decode("utf-8")
+    if len(blob) != body + 4 + name_len:
+        raise DataError(f"{path}: {len(blob)} bytes, but the header promises {body + 4 + name_len}")
+    values = np.frombuffer(blob, dtype="<f8", count=m * m, offset=8).reshape(m, m)
+    name = blob[body + 4 :].decode("utf-8")
     return GramMatrix(values, name)
 
 

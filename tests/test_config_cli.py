@@ -180,8 +180,6 @@ class TestEvolveCommand:
                 "run_dir=evo",
                 "--output",
                 "runs",
-                "--threads",
-                "1",
             ]
         )
         assert code == 0
@@ -202,7 +200,7 @@ class TestEvolveCommand:
         cfg = xor_workspace / "run.cfg"
         run_cli(["gram", "--config", cfg])
         common = ["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
-        assert run_cli([*common, "--set", "run_dir=a", "--threads", "1"]) == 0
+        assert run_cli([*common, "--set", "run_dir=a"]) == 0
         assert len(final_trainings) == 1
         rundir = xor_workspace / "runs" / "a"
         result = json.loads((rundir / "result.json").read_text())
@@ -213,7 +211,7 @@ class TestEvolveCommand:
         test_idx = list(split.test_idx)
         pred = predict(model, kernel.values[test_idx], [*split.train_idx, *split.val_idx])
         assert accuracy(pred, labels[test_idx]) == result["final_test_accuracy"]
-        assert run_cli([*common, "--set", "run_dir=b", "--threads", "1"]) == 0
+        assert run_cli([*common, "--set", "run_dir=b"]) == 0
         for name in ("result.json", "model.json"):
             assert (rundir / name).read_bytes() == (xor_workspace / "runs" / "b" / name).read_bytes()
 
@@ -271,8 +269,6 @@ class TestCompareCommand:
                 "run_dir=cmp",
                 "--output",
                 "runs",
-                "--threads",
-                "1",
             ]
         )
         assert code == 0

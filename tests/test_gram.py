@@ -216,6 +216,21 @@ class TestSubmatrix:
             submatrix(gm(np.eye(2)), [0], [-1])
 
 
+class TestRestrict:
+    def test_blocks_follow_index_order(self, rng):
+        bank = KernelBank((gm(random_psd(5, rng)), gm(random_psd(5, rng))), ("a", "b"))
+        idx = [3, 0, 4]
+        sub = bank.restrict(idx)
+        assert sub.names == bank.names and sub.size == 3
+        for k, full in zip(sub.kernels, bank.kernels):
+            assert np.array_equal(k.values, full.values[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("idx", [[0, 2], [-1, 0]])
+    def test_out_of_range(self, idx):
+        with pytest.raises(IndexError):
+            KernelBank((gm(np.eye(2)),), ("a",)).restrict(idx)
+
+
 class TestTypes:
     def test_gram_requires_symmetry(self):
         with pytest.raises(ShapeError):

@@ -42,6 +42,18 @@ class TestKernelBinary:
         with pytest.raises(DataError):
             read_kernel(path)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda blob: blob[:-3], lambda blob: blob + b"\x00", lambda blob: blob[:6]],
+        ids=["truncated-name", "trailing-bytes", "truncated-header"],
+    )
+    def test_length_disagreeing_with_header_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "k.kgm"
+        write_kernel(path, GramMatrix(np.eye(2), "(* K1 K2)"))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(DataError):
+            read_kernel(path)
+
     def test_rewrite_is_byte_identical(self, rng, tmp_path):
         g = GramMatrix(random_psd(4, rng), "k")
         a, b = tmp_path / "a.kgm", tmp_path / "b.kgm"
