@@ -165,7 +165,7 @@ def cmd_retrieve(args) -> int:
     item = args.item
     if item in index.item_ids:
         i = index.item_ids.index(item)
-    elif item.isdigit():
+    elif item.isdecimal():
         i = int(item)
         if i >= index.size:
             raise DataError(f"item index {i} out of range for {index.size} items")

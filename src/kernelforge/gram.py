@@ -16,6 +16,7 @@ from .errors import DataError, ParameterError, ShapeError
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
+_ASYMMETRY_STRIP = 64  # rows per strip in _max_asymmetry
 
 
 def validate_features(features) -> np.ndarray:
@@ -31,6 +32,20 @@ def validate_features(features) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DataError("feature matrix contains non-finite values")
     return x
+
+
+def _max_asymmetry(v: np.ndarray) -> float:
+    """max |v - v.T| of a square array, 0.0 when it is empty.
+
+    Compares v[s:s+B, s:] with v[s:, s:s+B].T one strip of B rows at a time,
+    which covers every pair once, so the one temporary is B x m instead of
+    two m x m arrays.
+    """
+    worst = 0.0
+    for s in range(0, v.shape[0], _ASYMMETRY_STRIP):
+        d = v[s : s + _ASYMMETRY_STRIP, s:] - v[s:, s : s + _ASYMMETRY_STRIP].T
+        worst = np.maximum(worst, np.abs(d, out=d).max())  # a NaN stays NaN
+    return float(worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +65,7 @@ class GramMatrix:
             raise ShapeError(f"gram matrix must be square, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise DataError("gram matrix contains non-finite entries")
-        if v.size and np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
+        if _max_asymmetry(v) > SYMMETRY_TOL:
             raise ShapeError(f"gram matrix asymmetric beyond {SYMMETRY_TOL}")
         v = v.copy()
         v.flags.writeable = False
@@ -168,7 +183,7 @@ def check_psd(g, tol: float = PSD_TOL) -> bool:
     v = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {v.shape}")
-    if v.size and np.max(np.abs(v - v.T)) > 1e-8:
+    if _max_asymmetry(v) > 1e-8:
         raise ShapeError("matrix asymmetric beyond 1e-8")
     w = np.linalg.eigvalsh(0.5 * (v + v.T))
     return bool(w[0] >= -tol)

@@ -45,7 +45,10 @@ def read_kernel(path) -> GramMatrix:
     if len(blob) != body + 4 + name_len:
         raise DataError(f"{path}: {len(blob)} bytes, but the header promises {body + 4 + name_len}")
     values = np.frombuffer(blob, dtype="<f8", count=m * m, offset=8).reshape(m, m)
-    name = blob[body + 4 :].decode("utf-8")
+    try:
+        name = blob[body + 4 :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: kernel name is not valid UTF-8: {exc}") from exc
     return GramMatrix(values, name)
 
 

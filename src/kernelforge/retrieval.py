@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError, ParameterError
 from .expr import KernelExpr, canonical_string, evaluate, parse_expr
 from .gram import GramMatrix, KernelBank, normalize
@@ -57,16 +59,25 @@ def query(index: SimilarityIndex, i: int, k: int, order: str = "similarity") -> 
     if order not in ORDERS:
         raise ParameterError(f"order must be one of {ORDERS}, got {order!r}")
     row = index.matrix.values[i]
-    others = [j for j in range(m) if j != i]
-    if order == "similarity":
-        ranked = sorted(others, key=lambda j: (-row[j], j))
-    else:
-        ranked = sorted(others, key=lambda j: (row[j], j))
-    return [(j, float(row[j])) for j in ranked[:k]]
+    keys = -row if order == "similarity" else row
+    # The k best items other than i lie among the k + 1 smallest keys; keeping
+    # every key <= the (k+1)-th smallest keeps all ties at that boundary.
+    cut = np.partition(keys, k)[k]
+    candidates = np.flatnonzero(keys <= cut)
+    ranked = candidates[np.argsort(keys[candidates], kind="stable")]
+    ranked = ranked[ranked != i][:k]
+    return list(zip(ranked.tolist(), row[ranked].tolist()))
 
 
 def save_index(path, index: SimilarityIndex) -> None:
-    """Kernel binary holding M (named by the expression) plus a .ids sidecar."""
+    """Kernel binary holding M (named by the expression) plus a .ids sidecar.
+
+    The sidecar holds one id per line, so an empty id or one that
+    ``str.splitlines`` would split is rejected before anything is written.
+    """
+    for v in map(str, index.item_ids):
+        if v.splitlines() != [v]:
+            raise DataError(f"item id {v!r} cannot be stored one per line")
     path = Path(path)
     write_kernel(path, index.matrix.with_tag(canonical_string(index.expr)))
     sidecar = path.with_name(path.name + ".ids")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .gram import GramMatrix
+from .gram import GramMatrix, _max_asymmetry
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -102,7 +102,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     p = y.shape[0]
     if k.ndim != 2 or k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if k.size and np.max(np.abs(k - k.T)) > 1e-8:
+    if _max_asymmetry(k) > 1e-8:
         raise ShapeError("training kernel asymmetric beyond 1e-8")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("binary labels must be -1/+1")

@@ -321,6 +321,16 @@ class TestRetrieveCommand:
         err = json.loads(capsys.readouterr().err)
         assert "img" in err["message"]
 
+    def test_non_ascii_digit_item_is_data_error(self, index_file, capsys):
+        # "²".isdigit() is true, but int("²") raises
+        assert run_cli(["retrieve", "--index", index_file, "--item", "²", "--k", "1"]) == 3
+        assert "unknown item id" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_index_name_not_utf8_is_data_error(self, index_file, capsys):
+        index_file.write_bytes(index_file.read_bytes()[:-1] + b"\xff")
+        assert run_cli(["retrieve", "--index", index_file, "--item", "img0", "--k", "1"]) == 3
+        assert "UTF-8" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestInspectCommand:
     def test_pretty_print(self, tmp_path, capsys):

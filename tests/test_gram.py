@@ -18,6 +18,7 @@ from kernelforge import (
     normalize,
     submatrix,
 )
+from kernelforge.gram import _max_asymmetry
 
 from oracles import random_psd
 
@@ -195,6 +196,19 @@ class TestCheckPsd:
     def test_asymmetric_raw_input_rejected(self):
         with pytest.raises(ShapeError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-8)
+
+
+class TestMaxAsymmetry:
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 130])
+    def test_equals_full_difference(self, m, rng):
+        a = rng.random((m, m))
+        v = a + a.T
+        if m > 1:
+            v[m - 1, m - 2] += 0.5  # the one asymmetric pair, in the last rows
+        assert _max_asymmetry(v) == np.max(np.abs(v - v.T))
+
+    def test_empty_is_symmetric(self):
+        assert _max_asymmetry(np.zeros((0, 0))) == 0.0
 
 
 class TestSubmatrix:

@@ -54,6 +54,13 @@ class TestKernelBinary:
         with pytest.raises(DataError):
             read_kernel(path)
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "k.kgm"
+        write_kernel(path, GramMatrix(np.eye(2), "ab"))
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff")
+        with pytest.raises(DataError, match="UTF-8"):
+            read_kernel(path)
+
     def test_rewrite_is_byte_identical(self, rng, tmp_path):
         g = GramMatrix(random_psd(4, rng), "k")
         a, b = tmp_path / "a.kgm", tmp_path / "b.kgm"

@@ -119,6 +119,40 @@ class TestQuery:
             query(index, 0, 1, order="sideways")
 
 
+def sorted_ranking(row, i, k, order):
+    """The ranking by a full Python sort, ties to the smaller index."""
+    others = [j for j in range(len(row)) if j != i]
+    if order == "similarity":
+        ranked = sorted(others, key=lambda j: (-row[j], j))
+    else:
+        ranked = sorted(others, key=lambda j: (row[j], j))
+    return [(j, float(row[j])) for j in ranked[:k]]
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows of 2..40 scores drawn from at most 3 distinct values, often +-0.0."""
+    m = draw(st.integers(2, 40))
+    values = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+
+
+class TestTopK:
+    @given(row=tied_rows())
+    def test_matches_full_sort(self, row):
+        m = len(row)
+        for i in range(m):
+            values = np.full((m, m), 0.25)
+            values[i, :] = row
+            values[:, i] = row
+            index = SimilarityIndex(GramMatrix(values), ids_for(m), Leaf(0))
+            for order in ("similarity", "paper-min"):
+                for k in range(1, m):
+                    expected = sorted_ranking(index.matrix.values[i], i, k, order)
+                    assert repr(query(index, i, k, order)) == repr(expected)
+
+
 class TestPersistence:
     def test_round_trip(self, rng, tmp_path):
         bank = bank_of([random_psd(5, rng) for _ in range(3)])
@@ -132,6 +166,13 @@ class TestPersistence:
         assert canonical_string(loaded.expr) == canonical_string(expr)
         assert np.array_equal(loaded.matrix.values, index.matrix.values)
         assert query(loaded, 2, 3) == query(index, 2, 3)
+
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\u2028b", "a\r"])
+    def test_ids_not_one_per_line_rejected_before_writing(self, bad, tmp_path):
+        index = SimilarityIndex(GramMatrix(np.eye(3)), ("x", bad, "y"), Leaf(0))
+        with pytest.raises(DataError):
+            save_index(tmp_path / "sims.kgm", index)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_sidecar(self, rng, tmp_path):
         bank = bank_of([random_psd(4, rng)])
