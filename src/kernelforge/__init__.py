@@ -53,6 +53,7 @@ from .svm import (
     accuracy,
     decision,
     dual_objective,
+    fit_predict,
     predict,
     train_binary,
     train_multiclass,

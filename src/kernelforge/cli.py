@@ -23,10 +23,10 @@ import numpy as np
 from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
-from .expr import Leaf, canonical_string, depth, evaluate, node_count, parse_expr
+from .expr import Leaf, canonical_string, depth, node_count, parse_expr
 from .gp import evolve, write_evolution_log
 from .gram import KernelBank, build_bank
-from .harness import ProtocolConfig, fit_and_score, make_splits, run_comparison, write_comparison_outputs
+from .harness import ProtocolConfig, fit_expr, make_splits, run_comparison, write_comparison_outputs
 from .retrieval import ORDERS, load_index, query
 from .rng import derive_seed
 from .svm import save_multiclass
@@ -120,7 +120,7 @@ def cmd_evolve(args) -> int:
     gp_params = replace(config.gp, rng_seed=derive_seed(config.seed, "gp", 0))
 
     result = evolve(bank, labels, split, gp_params, config.svm)
-    test_acc, model, _ = fit_and_score(evaluate(result.best_expr, bank), labels, split, config.svm)
+    test_acc, model, _, _ = fit_expr(result.best_expr, bank, labels, split, config.svm, config.grid_search_c)
     best_text = canonical_string(result.best_expr)
 
     rundir = _run_dir(config)

@@ -92,7 +92,7 @@ def _parse_value(key: str, raw) -> object:
             if isinstance(value, list):
                 return [float(v) for v in value]
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf) from 1e400
         pass
     raise ConfigError(f"config key {key!r} expects a {kind} value, got {raw!r}")
 

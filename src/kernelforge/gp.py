@@ -6,9 +6,11 @@ Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
 Fitness reads only the train x train and validation x train entries, so it
 folds the chromosome over the bank restricted to the training and validation
-items.  Per-chromosome RNG streams are derived from (seed, generation, slot),
-so a run is reproducible from its seed.  The search never sees the test set:
-retraining the winner on train+validation and scoring it on test is
+items.  Every mode is a list of (fit, held) position pairs scored by one loop
+over ``svm.fit_predict``; validation is the single pair (train, validation).
+Per-chromosome RNG streams are derived from (seed, generation, slot), so a run
+is reproducible from its seed.  The search never sees the test set: retraining
+the winner on train+validation and scoring it on test is
 ``harness.fit_and_score``.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError, ParameterError, ShapeError
 from .expr import (
     Add,
     KernelExpr,
@@ -36,7 +38,7 @@ from .expr import (
 )
 from .gram import KernelBank
 from .rng import derive_seed, derived_rng
-from .svm import SvmParams, accuracy, predict, train_multiclass
+from .svm import SvmParams, accuracy, fit_predict
 
 FITNESS_MODES = ("validation", "k_fold", "leave_one_out")
 IMPROVEMENT_TOL = 1e-6
@@ -188,13 +190,19 @@ def tournament_select(fitnesses, k: int, rng: np.random.Generator, node_counts=N
     return int(min(pool, key=lambda i: (-fitnesses[i], sizes[i], i)))
 
 
-def _split_indices(split) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(split.train_idx, dtype=int), np.asarray(split.val_idx, dtype=int)
-
-
-def _require_converged(model) -> None:
-    if not model.converged:
-        raise NumericalError("SMO did not converge within max_passes")
+def _folds(mode: str, train: np.ndarray, val: np.ndarray, n_folds: int, seed: int) -> list:
+    """The (fit, held) position pairs a fitness mode scores."""
+    if mode == "validation":
+        return [(train, val)]
+    if mode == "leave_one_out":
+        held = [np.array([pos]) for pos in range(train.size)]
+    elif mode == "k_fold":
+        if n_folds > train.size:
+            raise ParameterError(f"{n_folds} folds for {train.size} training points")
+        held = np.array_split(derived_rng(seed, "folds").permutation(train.size), n_folds)
+    else:
+        raise ParameterError(f"unknown fitness mode {mode!r}")
+    return [(np.delete(train, fold), train[fold]) for fold in held]
 
 
 def fitness(
@@ -211,39 +219,21 @@ def fitness(
     validation: train on split.train_idx, score on split.val_idx.
     leave_one_out / k_fold: cross-validated accuracy over split.train_idx.
     The expression is folded over the bank restricted to train_idx ++ val_idx.
-    SVM failures (non-convergence, degenerate folds) score 0 with a warning
-    instead of raising, so evolution keeps moving.
+    SVM failures (non-convergence, degenerate folds, nothing held out) score 0
+    with a warning instead of raising, so evolution keeps moving.
     """
-    train_idx, val_idx = _split_indices(split)
-    fit_idx = np.concatenate([train_idx, val_idx])
+    fit_idx = np.asarray(split.train_idx + split.val_idx, dtype=int)
     kernel = evaluate(expr, bank.restrict(fit_idx))
     labels = np.asarray(labels)[fit_idx]
-    train_idx, val_idx = np.arange(train_idx.size), np.arange(train_idx.size, fit_idx.size)
+    t = len(split.train_idx)
+    train, val = np.arange(t), np.arange(t, fit_idx.size)
+    folds = _folds(mode, train, val, n_folds, split.seed)
     seed = derive_seed(split.seed, canonical_string(expr))
     try:
-        if mode == "validation":
-            model = train_multiclass(kernel, labels, train_idx, svm_params, seed=seed)
-            _require_converged(model)
-            pred = predict(model, kernel.values[val_idx], train_idx)
-            return accuracy(pred, labels[val_idx])
-        if mode == "leave_one_out":
-            folds = [np.array([pos]) for pos in range(train_idx.size)]
-        elif mode == "k_fold":
-            if n_folds > train_idx.size:
-                raise ParameterError(f"{n_folds} folds for {train_idx.size} training points")
-            order = derived_rng(split.seed, "folds").permutation(train_idx.size)
-            folds = np.array_split(order, n_folds)
-        else:
-            raise ParameterError(f"unknown fitness mode {mode!r}")
-        correct = 0
-        for fold in folds:
-            held = train_idx[fold]
-            rest = np.delete(train_idx, fold)
-            model = train_multiclass(kernel, labels, rest, svm_params, seed=seed)
-            _require_converged(model)
-            pred = predict(model, kernel.values[held], rest)
-            correct += int(np.sum(pred == labels[held]))
-        return correct / train_idx.size
+        if not folds:
+            raise ShapeError("no training points to leave out")
+        preds = [fit_predict(kernel, labels, fit, held, svm_params, seed)[0] for fit, held in folds]
+        return accuracy(np.concatenate(preds), labels[np.concatenate([held for _, held in folds])])
     except (DataError, NumericalError) as exc:
         warnings.warn(f"fitness of {canonical_string(expr)} set to 0: {exc}", stacklevel=2)
         return 0.0
@@ -283,10 +273,9 @@ def evolve(
     """
     labels = np.asarray(labels)
     n = len(bank)
-    train_idx, val_idx = _split_indices(split)
-    if len(set(labels[train_idx].tolist())) < 2:
+    if len(set(labels[list(split.train_idx)].tolist())) < 2:
         raise DataError("split.train_idx must cover at least 2 classes")
-    if params.fitness_mode == "validation" and len(set(labels[val_idx].tolist())) < 2:
+    if params.fitness_mode == "validation" and len(set(labels[list(split.val_idx)].tolist())) < 2:
         raise DataError("split.val_idx must cover at least 2 classes")
 
     cache: dict[str, float] = {}

@@ -1,29 +1,32 @@
 """Experiment protocol: repeated stratified splits and the three-way comparison
 of addition kernel vs. best single kernel vs. evolved kernel.
 
-Every repeat draws its own train/validation/test split; baselines and the
-evolved winner are all retrained on train+validation before the one test-set
-evaluation, so the three columns are like-for-like.  ``fit_and_score`` is the
-only place that trains on train+validation and scores on test; the CLI's
-``evolve`` uses it too.  Reports aggregate mean and sample (n-1) standard
-deviation across repeats.
+Every repeat draws its own train/validation/test split.  The three candidates
+are expressions (the ``Add`` chain of every leaf, the best leaf and the
+evolved winner), and each goes through ``fit_expr``: optionally choose C by
+validation ``fitness``, then ``fit_and_score`` trains on train+validation and
+scores once on test, so the three columns are like-for-like.  Fitness, C
+selection and final scoring all train and predict through ``svm.fit_predict``;
+the CLI's ``evolve`` uses ``fit_expr`` too.  Reports aggregate mean and sample
+(n-1) standard deviation across repeats.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ComparisonError, DataError, KernelForgeError, NumericalError, ParameterError
-from .expr import Add, Leaf, canonical_string, evaluate
+from .errors import ComparisonError, DataError, KernelForgeError, ParameterError
+from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
 from .gp import EvolutionResult, GpParams, evolve, fitness, write_evolution_log
 from .gram import GramMatrix, KernelBank
+from .kernel_io import parse_json
 from .rng import derive_seed
-from .svm import MulticlassModel, SvmParams, accuracy, decision, predict, train_multiclass
+from .svm import MulticlassModel, SvmParams, accuracy, decision, fit_predict
 
 REPORT_SCHEMA = "kf-report-1"
 METHODS = ("addition", "best_single", "evolved")
@@ -95,10 +98,14 @@ def make_splits(labels, per_class_train: int, per_class_val: int, repeats: int, 
     return splits
 
 
+def _addition_expr(n: int) -> KernelExpr:
+    """The linear-combination baseline over n kernels: ``(+ (+ K1 K2) K3)`` and so on."""
+    return reduce(Add, (Leaf(i) for i in range(n)))
+
+
 def addition_kernel(bank: KernelBank) -> GramMatrix:
-    """Entrywise sum of every bank kernel (the linear-combination baseline),
-    evaluated as the left-leaning chain ``(+ (+ K1 K2) K3)`` and so on."""
-    return evaluate(reduce(Add, (Leaf(i) for i in range(len(bank)))), bank)
+    """Entrywise sum of every bank kernel, evaluated as ``_addition_expr``."""
+    return evaluate(_addition_expr(len(bank)), bank)
 
 
 def best_single_kernel(bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> tuple[int, float]:
@@ -127,19 +134,11 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _select_c(kernel: GramMatrix, labels, split: DatasetSplit, svm_params: SvmParams) -> SvmParams:
-    """Pick C from a small grid by validation accuracy (ties -> smaller C)."""
-    train_idx = np.asarray(split.train_idx)
-    val_idx = np.asarray(split.val_idx)
-    best_params, best_acc = svm_params, -1.0
-    for c in C_GRID:
-        trial = replace(svm_params, c=c)
-        seed = derive_seed(split.seed, "cgrid", kernel.source_tag, c)
-        model = train_multiclass(kernel, labels, train_idx, trial, seed=seed)
-        acc = accuracy(predict(model, kernel.values[val_idx], train_idx), labels[val_idx])
-        if acc > best_acc:
-            best_params, best_acc = trial, acc
-    return best_params
+def _select_c(expr: KernelExpr, bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> SvmParams:
+    """The C of C_GRID with the best validation fitness (ties -> smaller C); a
+    trial that stops at max_passes scores 0 with the fitness warning."""
+    scores = [fitness(expr, bank, labels, split, replace(svm_params, c=c)) for c in C_GRID]
+    return replace(svm_params, c=C_GRID[int(np.argmax(scores))])
 
 
 def fit_and_score(
@@ -155,11 +154,19 @@ def fit_and_score(
     fit_idx = np.asarray(split.train_idx + split.val_idx, dtype=int)
     test_idx = np.asarray(split.test_idx, dtype=int)
     seed = derive_seed(split.seed, "final", kernel.source_tag)
-    model = train_multiclass(kernel, labels, fit_idx, svm_params, seed=seed)
-    if not model.converged:
-        raise NumericalError(f"final model on kernel {kernel.source_tag!r} did not converge within max_passes")
-    acc = accuracy(predict(model, kernel.values[test_idx], fit_idx), labels[test_idx])
-    return acc, model, fit_idx
+    pred, model = fit_predict(kernel, labels, fit_idx, test_idx, svm_params, seed)
+    return accuracy(pred, labels[test_idx]), model, fit_idx
+
+
+def fit_expr(
+    expr: KernelExpr, bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams, grid_search_c: bool
+) -> tuple[float, MulticlassModel, np.ndarray, GramMatrix]:
+    """Choose C if grid_search_c, then fit_and_score the evaluated expression:
+    (test accuracy, model, fit indices, kernel)."""
+    if grid_search_c:
+        svm_params = _select_c(expr, bank, labels, split, svm_params)
+    kernel = evaluate(expr, bank)
+    return (*fit_and_score(kernel, labels, split, svm_params), kernel)
 
 
 def _pair_accuracies(
@@ -203,29 +210,19 @@ def run_comparison(
 
     for r, split in enumerate(splits):
         try:
-            test_idx = np.asarray(split.test_idx)
-            candidates: dict[str, GramMatrix] = {}
-
-            candidates["addition"] = addition_kernel(bank)
-
             idx, _ = best_single_kernel(bank, labels, split, svm_params)
             best_indices.append(idx)
-            candidates["best_single"] = bank.kernels[idx]
 
             gp_r = replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
             result = evolve(bank, labels, split, gp_r, svm_params)
             evolution_results.append(result)
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])
-            candidates["evolved"] = evaluate(result.best_expr, bank)
 
-            for method, kernel in candidates.items():
-                params = (
-                    _select_c(kernel, labels, split, svm_params)
-                    if protocol.grid_search_c
-                    else svm_params
-                )
-                acc, model, fit_idx = fit_and_score(kernel, labels, split, params)
+            test_idx = np.asarray(split.test_idx)
+            candidates = zip(METHODS, (_addition_expr(len(bank)), Leaf(idx), result.best_expr))
+            for method, expr in candidates:
+                acc, model, fit_idx, kernel = fit_expr(expr, bank, labels, split, svm_params, protocol.grid_search_c)
                 per_method[method].append(acc)
                 for pair, value in _pair_accuracies(model, kernel, labels, test_idx, fit_idx).items():
                     pair_series[method].setdefault(pair, []).append(value)
@@ -248,35 +245,29 @@ def run_comparison(
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    doc = {
-        "schema": report.schema,
-        "methods": report.methods,
-        "mean": report.mean,
-        "std": report.std,
-        "best_exprs": report.best_exprs,
-        "best_single_indices": report.best_single_indices,
-        "generations": report.generations,
-        "binary_problems": report.binary_problems,
-        "config": report.config,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+
+
+_REPORT_DOC = {
+    "schema": REPORT_SCHEMA,
+    "methods": {m: [float] for m in METHODS},
+    "mean": {m: float for m in METHODS},
+    "std": {m: float for m in METHODS},
+    "best_exprs": [str],
+    "best_single_indices": [int],
+    "generations": [[[float]]],
+    "binary_problems": {m: {str: [float]} for m in METHODS},
+    "config": dict,
+}
 
 
 def report_from_json(text: str) -> ComparisonReport:
-    doc = json.loads(text)
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise DataError(f"unknown report schema {doc.get('schema')!r}")
-    return ComparisonReport(
-        methods=doc["methods"],
-        mean=doc["mean"],
-        std=doc["std"],
-        best_exprs=doc["best_exprs"],
-        best_single_indices=doc["best_single_indices"],
-        generations=doc["generations"],
-        binary_problems=doc["binary_problems"],
-        config=doc["config"],
-        schema=doc["schema"],
-    )
+    """Inverse of report_to_json; a malformed document raises DataError."""
+    doc = parse_json(text, _REPORT_DOC, "report")
+    repeats = {len(doc["best_exprs"])} | {len(series) for series in doc["methods"].values()}
+    if len(repeats) > 1 or any(len(row) != 3 for series in doc["generations"] for row in series):
+        raise DataError("report: per-repeat lists disagree in length, or a generation row is not 3 numbers")
+    return ComparisonReport(**doc)
 
 
 def _pct(x: float) -> str:

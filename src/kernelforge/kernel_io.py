@@ -1,4 +1,5 @@
-"""File formats: binary kernel files, matrix CSV, feature CSV, run manifests.
+"""File formats: binary kernel files, matrix CSV, feature CSV, run manifests,
+and the shape check that JSON documents pass before they are read.
 
 Binary kernel layout (little-endian throughout):
     magic "KGM1" | u32 m | m*m float64 entries, row-major | u32 name length | name utf-8
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,45 @@ from .gram import GramMatrix, KernelBank, validate_features
 
 MAGIC = b"KGM1"
 MANIFEST_SCHEMA = "kf-manifest-1"
+
+
+def check_json(value, template, where: str) -> None:
+    """Raise DataError unless a decoded JSON value has the template's shape.
+
+    A template is a type (``float`` means a finite number, ints included, and
+    ``int`` one that fits int64; neither takes a bool), a string the value must
+    equal, ``[t]`` for a list of ``t``, ``{str: t}`` for an object with any keys
+    mapping to ``t``, or a dict of exactly the keys an object must have.
+    """
+    if isinstance(template, str):
+        ok = value == template
+    elif isinstance(template, list):
+        ok = isinstance(value, list)
+        for i, item in enumerate(value if ok else ()):
+            check_json(item, template[0], f"{where}[{i}]")
+    elif isinstance(template, dict):
+        ok = isinstance(value, dict)
+        if ok and str not in template and set(value) != set(template):
+            raise DataError(f"{where}: missing or unknown keys {sorted(set(value) ^ set(template))}")
+        for key, item in value.items() if ok else ():
+            check_json(item, template.get(str, template.get(key)), f"{where}.{key}")
+    elif template is int or template is float:
+        kinds, limit = (int, 2**63 - 1) if template is int else ((int, float), sys.float_info.max)
+        ok = isinstance(value, kinds) and not isinstance(value, bool) and abs(value) <= limit
+    else:
+        ok = isinstance(value, template)
+    if not ok:
+        raise DataError(f"{where}: unexpected value {value!r:.60}")
+
+
+def parse_json(text, template, where: str):
+    """json.loads, then check_json; text that does not decode raises DataError too."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: invalid JSON: {exc}") from exc
+    check_json(doc, template, where)
+    return doc
 
 
 def write_kernel(path, gram: GramMatrix) -> None:

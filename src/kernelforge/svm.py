@@ -3,20 +3,23 @@
 The solver never sees feature vectors: it consumes kernel blocks only, which
 keeps kernel construction and classification strictly separated.  Pair updates
 follow Platt's analytic two-variable solve; the second index of each working
-pair is drawn from a seeded random permutation.
+pair is drawn from a seeded random permutation.  ``fit_predict`` is the one
+train-then-predict path of the package: fitness folds, C selection and final
+scoring all go through it, and it refuses a model that stopped at max_passes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, NumericalError, ParameterError, ShapeError
 from .gram import GramMatrix, _max_asymmetry
+from .kernel_io import check_json, parse_json
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -295,6 +298,16 @@ def predict(model: MulticlassModel, gram_rows, train_idx) -> np.ndarray:
     return out
 
 
+def fit_predict(gram, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> tuple[np.ndarray, MulticlassModel]:
+    """Train on the fit_idx points and predict the held_idx rows: (predictions, model).
+    Raises NumericalError if any pair model stopped at max_passes."""
+    model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
+    if not model.converged:
+        tag = gram.source_tag if isinstance(gram, GramMatrix) else ""
+        raise NumericalError(f"SMO on kernel {tag!r} did not converge within max_passes")
+    return predict(model, _as_matrix(gram)[np.asarray(held_idx, dtype=int)], fit_idx), model
+
+
 def accuracy(predicted, actual) -> float:
     p = np.asarray(predicted)
     a = np.asarray(actual)
@@ -305,50 +318,55 @@ def accuracy(predicted, actual) -> float:
     return float(np.mean(p == a))
 
 
-def _params_to_dict(params: SvmParams) -> dict:
-    return {"c": params.c, "kkt_tol": params.kkt_tol, "max_passes": params.max_passes, "eps": params.eps}
-
-
-def _binary_to_dict(model: SvmModel) -> dict:
-    return {
-        "alpha": model.alpha.tolist(),
-        "bias": model.bias,
-        "labels": model.train_labels.tolist(),
-        "support_idx": model.support_idx.tolist(),
-        "converged": model.converged,
-    }
-
-
-def _binary_from_dict(doc: dict, params: SvmParams) -> SvmModel:
-    return SvmModel(
-        alpha=np.asarray(doc["alpha"], dtype=float),
-        bias=float(doc["bias"]),
-        train_labels=np.asarray(doc["labels"], dtype=float),
-        params=params,
-        converged=bool(doc["converged"]),
-    )
-
-
 def multiclass_to_dict(model: MulticlassModel) -> dict:
     return {
         "schema": MODEL_SCHEMA,
         "class_labels": list(model.class_labels),
-        "params": _params_to_dict(model.params),
+        "params": asdict(model.params),
         "pairs": [
-            {"classes": list(pair), "train_positions": pos.tolist(), **_binary_to_dict(mdl)}
+            {
+                "classes": list(pair),
+                "train_positions": pos.tolist(),
+                "alpha": mdl.alpha.tolist(),
+                "bias": mdl.bias,
+                "labels": mdl.train_labels.tolist(),
+                "support_idx": mdl.support_idx.tolist(),
+                "converged": mdl.converged,
+            }
             for pair, mdl, pos in zip(model.pairs, model.models, model.pair_positions)
         ],
     }
 
 
+_PARAMS_DOC = {"c": float, "kkt_tol": float, "max_passes": int, "eps": float}
+_PAIR_DOC = {
+    "classes": [int], "train_positions": [int], "alpha": [float], "bias": float,
+    "labels": [float], "support_idx": [int], "converged": bool,
+}
+_MODEL_DOC = {"schema": MODEL_SCHEMA, "class_labels": [int], "params": _PARAMS_DOC, "pairs": [_PAIR_DOC]}
+
+
 def multiclass_from_dict(doc: dict) -> MulticlassModel:
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise DataError(f"unknown model schema {doc.get('schema')!r}")
-    params = SvmParams(**doc["params"])
+    """Inverse of multiclass_to_dict; a malformed document raises DataError."""
+    check_json(doc, _MODEL_DOC, "model")
+    try:
+        params = SvmParams(**doc["params"])
+    except ParameterError as exc:
+        raise DataError(f"model.params: {exc}") from exc
     pairs, models, positions = [], [], []
-    for entry in doc["pairs"]:
+    for i, entry in enumerate(doc["pairs"]):
+        lengths = {len(entry[key]) for key in ("alpha", "labels", "train_positions")}
+        if (
+            len(lengths) > 1
+            or len(entry["classes"]) != 2
+            or not set(entry["classes"]) <= set(doc["class_labels"])
+            or not set(entry["labels"]) <= {-1, 1}
+            or min(entry["train_positions"], default=0) < 0
+        ):
+            raise DataError(f"model.pairs[{i}]: classes, labels and train positions do not fit together")
         pairs.append(tuple(entry["classes"]))
-        models.append(_binary_from_dict(entry, params))
+        alpha, y = np.asarray(entry["alpha"], dtype=float), np.asarray(entry["labels"], dtype=float)
+        models.append(SvmModel(alpha, float(entry["bias"]), y, params, entry["converged"]))
         positions.append(np.asarray(entry["train_positions"], dtype=int))
     return MulticlassModel(list(doc["class_labels"]), pairs, models, positions, params)
 
@@ -360,4 +378,4 @@ def save_multiclass(path, model: MulticlassModel) -> None:
 
 
 def load_multiclass(path) -> MulticlassModel:
-    return multiclass_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return multiclass_from_dict(parse_json(Path(path).read_bytes(), dict, str(path)))

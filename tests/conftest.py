@@ -13,12 +13,17 @@ def rng():
 
 @pytest.fixture
 def final_trainings(monkeypatch):
-    """List that gains one entry per train_multiclass call made outside gp.fitness."""
+    """List that gains one entry per train_multiclass call made outside gp.fitness.
+
+    svm.fit_predict is the one caller of train_multiclass, so the count is
+    taken at svm's module attribute; gp.fitness is wrapped wherever it is bound.
+    """
     import kernelforge.gp as gp_mod
     import kernelforge.harness as harness_mod
+    import kernelforge.svm as svm_mod
 
     calls, inside = [], [0]
-    real_train, real_fitness = gp_mod.train_multiclass, gp_mod.fitness
+    real_train, real_fitness = svm_mod.train_multiclass, gp_mod.fitness
 
     def train(*args, **kwargs):
         if not inside[0]:
@@ -32,7 +37,7 @@ def final_trainings(monkeypatch):
         finally:
             inside[0] -= 1
 
+    monkeypatch.setattr(svm_mod, "train_multiclass", train)
     for module in (gp_mod, harness_mod):
-        monkeypatch.setattr(module, "train_multiclass", train)
         monkeypatch.setattr(module, "fitness", fitness)
     return calls

@@ -4,10 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelforge import ConfigError, Leaf, accuracy, build_index, evaluate, make_splits, parse_expr, predict, save_index
+from kernelforge import (
+    ConfigError,
+    Leaf,
+    SvmParams,
+    accuracy,
+    build_index,
+    evaluate,
+    make_splits,
+    parse_expr,
+    predict,
+    save_index,
+)
 from kernelforge.cli import main
 from kernelforge.config import build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import GramMatrix, KernelBank
+from kernelforge.harness import _select_c
 from kernelforge.kernel_io import load_bank_from_manifest, save_feature_csv
 from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
@@ -70,6 +82,12 @@ class TestConfigParsing:
     def test_bad_gp_values_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             build_run_config({"seed": 1, "gp.crossover_rate": 1.5}, tmp_path)
+
+    @pytest.mark.parametrize("key", ["gp.population_size", "svm.max_passes", "seed"])
+    def test_out_of_range_integer_exits_2(self, key, capsys):
+        assert main(["evolve", "--set", "seed=1", "--set", f"{key}=1e400"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
 
 
 @pytest.fixture
@@ -214,6 +232,19 @@ class TestEvolveCommand:
         assert run_cli([*common, "--set", "run_dir=b"]) == 0
         for name in ("result.json", "model.json"):
             assert (rundir / name).read_bytes() == (xor_workspace / "runs" / "b" / name).read_bytes()
+
+    def test_grid_search_c_sets_the_final_model_c(self, xor_workspace):
+        cfg = xor_workspace / "run.cfg"
+        run_cli(["gram", "--config", cfg])
+        common = ["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
+        assert run_cli([*common, "--seed", 15, "--set", "svm.grid_search_c=true", "--set", "run_dir=g"]) == 0
+        rundir = xor_workspace / "runs" / "g"
+        bank, labels, _ = load_bank_from_manifest(xor_workspace / "kernels" / "manifest.json")
+        split = make_splits(labels, 8, 3, 1, 15)[0]
+        best = parse_expr((rundir / "best_expr.txt").read_text().strip())
+        chosen = _select_c(best, bank, labels, split, SvmParams()).c
+        assert chosen != SvmParams().c  # on this seed the grid moves C off its default
+        assert json.loads((rundir / "model.json").read_text())["params"]["c"] == chosen
 
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_exits_4(self, xor_workspace, capsys):

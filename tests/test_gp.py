@@ -241,6 +241,25 @@ class TestFitness:
         acc = fitness(Leaf(0), bank, labels, split, SvmParams(), mode="k_fold", n_folds=3)
         assert acc == 1.0
 
+    @pytest.mark.parametrize(
+        "split, mode",
+        [
+            (DatasetSplit((0, 1, 3, 4), (), (), seed=1), "validation"),
+            (DatasetSplit((), (0, 1, 3, 4), (), seed=1), "leave_one_out"),
+        ],
+    )
+    def test_nothing_held_out_scores_zero_with_warning(self, rng, split, mode):
+        bank, labels = two_cluster_bank(rng)
+        with pytest.warns(UserWarning, match="fitness of K1 set to 0"):
+            assert fitness(Leaf(0), bank, labels, split, SvmParams(), mode=mode) == 0.0
+
+    def test_unconverged_fold_scores_zero_with_warning(self, rng):
+        bank, labels = two_cluster_bank(rng, per_class=4)
+        split = DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1)
+        for mode in ("validation", "k_fold", "leave_one_out"):
+            with pytest.warns(UserWarning, match="did not converge"):
+                assert fitness(Leaf(0), bank, labels, split, SvmParams(max_passes=0), mode=mode, n_folds=3) == 0.0
+
     @pytest.mark.parametrize("mode", ["validation", "k_fold", "leave_one_out"])
     def test_restricted_bank_equals_full_bank(self, mode):
         rng = np.random.default_rng(2024)

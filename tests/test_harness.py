@@ -1,9 +1,16 @@
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import kernelforge.svm as svm_mod
 from kernelforge import (
     Add,
     ComparisonError,
+    ComparisonReport,
     DataError,
     DatasetSplit,
     GpParams,
@@ -16,6 +23,7 @@ from kernelforge import (
     SvmParams,
     addition_kernel,
     best_single_kernel,
+    build_bank,
     evaluate,
     evolve,
     fit_and_score,
@@ -25,9 +33,10 @@ from kernelforge import (
     run_comparison,
     summarize,
 )
-from kernelforge.harness import METHODS, write_comparison_outputs
-from kernelforge.synthetic import xor_bank
+from kernelforge.harness import METHODS, _select_c, write_comparison_outputs
+from kernelforge.synthetic import xor_bank, xor_views
 
+from jsondocs import corrupted
 from oracles import random_psd
 
 
@@ -231,6 +240,39 @@ class TestRunComparison:
         assert all(len(report.methods[m]) == 1 for m in METHODS)
 
 
+class TestSelectC:
+    """Grid search on the workspace bank of test_config_cli.py, split seed 10: the
+    addition kernel scores 0, 0, 4/9, 4/9 on validation at C = 0.1, 1, 10, 100."""
+
+    @staticmethod
+    def setting():
+        views, labels = xor_views(n_per_class=12, seed=3)
+        bank, _ = build_bank(views, names=["view1", "view2"])
+        return bank, labels, make_splits(labels, 8, 3, 1, 10)[0]
+
+    def test_best_validation_fitness_wins_and_ties_go_to_smaller_c(self):
+        bank, labels, split = self.setting()
+        assert _select_c(Add(Leaf(0), Leaf(1)), bank, labels, split, SvmParams(c=1.0)).c == 10.0
+
+    def test_unconverged_trial_is_never_chosen(self, monkeypatch):
+        bank, labels, split = self.setting()
+        real = svm_mod.train_binary
+
+        def train_binary(kernel, y, params, rng=None):
+            model = real(kernel, y, params, rng)
+            model.converged = model.converged and params.c != 10.0
+            return model
+
+        monkeypatch.setattr(svm_mod, "train_binary", train_binary)
+        with pytest.warns(UserWarning, match=r"fitness of \(\+ K1 K2\) set to 0: .*did not converge"):
+            assert _select_c(Add(Leaf(0), Leaf(1)), bank, labels, split, SvmParams(c=1.0)).c == 100.0
+        # without the check the C = 10 models would win the grid and then fail the final fit
+        protocol = ProtocolConfig(8, 3, 1, seed=10, grid_search_c=True)
+        with pytest.warns(UserWarning, match="did not converge"):
+            report, _ = run_comparison(bank, labels, protocol, small_gp(max_generations=1), SvmParams(c=1.0))
+        assert len(report.methods["addition"]) == 1
+
+
 class TestSummarize:
     def make_report(self, repeats=1):
         bank, labels = xor_bank(n_per_class=10, seed=6)
@@ -275,3 +317,73 @@ class TestSummarize:
         assert (tmp_path / "logs" / "evolution_r1.csv").exists()
         saved = report_from_json((tmp_path / "report.json").read_text())
         assert saved == report
+
+
+probability = st.floats(0.0, 1.0)
+
+
+@st.composite
+def reports(draw):
+    """Arbitrary well-formed comparison reports."""
+    repeats = draw(st.integers(1, 3))
+    per_repeat = st.lists(probability, min_size=repeats, max_size=repeats)
+    pair_keys = draw(st.lists(st.sampled_from(["0|1", "0|2", "1|2"]), unique=True))
+    row = st.tuples(st.integers(0, 30), probability, probability).map(list)
+    echo = st.dictionaries(st.text(max_size=8), st.one_of(st.integers(), st.text(max_size=8), st.booleans()), max_size=3)
+    return ComparisonReport(
+        methods={m: draw(per_repeat) for m in METHODS},
+        mean={m: draw(probability) for m in METHODS},
+        std={m: draw(probability) for m in METHODS},
+        best_exprs=draw(st.lists(st.sampled_from(["K1", "(+ K1 K2)", "(* K1 K2)"]), min_size=repeats, max_size=repeats)),
+        best_single_indices=draw(st.lists(st.integers(0, 5), min_size=repeats, max_size=repeats)),
+        generations=draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=repeats, max_size=repeats)),
+        binary_problems={m: {key: draw(per_repeat) for key in pair_keys} for m in METHODS},
+        config=draw(echo),
+    )
+
+
+@functools.cache
+def small_report_json():
+    bank, labels = xor_bank(n_per_class=10, seed=6)
+    report, _ = run_comparison(bank, labels, small_protocol(repeats=1, seed=7), small_gp(max_generations=2), SvmParams())
+    return report_to_json(report)
+
+
+class TestReportDocument:
+    @given(reports())
+    def test_round_trip(self, report):
+        again = report_from_json(report_to_json(report))
+        assert again == report
+        assert report_to_json(again) == report_to_json(report)
+
+    @given(reports(), st.data())
+    def test_corruption_rejected(self, report, data):
+        doc = corrupted(
+            data,
+            json.loads(report_to_json(report)),
+            free=lambda path: path[:1] == ("config",),  # the config echo is free-form
+            mapping=lambda path: path[:1] == ("binary_problems",) and len(path) == 2,
+        )
+        with pytest.raises(DataError):
+            report_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.pop("std"),  # missing key
+            lambda doc: doc.update(notes="x"),  # unknown key
+            lambda doc: doc["methods"]["addition"].append(0.5),  # one repeat too many
+            lambda doc: doc["methods"].update(evolved=["0.5"]),
+            lambda doc: doc["generations"][0].append([1, 0.5]),
+            lambda doc: doc["best_single_indices"].append(True),
+        ],
+    )
+    def test_malformed_report_is_data_error(self, corrupt):
+        doc = json.loads(small_report_json())
+        corrupt(doc)
+        with pytest.raises(DataError):
+            report_from_json(json.dumps(doc))
+
+    def test_undecodable_report_is_data_error(self):
+        with pytest.raises(DataError):
+            report_from_json("{")

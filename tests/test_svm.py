@@ -1,22 +1,36 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kernelforge import (
     DataError,
+    GramMatrix,
+    NumericalError,
     ParameterError,
     ShapeError,
     SvmParams,
     accuracy,
     decision,
     dual_objective,
+    fit_predict,
     predict,
     train_binary,
     train_multiclass,
 )
-from kernelforge.svm import SvmModel, load_multiclass, multiclass_from_dict, multiclass_to_dict, save_multiclass
+from kernelforge.svm import (
+    MulticlassModel,
+    SvmModel,
+    load_multiclass,
+    multiclass_from_dict,
+    multiclass_to_dict,
+    save_multiclass,
+)
 
+from jsondocs import corrupted
 from oracles import brute_force_dual_max, random_psd
 
 TWO_POINT_K = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -234,6 +248,22 @@ class TestMulticlass:
         assert predict(model, np.zeros((1, 6)), np.arange(6))[0] == 0
 
 
+class TestFitPredict:
+    def test_equals_train_then_predict(self, rng):
+        k, labels = three_class_clusters(rng)
+        fit, held = np.arange(0, labels.size, 2), np.arange(1, labels.size, 2)
+        pred, model = fit_predict(GramMatrix(k, "K1"), labels, fit, held, SvmParams(), seed=4)
+        reference = train_multiclass(k, labels, fit, SvmParams(), seed=4)
+        assert np.array_equal(pred, predict(reference, k[held], fit))
+        assert all(np.array_equal(a.alpha, b.alpha) for a, b in zip(model.models, reference.models))
+
+    def test_unconverged_model_raises(self, rng):
+        k, labels = three_class_clusters(rng)
+        idx = np.arange(labels.size)
+        with pytest.raises(NumericalError, match="kernel 'K1' did not converge"):
+            fit_predict(GramMatrix(k, "K1"), labels, idx, idx, SvmParams(max_passes=0), seed=0)
+
+
 class TestAccuracy:
     def test_identical(self):
         assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
@@ -279,3 +309,72 @@ class TestSerialization:
         doc = multiclass_to_dict(model)
         again = multiclass_to_dict(multiclass_from_dict(json.loads(json.dumps(doc))))
         assert again == doc
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def multiclass_models(draw):
+    """Arbitrary well-formed models: any finite alphas, biases and positions."""
+    classes = sorted(draw(st.sets(st.integers(-5, 5), min_size=2, max_size=4)))
+    params = SvmParams(
+        c=draw(st.floats(1e-3, 1e3)),
+        kkt_tol=draw(st.floats(1e-6, 0.1)),
+        max_passes=draw(st.integers(0, 1000)),
+        eps=draw(st.floats(1e-15, 1e-6)),
+    )
+    pairs, models, positions = [], [], []
+    for pair in combinations(classes, 2):
+        n = draw(st.integers(1, 5))
+        vectors = st.lists(finite, min_size=n, max_size=n)
+        labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        model = SvmModel(np.array(draw(vectors)), draw(finite), np.array(labels), params, draw(st.booleans()))
+        pairs.append(pair)
+        models.append(model)
+        positions.append(np.array(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))))
+    return MulticlassModel(classes, pairs, models, positions, params)
+
+
+class TestModelDocument:
+    @given(multiclass_models())
+    def test_round_trip(self, model):
+        doc = multiclass_to_dict(model)
+        again = multiclass_from_dict(json.loads(json.dumps(doc)))
+        assert multiclass_to_dict(again) == doc
+        assert again.pairs == model.pairs and again.params == model.params
+
+    @given(multiclass_models(), st.data())
+    def test_corruption_rejected(self, model, data):
+        doc = corrupted(data, json.loads(json.dumps(multiclass_to_dict(model))))
+        with pytest.raises(DataError):
+            multiclass_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["pairs"][0].pop("bias"),  # missing key
+            lambda doc: doc["params"].update(gamma=1.0),  # unknown params key
+            lambda doc: doc["params"].update(c="10"),  # string C
+            lambda doc: doc["params"].update(c=-1.0),  # C out of range
+            lambda doc: doc["pairs"][0].update(converged="yes"),
+            lambda doc: doc["pairs"][0]["labels"].append(1.0),  # lengths disagree
+            lambda doc: doc["pairs"][0].update(classes=[0, 7]),  # class not in class_labels
+            lambda doc: doc.update(schema="kf-model-0"),
+        ],
+    )
+    def test_malformed_file_is_data_error(self, rng, tmp_path, corrupt):
+        k, labels = three_class_clusters(rng)
+        doc = multiclass_to_dict(train_multiclass(k, labels, np.arange(labels.size), SvmParams()))
+        corrupt(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_multiclass(path)
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe\x00", b"[]"])
+    def test_undecodable_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
+        with pytest.raises(DataError):
+            load_multiclass(path)
