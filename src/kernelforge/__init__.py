@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
 )
 from .expr import Add, KernelExpr, Leaf, Mul, canonical_string, canonicalize, depth, evaluate, node_count, parse_expr
-from .gp import EvolutionResult, GpParams, crossover, evolve, fitness, mutate, random_tree, tournament_select
+from .gp import EvolutionResult, GpParams, SplitFitness, crossover, evolve, fitness, mutate, random_tree, tournament_select
 from .gram import (
     GramMatrix,
     KernelBank,

@@ -24,7 +24,7 @@ from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
-from .gp import evolve, write_evolution_log
+from .gp import SplitFitness, evolve, write_evolution_log
 from .gram import KernelBank, build_bank
 from .harness import ProtocolConfig, fit_expr, make_splits, run_comparison, write_comparison_outputs
 from .retrieval import ORDERS, load_index, query
@@ -119,8 +119,9 @@ def cmd_evolve(args) -> int:
     split = make_splits(labels, config.per_class_train, config.per_class_val, 1, config.seed)[0]
     gp_params = replace(config.gp, rng_seed=derive_seed(config.seed, "gp", 0))
 
-    result = evolve(bank, labels, split, gp_params, config.svm)
-    test_acc, model, _, _ = fit_expr(result.best_expr, bank, labels, split, config.svm, config.grid_search_c)
+    score = SplitFitness(bank, labels, split)
+    result = evolve(score, gp_params, config.svm)
+    test_acc, model, _, _ = fit_expr(result.best_expr, score, config.svm, config.grid_search_c)
     best_text = canonical_string(result.best_expr)
 
     rundir = _run_dir(config)
@@ -181,9 +182,11 @@ def cmd_retrieve(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = Path(args.expr_file)
-    if not path.exists():
-        raise DataError(f"expression file not found: {path}")
-    expr = parse_expr(path.read_text(encoding="utf-8").strip())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read expression file {path}: {exc}") from exc
+    expr = parse_expr(text.strip())
 
     def render(node, indent: str) -> list[str]:
         if isinstance(node, Leaf):

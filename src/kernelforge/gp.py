@@ -8,6 +8,8 @@ Fitness reads only the train x train and validation x train entries, so it
 folds the chromosome over the bank restricted to the training and validation
 items.  Every mode is a list of (fit, held) position pairs scored by one loop
 over ``svm.fit_predict``; validation is the single pair (train, validation).
+``SplitFitness`` is the one memo of fitness on a split; ``evolve`` and the
+harness's best-leaf and C selection score through it.
 Per-chromosome RNG streams are derived from (seed, generation, slot), so a run
 is reproducible from its seed.  The search never sees the test set: retraining
 the winner on train+validation and scoring it on test is
@@ -239,6 +241,22 @@ def fitness(
         return 0.0
 
 
+class SplitFitness:
+    """``fitness`` on one split, memoised by (canonical expression, SVM params,
+    mode, n_folds).  Commutative reorderings share a canonical string, and so
+    the fitness seed, so sharing their entry changes no result."""
+
+    def __init__(self, bank: KernelBank, labels, split):
+        self.bank, self.labels, self.split = bank, np.asarray(labels), split
+        self._memo: dict[tuple, float] = {}
+
+    def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:
+        key = (canonical_string(expr), svm_params, mode, n_folds)
+        if key not in self._memo:
+            self._memo[key] = fitness(expr, self.bank, self.labels, self.split, svm_params, mode, n_folds)
+        return self._memo[key]
+
+
 def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
     population: list[KernelExpr] = []
     if params.seed_leaves:
@@ -257,39 +275,24 @@ def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
     return population[: params.population_size]
 
 
-def evolve(
-    bank: KernelBank,
-    labels,
-    split,
-    params: GpParams,
-    svm_params: SvmParams,
-) -> EvolutionResult:
-    """Run the generational loop and return the fittest chromosome found.
+def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> EvolutionResult:
+    """Run the generational loop on score's split; return the fittest chromosome found.
 
     Elites pass through unchanged, so the best fitness never decreases.  The
     loop stops at max_generations, or earlier once the best fitness has not
     improved by more than 1e-6 for stagnation_limit generations.  Only the
     training and validation points are used; split.test_idx is never read.
     """
-    labels = np.asarray(labels)
-    n = len(bank)
+    labels, split = score.labels, score.split
+    n = len(score.bank)
     if len(set(labels[list(split.train_idx)].tolist())) < 2:
         raise DataError("split.train_idx must cover at least 2 classes")
     if params.fitness_mode == "validation" and len(set(labels[list(split.val_idx)].tolist())) < 2:
         raise DataError("split.val_idx must cover at least 2 classes")
 
-    cache: dict[str, float] = {}
     mode, folds = params.fitness_mode, params.n_folds
-
-    def eval_population(pop: list[KernelExpr]) -> list[float]:
-        canons = [canonical_string(e) for e in pop]
-        for expr_, canon in zip(pop, canons):
-            if canon not in cache:
-                cache[canon] = fitness(expr_, bank, labels, split, svm_params, mode, folds)
-        return [cache[c] for c in canons]
-
     population = _initial_population(params, n)
-    fits = eval_population(population)
+    fits = [score(e, svm_params, mode, folds) for e in population]
     sizes = [node_count(e) for e in population]
 
     def gen_best(fit_list, size_list) -> int:
@@ -317,7 +320,7 @@ def evolve(
                 child = mutate(child, rng, params, n)
             next_pop.append(child)
         population = next_pop
-        fits = eval_population(population)
+        fits = [score(e, svm_params, mode, folds) for e in population]
         sizes = [node_count(e) for e in population]
         best_i = gen_best(fits, sizes)
         history.append((gen, fits[best_i], float(np.mean(fits))))

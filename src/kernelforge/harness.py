@@ -1,14 +1,15 @@
 """Experiment protocol: repeated stratified splits and the three-way comparison
 of addition kernel vs. best single kernel vs. evolved kernel.
 
-Every repeat draws its own train/validation/test split.  The three candidates
-are expressions (the ``Add`` chain of every leaf, the best leaf and the
-evolved winner), and each goes through ``fit_expr``: optionally choose C by
-validation ``fitness``, then ``fit_and_score`` trains on train+validation and
-scores once on test, so the three columns are like-for-like.  Fitness, C
-selection and final scoring all train and predict through ``svm.fit_predict``;
-the CLI's ``evolve`` uses ``fit_expr`` too.  Reports aggregate mean and sample
-(n-1) standard deviation across repeats.
+Every repeat draws its own train/validation/test split and one
+``gp.SplitFitness``, the memo that best-leaf selection, ``evolve`` and C
+selection all score through.  The three candidates are expressions (the
+``Add`` chain of every leaf, the best leaf and the evolved winner), and each
+goes through ``fit_expr``: optionally choose C by validation fitness, then
+``fit_and_score`` trains on train+validation and scores once on test, so the
+three columns are like-for-like.  All training goes through
+``svm.fit_predict``; the CLI's ``evolve`` uses ``fit_expr`` too.  Reports
+aggregate mean and sample (n-1) standard deviation across repeats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ComparisonError, DataError, KernelForgeError, ParameterError
 from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
-from .gp import EvolutionResult, GpParams, evolve, fitness, write_evolution_log
+from .gp import EvolutionResult, GpParams, SplitFitness, evolve, write_evolution_log
 from .gram import GramMatrix, KernelBank
 from .kernel_io import parse_json
 from .rng import derive_seed
@@ -110,7 +111,11 @@ def addition_kernel(bank: KernelBank) -> GramMatrix:
 
 def best_single_kernel(bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> tuple[int, float]:
     """Index and validation accuracy of the strongest base kernel (ties -> smaller index)."""
-    scores = [fitness(Leaf(i), bank, labels, split, svm_params) for i in range(len(bank))]
+    return _best_leaf(SplitFitness(bank, labels, split), svm_params)
+
+
+def _best_leaf(score: SplitFitness, svm_params: SvmParams) -> tuple[int, float]:
+    scores = [score(Leaf(i), svm_params) for i in range(len(score.bank))]
     best = int(np.argmax(scores))
     return best, scores[best]
 
@@ -134,10 +139,10 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _select_c(expr: KernelExpr, bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> SvmParams:
+def _select_c(expr: KernelExpr, score: SplitFitness, svm_params: SvmParams) -> SvmParams:
     """The C of C_GRID with the best validation fitness (ties -> smaller C); a
     trial that stops at max_passes scores 0 with the fitness warning."""
-    scores = [fitness(expr, bank, labels, split, replace(svm_params, c=c)) for c in C_GRID]
+    scores = [score(expr, replace(svm_params, c=c)) for c in C_GRID]
     return replace(svm_params, c=C_GRID[int(np.argmax(scores))])
 
 
@@ -159,14 +164,14 @@ def fit_and_score(
 
 
 def fit_expr(
-    expr: KernelExpr, bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams, grid_search_c: bool
+    expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, grid_search_c: bool
 ) -> tuple[float, MulticlassModel, np.ndarray, GramMatrix]:
-    """Choose C if grid_search_c, then fit_and_score the evaluated expression:
-    (test accuracy, model, fit indices, kernel)."""
+    """Choose C on score's split if grid_search_c, then fit_and_score the
+    evaluated expression: (test accuracy, model, fit indices, kernel)."""
     if grid_search_c:
-        svm_params = _select_c(expr, bank, labels, split, svm_params)
-    kernel = evaluate(expr, bank)
-    return (*fit_and_score(kernel, labels, split, svm_params), kernel)
+        svm_params = _select_c(expr, score, svm_params)
+    kernel = evaluate(expr, score.bank)
+    return (*fit_and_score(kernel, score.labels, score.split, svm_params), kernel)
 
 
 def _pair_accuracies(
@@ -210,11 +215,12 @@ def run_comparison(
 
     for r, split in enumerate(splits):
         try:
-            idx, _ = best_single_kernel(bank, labels, split, svm_params)
+            score = SplitFitness(bank, labels, split)
+            idx, _ = _best_leaf(score, svm_params)
             best_indices.append(idx)
 
             gp_r = replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
-            result = evolve(bank, labels, split, gp_r, svm_params)
+            result = evolve(score, gp_r, svm_params)
             evolution_results.append(result)
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])
@@ -222,7 +228,7 @@ def run_comparison(
             test_idx = np.asarray(split.test_idx)
             candidates = zip(METHODS, (_addition_expr(len(bank)), Leaf(idx), result.best_expr))
             for method, expr in candidates:
-                acc, model, fit_idx, kernel = fit_expr(expr, bank, labels, split, svm_params, protocol.grid_search_c)
+                acc, model, fit_idx, kernel = fit_expr(expr, score, svm_params, protocol.grid_search_c)
                 per_method[method].append(acc)
                 for pair, value in _pair_accuracies(model, kernel, labels, test_idx, fit_idx).items():
                     pair_series[method].setdefault(pair, []).append(value)

@@ -51,7 +51,7 @@ def check_json(value, template, where: str) -> None:
 
 
 def parse_json(text, template, where: str):
-    """json.loads, then check_json; text that does not decode raises DataError too."""
+    """json.loads (str or UTF bytes), then check_json; input that does not decode raises DataError too."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -73,7 +73,10 @@ def write_kernel(path, gram: GramMatrix) -> None:
 
 def read_kernel(path) -> GramMatrix:
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read kernel file: {exc}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a kernel file (bad magic {blob[:4]!r})")
     if len(blob) < 8:
@@ -133,9 +136,12 @@ def save_feature_csv(path, features, labels, header: list[str] | None = None) ->
 
 def load_labels_csv(path) -> np.ndarray:
     """One integer class label per line."""
-    raw = np.loadtxt(path, dtype=float, ndmin=1)
-    if np.any(raw != np.round(raw)):
-        raise DataError(f"{path}: labels must be integers")
+    try:
+        raw = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: could not read labels: {exc}") from exc
+    if not np.all(np.abs(raw) < 2.0**63) or np.any(raw != np.round(raw)):
+        raise DataError(f"{path}: labels must be integers that fit int64")
     return raw.astype(int)
 
 
@@ -156,18 +162,18 @@ def write_manifest(path, m: int, kernel_entries: list[dict], labels_file: str) -
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+_MANIFEST_DOC = {
+    "schema": MANIFEST_SCHEMA,
+    "m": int,
+    "kernels": [{"name": str, "file": str, "gamma": float}],
+    "labels_file": str,
+}
+
+
 def read_manifest(path) -> dict:
+    """The manifest document; anything but UTF JSON of write_manifest's shape raises DataError."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid manifest JSON: {exc}") from exc
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise DataError(f"{path}: unknown manifest schema {doc.get('schema')!r}")
-    for key in ("m", "kernels", "labels_file"):
-        if key not in doc:
-            raise DataError(f"{path}: manifest missing key {key!r}")
-    return doc
+    return parse_json(path.read_bytes(), _MANIFEST_DOC, str(path))
 
 
 def load_bank_from_manifest(path) -> tuple[KernelBank, np.ndarray, dict]:

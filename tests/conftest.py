@@ -15,11 +15,10 @@ def rng():
 def final_trainings(monkeypatch):
     """List that gains one entry per train_multiclass call made outside gp.fitness.
 
-    svm.fit_predict is the one caller of train_multiclass, so the count is
-    taken at svm's module attribute; gp.fitness is wrapped wherever it is bound.
+    svm.fit_predict is the one caller of train_multiclass and gp.SplitFitness
+    the one caller of gp.fitness, so both are wrapped at their module attributes.
     """
     import kernelforge.gp as gp_mod
-    import kernelforge.harness as harness_mod
     import kernelforge.svm as svm_mod
 
     calls, inside = [], [0]
@@ -38,6 +37,22 @@ def final_trainings(monkeypatch):
             inside[0] -= 1
 
     monkeypatch.setattr(svm_mod, "train_multiclass", train)
-    for module in (gp_mod, harness_mod):
-        monkeypatch.setattr(module, "fitness", fitness)
+    monkeypatch.setattr(gp_mod, "fitness", fitness)
+    return calls
+
+
+@pytest.fixture
+def fitness_calls(monkeypatch):
+    """List that gains one (canonical expression, split seed, SVM params, mode,
+    n_folds) entry per gp.fitness call."""
+    import kernelforge.gp as gp_mod
+    from kernelforge import canonical_string
+
+    calls, real = [], gp_mod.fitness
+
+    def fitness(expr, bank, labels, split, svm_params, mode="validation", n_folds=5):
+        calls.append((canonical_string(expr), split.seed, svm_params, mode, n_folds))
+        return real(expr, bank, labels, split, svm_params, mode, n_folds)
+
+    monkeypatch.setattr(gp_mod, "fitness", fitness)
     return calls

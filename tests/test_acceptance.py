@@ -17,6 +17,7 @@ from kernelforge import (
     GramMatrix,
     KernelBank,
     Leaf,
+    SplitFitness,
     SvmParams,
     addition_kernel,
     best_single_kernel,
@@ -148,7 +149,7 @@ def test_04_dominance_floor_over_best_single():
             bank, _ = build_bank(views)
             split = make_splits(labels, 8, 3, 1, seed=trial)[0]
             _, best_single_acc = best_single_kernel(bank, labels, split, svm_params)
-            result = evolve(bank, labels, split, gp_params, svm_params)
+            result = evolve(SplitFitness(bank, labels, split), gp_params, svm_params)
             assert result.best_fitness >= best_single_acc, (
                 f"trial {trial}: {result.best_fitness} < {best_single_acc}"
             )
@@ -215,7 +216,7 @@ def test_06_evolve_matches_exhaustive_enumeration():
                     by_canon[canon] = fitness(tree, bank, labels, split, svm_params)
             optimum = max(by_canon.values())
 
-            result = evolve(bank, labels, split, gp_params, svm_params)
+            result = evolve(SplitFitness(bank, labels, split), gp_params, svm_params)
             assert result.best_fitness == optimum, (
                 f"trial {trial}: GP best {result.best_fitness} != enumerated optimum {optimum}"
             )

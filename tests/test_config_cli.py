@@ -7,6 +7,7 @@ import pytest
 from kernelforge import (
     ConfigError,
     Leaf,
+    SplitFitness,
     SvmParams,
     accuracy,
     build_index,
@@ -242,7 +243,7 @@ class TestEvolveCommand:
         bank, labels, _ = load_bank_from_manifest(xor_workspace / "kernels" / "manifest.json")
         split = make_splits(labels, 8, 3, 1, 15)[0]
         best = parse_expr((rundir / "best_expr.txt").read_text().strip())
-        chosen = _select_c(best, bank, labels, split, SvmParams()).c
+        chosen = _select_c(best, SplitFitness(bank, labels, split), SvmParams()).c
         assert chosen != SvmParams().c  # on this seed the grid moves C off its default
         assert json.loads((rundir / "model.json").read_text())["params"]["c"] == chosen
 
@@ -318,6 +319,50 @@ class TestCompareCommand:
         assert err["error"] == "ConfigError"
 
 
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _set_first_label(path, text):
+    path.write_text(text + path.read_text()[path.read_text().index("\n") :])
+
+
+# case -> (edit of the kernels/ directory that gram wrote, text the error message must hold)
+MALFORMED_BANK_FILES = {
+    "manifest_not_an_object": (lambda d: (d / "manifest.json").write_text("[]"), "manifest.json"),
+    "kernel_entry_is_a_string": (
+        lambda d: _edit_json(d / "manifest.json", lambda doc: doc["kernels"].insert(0, "k_view1.kgm")),
+        "manifest.json.kernels[0]",
+    ),
+    "kernel_entry_without_file": (
+        lambda d: _edit_json(d / "manifest.json", lambda doc: doc["kernels"][0].pop("file")),
+        "manifest.json.kernels[0]",
+    ),
+    "manifest_not_utf8": (
+        lambda d: (d / "manifest.json").write_bytes((d / "manifest.json").read_bytes().replace(b"view1", b"view\xff")),
+        "manifest.json",
+    ),
+    "kernel_file_missing": (lambda d: (d / "k_view2.kgm").unlink(), "k_view2.kgm"),
+    "labels_file_missing": (lambda d: (d / "labels.csv").unlink(), "labels.csv"),
+    "labels_not_numeric": (lambda d: _set_first_label(d / "labels.csv", "zero"), "labels.csv"),
+    "labels_infinite": (lambda d: _set_first_label(d / "labels.csv", "inf"), "labels.csv"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BANK_FILES)
+def test_malformed_bank_file_exits_3(xor_workspace, capsys, case):
+    edit, named = MALFORMED_BANK_FILES[case]
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    edit(xor_workspace / "kernels")
+    capsys.readouterr()
+    assert run_cli(["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and named in err["message"]
+
+
 class TestRetrieveCommand:
     @pytest.fixture
     def index_file(self, tmp_path):
@@ -376,3 +421,12 @@ class TestInspectCommand:
         path = tmp_path / "expr.txt"
         path.write_text("(+ K1\n")
         assert run_cli(["inspect", path]) == 3
+
+    @pytest.mark.parametrize("content", [b"(+ K1 K\xff)\n", None], ids=["not_utf8", "missing"])
+    def test_unreadable_file_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "expr.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli(["inspect", path]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "expression file" in err["message"]

@@ -13,6 +13,7 @@ from kernelforge import (
     Leaf,
     Mul,
     ParameterError,
+    SplitFitness,
     SvmParams,
     accuracy,
     build_bank,
@@ -276,6 +277,27 @@ class TestFitness:
         assert len(set(want)) > 1  # the scores discriminate between kernels
 
 
+class TestSplitFitness:
+    SETTINGS = [
+        (SvmParams(), "validation", 5),
+        (SvmParams(c=1.0), "validation", 5),
+        (SvmParams(), "leave_one_out", 5),
+        (SvmParams(), "k_fold", 3),
+        (SvmParams(), "k_fold", 4),
+    ]
+
+    def test_key_is_canonical_expression_params_mode_and_folds(self, rng, fitness_calls):
+        bank, labels = two_cluster_bank(rng, per_class=4)
+        bank = KernelBank(bank.kernels * 2, ("k0", "k1"))
+        split = DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1)
+        score = SplitFitness(bank, labels, split)
+        expr, reordered = Add(Leaf(0), Mul(Leaf(1), Leaf(0))), Add(Mul(Leaf(0), Leaf(1)), Leaf(0))
+        first = [score(expr, *setting) for setting in self.SETTINGS]
+        assert [score(reordered, *setting) for setting in self.SETTINGS] == first
+        assert fitness_calls == [(canonical_string(expr), 1, *setting) for setting in self.SETTINGS]
+        assert first == [fitness(expr, bank, labels, split, *setting) for setting in self.SETTINGS]
+
+
 def quick_params(**kw):
     defaults = dict(population_size=12, max_generations=5, rng_seed=3, stagnation_limit=3)
     defaults.update(kw)
@@ -287,7 +309,7 @@ class TestEvolve:
         bank, labels = two_cluster_bank(rng)
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
         params = quick_params(max_depth=1, init_depth_range=(1, 1))
-        result = evolve(bank, labels, split, params, SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), params, SvmParams())
         assert result.best_expr == Leaf(0)
         bests = [b for _, b, _ in result.per_generation]
         assert len(set(bests)) == 1
@@ -295,21 +317,21 @@ class TestEvolve:
     def test_best_fitness_is_max_of_history(self, rng):
         bank, labels = xor_bank(n_per_class=9, seed=5)
         split = make_splits(labels, 6, 2, 1, seed=2)[0]
-        result = evolve(bank, labels, split, quick_params(), SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), quick_params(), SvmParams())
         assert result.best_fitness == max(b for _, b, _ in result.per_generation)
 
     def test_monotone_best_with_elitism(self, rng):
         bank, labels = xor_bank(n_per_class=9, seed=8)
         split = make_splits(labels, 6, 2, 1, seed=4)[0]
-        result = evolve(bank, labels, split, quick_params(elitism=1), SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), quick_params(elitism=1), SvmParams())
         bests = [b for _, b, _ in result.per_generation]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_determinism(self, rng):
         bank, labels = xor_bank(n_per_class=9, seed=5)
         split = make_splits(labels, 6, 2, 1, seed=2)[0]
-        a = evolve(bank, labels, split, quick_params(), SvmParams())
-        b = evolve(bank, labels, split, quick_params(), SvmParams())
+        a = evolve(SplitFitness(bank, labels, split), quick_params(), SvmParams())
+        b = evolve(SplitFitness(bank, labels, split), quick_params(), SvmParams())
         assert a == b
 
     def test_sum_signal_dataset_reaches_perfect_fitness(self):
@@ -323,36 +345,28 @@ class TestEvolve:
         assert scores["(+ K1 K2)"] == 1.0
         assert scores["K1"] < 1.0 and scores["K2"] < 1.0
         params = quick_params(initial_exprs=("(+ K1 K2)",))
-        result = evolve(bank, labels, split, params, SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), params, SvmParams())
         assert result.best_fitness == 1.0
 
-    def test_duplicate_chromosomes_hit_the_cache(self, rng, monkeypatch):
+    def test_duplicate_chromosomes_hit_the_cache(self, rng, fitness_calls):
         bank, labels = two_cluster_bank(rng)
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
-        calls = []
-        real = gp_mod.fitness
-
-        def counting(expr, *args, **kw):
-            calls.append(canonical_string(expr))
-            return real(expr, *args, **kw)
-
-        monkeypatch.setattr(gp_mod, "fitness", counting)
         params = quick_params(max_depth=1, init_depth_range=(1, 1), max_generations=4)
-        evolve(bank, labels, split, params, SvmParams())
-        assert calls == ["K1"]  # every individual canonicalizes to the same key
+        evolve(SplitFitness(bank, labels, split), params, SvmParams())
+        assert [expr for expr, *_ in fitness_calls] == ["K1"]  # every individual canonicalizes to the same key
 
     def test_seed_expression_validation(self, rng):
         bank, labels = two_cluster_bank(rng)
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
         with pytest.raises(ParameterError):
-            evolve(bank, labels, split, quick_params(initial_exprs=("(+ K1 K9)",)), SvmParams())
+            evolve(SplitFitness(bank, labels, split), quick_params(initial_exprs=("(+ K1 K9)",)), SvmParams())
 
     @pytest.mark.parametrize("mode,kw", [("leave_one_out", {}), ("k_fold", {"n_folds": 3})])
     def test_cross_validation_fitness_modes(self, rng, mode, kw):
         bank, labels = two_cluster_bank(rng, per_class=4)
         split = DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1)
         params = quick_params(max_generations=2, fitness_mode=mode, **kw)
-        result = evolve(bank, labels, split, params, SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), params, SvmParams())
         assert result.best_fitness == 1.0
 
 
@@ -360,7 +374,7 @@ class TestEvolutionLog:
     def test_csv_format(self, rng, tmp_path):
         bank, labels = two_cluster_bank(rng)
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
-        result = evolve(bank, labels, split, quick_params(max_generations=3), SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), quick_params(max_generations=3), SvmParams())
         path = tmp_path / "log.csv"
         gp_mod.write_evolution_log(path, result)
         lines = path.read_text().splitlines()

@@ -20,6 +20,7 @@ from kernelforge import (
     NumericalError,
     ParameterError,
     ProtocolConfig,
+    SplitFitness,
     SvmParams,
     addition_kernel,
     best_single_kernel,
@@ -142,7 +143,7 @@ class TestFitAndScore:
         bank, labels = xor_bank(n_per_class=12, seed=5)
         split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
         params = GpParams(population_size=12, max_generations=8, rng_seed=3, stagnation_limit=3)
-        result = evolve(bank, labels, split, params, SvmParams())
+        result = evolve(SplitFitness(bank, labels, split), params, SvmParams())
         acc, _, fit_idx = fit_and_score(evaluate(result.best_expr, bank), labels, split, SvmParams())
         assert fit_idx.tolist() == [*split.train_idx, *split.val_idx]
         assert not set(fit_idx.tolist()) & set(split.test_idx)
@@ -225,6 +226,16 @@ class TestRunComparison:
         run_comparison(bank, labels, small_protocol(repeats=2), small_gp(), SvmParams())
         assert len(final_trainings) == len(METHODS) * 2
 
+    @pytest.mark.parametrize("grid_search_c", [False, True])
+    def test_each_fitness_key_is_scored_once_per_repeat(self, fitness_calls, grid_search_c):
+        bank, labels = xor_bank(n_per_class=10, seed=6)
+        protocol = small_protocol(repeats=2, seed=7, grid_search_c=grid_search_c)
+        run_comparison(bank, labels, protocol, small_gp(max_generations=2), SvmParams())
+        assert len(fitness_calls) == len(set(fitness_calls))
+        # best-leaf selection, evolve's seed leaves and C selection at the base C all ask for these
+        leaves = [key for key in fitness_calls if key[0] in ("K1", "K2") and key[2] == SvmParams()]
+        assert len(leaves) == len(bank) * protocol.repeats
+
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):
         bank, labels = xor_bank(n_per_class=12, seed=2)
@@ -252,7 +263,7 @@ class TestSelectC:
 
     def test_best_validation_fitness_wins_and_ties_go_to_smaller_c(self):
         bank, labels, split = self.setting()
-        assert _select_c(Add(Leaf(0), Leaf(1)), bank, labels, split, SvmParams(c=1.0)).c == 10.0
+        assert _select_c(Add(Leaf(0), Leaf(1)), SplitFitness(bank, labels, split), SvmParams(c=1.0)).c == 10.0
 
     def test_unconverged_trial_is_never_chosen(self, monkeypatch):
         bank, labels, split = self.setting()
@@ -265,7 +276,7 @@ class TestSelectC:
 
         monkeypatch.setattr(svm_mod, "train_binary", train_binary)
         with pytest.warns(UserWarning, match=r"fitness of \(\+ K1 K2\) set to 0: .*did not converge"):
-            assert _select_c(Add(Leaf(0), Leaf(1)), bank, labels, split, SvmParams(c=1.0)).c == 100.0
+            assert _select_c(Add(Leaf(0), Leaf(1)), SplitFitness(bank, labels, split), SvmParams(c=1.0)).c == 100.0
         # without the check the C = 10 models would win the grid and then fail the final fit
         protocol = ProtocolConfig(8, 3, 1, seed=10, grid_search_c=True)
         with pytest.warns(UserWarning, match="did not converge"):

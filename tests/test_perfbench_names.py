@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import kernelforge.gp as gp_mod
-from kernelforge import DatasetSplit, GramMatrix, KernelBank, Leaf, SvmParams
+from kernelforge import DatasetSplit, GpParams, GramMatrix, KernelBank, Leaf, ProtocolConfig, SvmParams, run_comparison
+from kernelforge.synthetic import xor_bank
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,3 +54,21 @@ def test_probes_see_each_training_under_its_fitness_call(tracer):
     assert probe.absent == []
     assert [s.name for s in probe.spans] == ["gp.fitness", "svm.train_multiclass"]
     assert probe.under(probe.spans[1], "gp.fitness")
+
+
+def test_every_evaluation_is_a_fitness_span(tracer):
+    """perfbench counts attempted operations as gp.fitness spans plus the
+    trainings outside them: the three final models of each repeat."""
+    bank, labels = xor_bank(n_per_class=10, seed=6)
+    protocol = ProtocolConfig(8, 3, repeats=2, seed=7, grid_search_c=True)
+    probe = tracer.Tracer(tracer.PROBED, timed=False)
+    probe.install()
+    try:
+        run_comparison(bank, labels, protocol, GpParams(population_size=8, max_generations=2), SvmParams())
+    finally:
+        probe.uninstall()
+    fitness_spans = [i for i, s in enumerate(probe.spans) if s.name == "gp.fitness"]
+    trainings = [s for s in probe.spans if s.name == "svm.train_multiclass"]
+    assert sum(not probe.under(s, "gp.fitness") for s in trainings) == 3 * protocol.repeats
+    # validation fitness trains once per evaluation, directly under its span
+    assert sorted(s.parent for s in trainings if probe.under(s, "gp.fitness")) == fitness_spans
