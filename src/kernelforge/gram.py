@@ -4,6 +4,12 @@ Combined kernels are built from base kernels with entrywise sum and entrywise
 (Schur) product only: both operations keep a matrix symmetric positive
 semidefinite, so anything assembled from PSD inputs stays a legal kernel.
 Matrix multiplication would not, which is why it is absent here.
+
+A Gaussian base kernel is unit-diagonal by construction, so ``build_bank``
+runs no separate normalize pass.  Its bandwidth defaults to the median
+heuristic, taken exactly (the same value as ``np.median``) over the nonzero
+pairwise squared distances; each view's distance matrix is computed once and
+serves both the bandwidth and the kernel.
 """
 
 from __future__ import annotations
@@ -118,32 +124,59 @@ class KernelBank:
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0; two m x m allocations."""
     n = np.einsum("ij,ij->i", x, x)
-    sq = n[:, None] + n[None, :] - 2.0 * (x @ x.T)
+    sq = np.add.outer(n, n)
+    dot = x @ x.T
+    dot *= 2.0
+    np.subtract(sq, dot, out=sq)
     np.clip(sq, 0.0, None, out=sq)
     return sq
 
 
-def gaussian_gram(features, gamma: float, name: str = "") -> GramMatrix:
-    """G[i,j] = exp(-gamma * ||x_i - x_j||^2), unit diagonal, PSD."""
-    x = validate_features(features)
+def _exact_median(a: np.ndarray) -> float:
+    """np.median(a) of a nonempty 1-d array, partitioning ``a`` in place."""
+    k = a.size // 2
+    a.partition(k)
+    if a.size % 2:
+        return float(a[k])
+    return float((a[:k].max() + a[k]) / 2.0)
+
+
+def _median_gamma(sq: np.ndarray) -> float:
+    """1 / median of the nonzero strict-upper-triangle entries of a distance matrix."""
+    m = sq.shape[0]
+    pair = np.concatenate([sq[i, i + 1 :] for i in range(m - 1)])
+    nonzero = pair[pair > 0.0]
+    if nonzero.size == 0:
+        raise DataError("all pairwise distances are zero; no usable bandwidth")
+    median = _exact_median(nonzero)
+    gamma = 1.0 / median
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise DataError(f"median pairwise squared distance {median!r} gives no usable bandwidth")
+    return gamma
+
+
+def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
+    """exp(-gamma * sq), symmetrised, unit diagonal; overwrites ``sq``."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive and finite, got {gamma}")
-    g = np.exp(-gamma * _pairwise_sq_dists(x))
-    g = 0.5 * (g + g.T)
+    np.multiply(sq, -gamma, out=sq)
+    g = np.exp(sq, out=sq)
+    g = g + g.T
+    g *= 0.5
     np.fill_diagonal(g, 1.0)
     return GramMatrix(g, name)
 
 
+def gaussian_gram(features, gamma: float, name: str = "") -> GramMatrix:
+    """G[i,j] = exp(-gamma * ||x_i - x_j||^2), unit diagonal, PSD."""
+    return _gaussian_from_sq(_pairwise_sq_dists(validate_features(features)), gamma, name)
+
+
 def median_heuristic_gamma(features) -> float:
-    """Bandwidth 1 / median of the nonzero pairwise squared distances."""
-    x = validate_features(features)
-    sq = _pairwise_sq_dists(x)
-    pair = sq[np.triu_indices(x.shape[0], k=1)]
-    nonzero = pair[pair > 0.0]
-    if nonzero.size == 0:
-        raise DataError("all pairwise distances are zero; no usable bandwidth")
-    return float(1.0 / np.median(nonzero))
+    """Bandwidth 1 / median of the nonzero pairwise squared distances (the exact median)."""
+    return _median_gamma(_pairwise_sq_dists(validate_features(features)))
 
 
 def _require_same_size(a: GramMatrix, b: GramMatrix) -> None:
@@ -202,7 +235,7 @@ def submatrix(g, row_idx, col_idx) -> np.ndarray:
 
 
 def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[float]]:
-    """Gaussian kernel per descriptor matrix, normalized, plus the gammas used.
+    """Unit-diagonal Gaussian kernel per descriptor matrix, plus the gammas used.
 
     gammas may be None (median heuristic per descriptor), a scalar applied to
     all descriptors, or a sequence with one entry per descriptor where None
@@ -222,7 +255,9 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
 
     kernels, used = [], []
     for x, name, gamma in zip(feature_sets, names, gammas):
-        g = median_heuristic_gamma(x) if gamma is None else float(gamma)
-        kernels.append(normalize(gaussian_gram(x, g, name)))
+        sq = _pairwise_sq_dists(validate_features(x))
+        # the bandwidth reads sq before the kernel overwrites it
+        g = _median_gamma(sq) if gamma is None else float(gamma)
+        kernels.append(_gaussian_from_sq(sq, g, name))
         used.append(g)
     return KernelBank(tuple(kernels), tuple(names)), used

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -145,6 +146,28 @@ class TestGramCommand:
         run_cli(["gram", "--config", cfg])
         after = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert before == after
+
+    def test_output_bytes_are_pinned(self, xor_workspace):
+        # sha256 of what `kernelforge gram` wrote for this input before the
+        # distance matrix was shared between the bandwidth and the kernel; a
+        # change to the Gram arithmetic that moves one bit fails here
+        assert run_cli(["gram", "--config", xor_workspace / "run.cfg"]) == 0
+        outdir = xor_workspace / "kernels"
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+        assert digests == {
+            "k_view1.kgm": "d66738183bfb35bb38ee56c89833b22dd83d39dda113b7858ded880df7ff29cc",
+            "k_view2.kgm": "f482879d932faf178a14d00ac8c3af290cdc79dcf5a636baafdcbe6b87b89510",
+            "labels.csv": "dde34a1c540efa52eec3d2480074311d424395e242fb93a2ecb8461c2178ca07",
+            "manifest.json": "cbdc132ad1b6faca9af01566d6b8d211693aee4b2c1170d8bd6f00ef4bc0c83a",
+        }
+
+    def test_subnormal_median_distance_is_data_error(self, tmp_path, capsys):
+        # no gamma set: a bandwidth that cannot be derived from the data is a data error
+        save_feature_csv(tmp_path / "tiny.csv", [[0.0], [1e-160], [2e-160], [5e-160]], [0, 0, 1, 1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('seed = 1\ndata.features = ["tiny.csv"]\noutput_dir = kernels\n')
+        assert run_cli(["gram", "--config", cfg]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
     def test_gamma_override(self, xor_workspace):
         cfg = xor_workspace / "run.cfg"

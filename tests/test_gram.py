@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,13 +20,29 @@ from kernelforge import (
     normalize,
     submatrix,
 )
-from kernelforge.gram import _max_asymmetry
+from kernelforge.gram import _exact_median, _max_asymmetry
 
 from oracles import random_psd
 
 
 def gm(values, tag=""):
     return GramMatrix(np.asarray(values, dtype=float), tag)
+
+
+def reference_kernel(x, gamma=None):
+    """The bank kernel as it was built before the distance matrix was shared:
+    distances computed once for the bandwidth and again for the kernel, the
+    median by np.median, then a normalize pass."""
+    n = np.einsum("ij,ij->i", x, x)
+    sq = n[:, None] + n[None, :] - 2.0 * (x @ x.T)
+    np.clip(sq, 0.0, None, out=sq)
+    if gamma is None:
+        pair = sq[np.triu_indices(x.shape[0], k=1)]
+        gamma = float(1.0 / np.median(pair[pair > 0.0]))
+    g = np.exp(-gamma * sq)
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 1.0)
+    return normalize(gm(g)).values, gamma
 
 
 class TestGaussianGram:
@@ -87,6 +105,41 @@ class TestMedianHeuristic:
     def test_all_duplicates_rejected(self):
         with pytest.raises(DataError):
             median_heuristic_gamma(np.array([[1.0], [1.0], [1.0]]))
+
+    def test_subnormal_median_is_data_error(self):
+        # the squared distances are subnormal, so 1 / median overflows
+        x = np.array([[0.0], [1e-160], [2e-160], [5e-160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no usable bandwidth"):
+                median_heuristic_gamma(x)
+            with pytest.raises(DataError):
+                build_bank([x])
+
+    def test_infinite_median_is_data_error(self):
+        # the squared distances overflow to inf, so 1 / median is 0
+        x = np.array([[0.0], [1e200], [-1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="no usable bandwidth"):
+                median_heuristic_gamma(x)
+            with pytest.raises(DataError):
+                build_bank([x])
+
+    def test_explicit_gamma_skips_the_median(self):
+        x = np.array([[0.0], [1e-160], [2e-160], [5e-160]])
+        bank, gammas = build_bank([x], gammas=2.0)
+        assert gammas == [2.0] and np.array_equal(bank[0].values, np.ones((4, 4)))
+
+    @given(
+        values=st.lists(
+            st.sampled_from([0.5, 1.0, 1.0, 2.5]) | st.floats(min_value=0.0, max_value=1e300),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_exact_median_equals_np_median(self, values):
+        a = np.array(values)
+        assert _exact_median(a.copy()) == np.median(a)
 
 
 class TestAlgebra:
@@ -274,3 +327,50 @@ class TestTypes:
         assert gammas == [pytest.approx(median_heuristic_gamma(v)) for v in views]
         for k in bank.kernels:
             assert np.array_equal(np.diag(k.values), np.ones(6))
+
+
+class TestBuildBankBitIdentity:
+    """build_bank shares one distance matrix per view; every bit stays as before."""
+
+    @staticmethod
+    def assert_matches_reference(views, gammas=None):
+        bank, used = build_bank(views, gammas=gammas)
+        per_view = gammas if isinstance(gammas, list) else [gammas] * len(views)
+        for x, k, g, given_gamma in zip(views, bank.kernels, used, per_view):
+            want, want_gamma = reference_kernel(x, given_gamma)
+            assert g == want_gamma
+            assert np.array_equal(k.values, want)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 31, 32, 64, 65])
+    def test_random_views(self, m, rng):
+        # m(m-1)/2 pairs: odd for m = 2, 3, 6, 31, 65; even for m = 4, 5, 32, 64
+        self.assert_matches_reference([rng.standard_normal((m, 2)), rng.standard_normal((m, 5))])
+
+    @pytest.mark.parametrize("m", [5, 8, 40])
+    def test_duplicated_rows(self, m, rng):
+        x = rng.standard_normal((m, 3))
+        x[m // 2] = x[0]
+        x[-1] = x[1]
+        ties = rng.integers(0, 3, size=(m, 1)).astype(float)  # many equal distances
+        self.assert_matches_reference([x, ties])
+
+    def test_near_duplicates_round_below_zero(self, rng):
+        # off the origin, a near-duplicate pair's (n_i + n_j) - 2 x_i.x_j
+        # rounds to zero or to a tiny value of either sign; the clip zeroes
+        # the negatives
+        x = rng.standard_normal((40, 3)) + 10.0
+        x[20:] = x[:20] + 1e-8 * rng.standard_normal((20, 3))
+        n = np.einsum("ij,ij->i", x, x)
+        raw = n[:, None] + n[None, :] - 2.0 * (x @ x.T)
+        assert (raw[~np.eye(40, dtype=bool)] < 0).any()
+        self.assert_matches_reference([x])
+
+    def test_explicit_gamma(self, rng):
+        views = [rng.standard_normal((20, 2)), rng.standard_normal((20, 3))]
+        self.assert_matches_reference(views, 0.37)
+        for x in views:
+            assert np.array_equal(gaussian_gram(x, 0.37).values, reference_kernel(x, 0.37)[0])
+            assert median_heuristic_gamma(x) == reference_kernel(x)[1]
+
+    def test_mixed_gammas(self, rng):
+        self.assert_matches_reference([rng.standard_normal((21, 2)), rng.standard_normal((21, 3))], [None, 1.5])
