@@ -178,10 +178,10 @@ def parse_expr(text: str) -> KernelExpr:
 def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     """Fold the tree over the bank's raw arrays and wrap the result once.
 
-    Sums and products of the intermediate arrays skip the checks and copies of
-    ``gram.add``/``gram.multiply``; the one ``GramMatrix`` built at the end
-    still rejects a non-finite or asymmetric result and returns a read-only
-    copy tagged with the canonical string.
+    Sums and products of the intermediate arrays skip the checks of
+    ``gram.add``/``gram.multiply``.  The result, tagged with the canonical
+    string, is validated in one pass and adopted read-only without a copy; a
+    bare leaf gives a read-only copy that shares no memory with the bank.
     """
 
     def fold(node: KernelExpr) -> np.ndarray:
@@ -194,4 +194,5 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
         op = np.add if isinstance(node, Add) else np.multiply
         return op(fold(node.left), fold(node.right))
 
-    return GramMatrix(fold(expr), canonical_string(expr))
+    wrap = GramMatrix if isinstance(expr, Leaf) else GramMatrix._adopt  # a leaf folds to the bank's array
+    return wrap(fold(expr), canonical_string(expr))

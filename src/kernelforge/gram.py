@@ -14,6 +14,7 @@ serves both the bandwidth and the kernel.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,22 +59,36 @@ def _max_asymmetry(v: np.ndarray) -> float:
 class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
 
-    Instances are immutable: the array is copied on construction and marked
-    read-only, so they can be shared without defensive copies.
+    Instances are immutable: the array is validated in one pass and marked
+    read-only, so it can be shared without defensive copies.  A caller's
+    array is copied first; arrays the package builds are adopted (``_adopt``).
     """
 
     values: np.ndarray
     source_tag: str = ""
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, tag: str = "") -> "GramMatrix":
+        """Wrap a fresh float array that nothing else writes to, without copying it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "source_tag", tag)
+        g._own(values)
+        return g
+
+    def _own(self, v: np.ndarray) -> None:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"gram matrix must be square, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise DataError("gram matrix contains non-finite entries")
-        if _max_asymmetry(v) > SYMMETRY_TOL:
+        # a non-finite entry makes the asymmetry NaN or inf, so one pass checks
+        # both; finiteness is tested only to name a failure
+        with np.errstate(invalid="ignore", over="ignore"):
+            worst = _max_asymmetry(v)
+        if not worst <= SYMMETRY_TOL:
+            if not np.isfinite(v).all():
+                raise DataError("gram matrix contains non-finite entries")
             raise ShapeError(f"gram matrix asymmetric beyond {SYMMETRY_TOL}")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -82,7 +97,10 @@ class GramMatrix:
         return self.values.shape[0]
 
     def with_tag(self, tag: str) -> "GramMatrix":
-        return GramMatrix(self.values, tag)
+        """The same read-only array under another tag; nothing is checked or copied again."""
+        g = copy.copy(self)
+        object.__setattr__(g, "source_tag", tag)
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +138,19 @@ class KernelBank:
 
         Out-of-range indices raise IndexError (see ``submatrix``).
         """
-        return KernelBank(tuple(GramMatrix(submatrix(k, idx, idx), k.source_tag) for k in self.kernels), self.names)
+        return KernelBank(tuple(GramMatrix._adopt(submatrix(k, idx, idx), k.source_tag) for k in self.kernels), self.names)
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0; two m x m allocations."""
-    n = np.einsum("ij,ij->i", x, x)
+def _pairwise_sq_dists(x: np.ndarray, where: str = "feature matrix") -> np.ndarray:
+    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0; two m x m allocations.
+
+    No term exceeds 4 max(n), so squared norms above a quarter of the float64
+    range raise DataError, naming ``where``, before any term can overflow.
+    """
+    with np.errstate(over="ignore"):
+        n = np.einsum("ij,ij->i", x, x)
+    if not n.max() <= np.finfo(float).max / 4:
+        raise DataError(f"{where}: feature scale overflows, so it gives no usable bandwidth or kernel")
     sq = np.add.outer(n, n)
     dot = x @ x.T
     dot *= 2.0
@@ -166,7 +191,7 @@ def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
     g = g + g.T
     g *= 0.5
     np.fill_diagonal(g, 1.0)
-    return GramMatrix(g, name)
+    return GramMatrix._adopt(g, name)
 
 
 def gaussian_gram(features, gamma: float, name: str = "") -> GramMatrix:
@@ -187,13 +212,13 @@ def _require_same_size(a: GramMatrix, b: GramMatrix) -> None:
 def add(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     """Entrywise sum; symmetry and PSD are preserved."""
     _require_same_size(a, b)
-    return GramMatrix(a.values + b.values)
+    return GramMatrix._adopt(a.values + b.values)
 
 
 def multiply(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     """Entrywise (Schur) product; PSD by the Schur product theorem."""
     _require_same_size(a, b)
-    return GramMatrix(a.values * b.values)
+    return GramMatrix._adopt(a.values * b.values)
 
 
 def normalize(g: GramMatrix) -> GramMatrix:
@@ -204,7 +229,7 @@ def normalize(g: GramMatrix) -> GramMatrix:
     s = np.sqrt(d)
     v = g.values / np.outer(s, s)
     np.fill_diagonal(v, 1.0)
-    return GramMatrix(v, g.source_tag)
+    return GramMatrix._adopt(v, g.source_tag)
 
 
 def check_psd(g, tol: float = PSD_TOL) -> bool:
@@ -254,8 +279,8 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
         raise ParameterError("need one gamma per descriptor matrix")
 
     kernels, used = [], []
-    for x, name, gamma in zip(feature_sets, names, gammas):
-        sq = _pairwise_sq_dists(validate_features(x))
+    for i, (x, name, gamma) in enumerate(zip(feature_sets, names, gammas)):
+        sq = _pairwise_sq_dists(validate_features(x), f"view {i} ({name})")
         # the bandwidth reads sq before the kernel overwrites it
         g = _median_gamma(sq) if gamma is None else float(gamma)
         kernels.append(_gaussian_from_sq(sq, g, name))

@@ -8,6 +8,7 @@ Binary kernel layout (little-endian throughout):
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 from pathlib import Path
@@ -64,36 +65,40 @@ def write_kernel(path, gram: GramMatrix) -> None:
     path = Path(path)
     name = gram.source_tag.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", gram.size))
-        fh.write(np.ascontiguousarray(gram.values, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(name)))
-        fh.write(name)
+        fh.write(MAGIC + struct.pack("<I", gram.size))
+        fh.write(np.ascontiguousarray(gram.values, dtype="<f8"))  # the array's own buffer
+        fh.write(struct.pack("<I", len(name)) + name)
 
 
 def read_kernel(path) -> GramMatrix:
+    """The kernel in a binary kernel file; the entries are read straight into the kept array."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(8)
+            if head[:4] != MAGIC:
+                raise DataError(f"{path}: not a kernel file (bad magic {head[:4]!r})")
+            if len(head) < 8:
+                raise DataError(f"{path}: truncated kernel file")
+            (m,) = struct.unpack_from("<I", head, 4)
+            body = 8 + 8 * m * m
+            if os.fstat(fh.fileno()).st_size < body + 4:  # before m x m floats are allocated
+                raise DataError(f"{path}: truncated kernel file")
+            values = np.empty((m, m), "<f8")
+            got = fh.readinto(values)
+            tail = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read kernel file: {exc}") from exc
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: not a kernel file (bad magic {blob[:4]!r})")
-    if len(blob) < 8:
+    if got != values.nbytes or len(tail) < 4:  # the file shrank after the size check
         raise DataError(f"{path}: truncated kernel file")
-    (m,) = struct.unpack_from("<I", blob, 4)
-    body = 8 + 8 * m * m
-    if len(blob) < body + 4:
-        raise DataError(f"{path}: truncated kernel file")
-    (name_len,) = struct.unpack_from("<I", blob, body)
-    if len(blob) != body + 4 + name_len:
-        raise DataError(f"{path}: {len(blob)} bytes, but the header promises {body + 4 + name_len}")
-    values = np.frombuffer(blob, dtype="<f8", count=m * m, offset=8).reshape(m, m)
+    (name_len,) = struct.unpack_from("<I", tail)
+    if len(tail) != 4 + name_len:
+        raise DataError(f"{path}: {body + len(tail)} bytes, but the header promises {body + 4 + name_len}")
     try:
-        name = blob[body + 4 :].decode("utf-8")
+        name = tail[4:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: kernel name is not valid UTF-8: {exc}") from exc
-    return GramMatrix(values, name)
+    return GramMatrix._adopt(values, name)
 
 
 def write_kernel_csv(path, gram: GramMatrix) -> None:
@@ -102,8 +107,7 @@ def write_kernel_csv(path, gram: GramMatrix) -> None:
 
 
 def read_kernel_csv(path, name: str = "") -> GramMatrix:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    return GramMatrix(values, name)
+    return GramMatrix._adopt(np.loadtxt(path, delimiter=",", ndmin=2), name)
 
 
 def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestGramCommand:
         cfg.write_text('seed = 1\ndata.features = ["tiny.csv"]\noutput_dir = kernels\n')
         assert run_cli(["gram", "--config", cfg]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+    @pytest.mark.parametrize("gamma", [None, 1.0], ids=["median", "explicit"])
+    def test_overflowing_feature_scale_is_data_error(self, tmp_path, capsys, gamma):
+        # squared norms of 1e200 overflow float64; the error names the view before numpy warns
+        save_feature_csv(tmp_path / "fine.csv", [[0.0], [1.0], [2.0]], [0, 0, 1])
+        save_feature_csv(tmp_path / "huge.csv", [[1e200], [1e200], [0.0]], [0, 0, 1])
+        cfg = tmp_path / "run.cfg"
+        lines = ["seed = 1", 'data.features = ["fine.csv", "huge.csv"]', "output_dir = kernels"]
+        cfg.write_text("\n".join(lines + ([] if gamma is None else [f"kernel.gamma = {gamma}"])) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["gram", "--config", cfg]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "view 1 (huge)" in err["message"] and "feature scale overflows" in err["message"]
 
     def test_gamma_override(self, xor_workspace):
         cfg = xor_workspace / "run.cfg"

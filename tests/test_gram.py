@@ -6,14 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kernelforge import (
+    Add,
     DataError,
     GramMatrix,
     KernelBank,
+    Leaf,
     ParameterError,
     ShapeError,
     add,
     build_bank,
     check_psd,
+    evaluate,
     gaussian_gram,
     median_heuristic_gamma,
     multiply,
@@ -21,6 +24,7 @@ from kernelforge import (
     submatrix,
 )
 from kernelforge.gram import _exact_median, _max_asymmetry
+from kernelforge.kernel_io import read_kernel, read_kernel_csv, write_kernel, write_kernel_csv
 
 from oracles import random_psd
 
@@ -124,6 +128,33 @@ class TestMedianHeuristic:
                 median_heuristic_gamma(x)
             with pytest.raises(DataError):
                 build_bank([x])
+
+    @pytest.mark.parametrize("gammas", [None, 1.0, [0.5, None]], ids=["median", "explicit", "mixed"])
+    def test_overflowing_feature_scale_names_the_view(self, gammas):
+        # the squared norm 1e400 overflows float64; no RuntimeWarning may come first
+        views = [np.array([[0.0], [1.0], [3.0]]), np.array([[1e200], [1e200], [0.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"view 1 \(wide\): feature scale overflows"):
+                build_bank(views, names=["narrow", "wide"], gammas=gammas)
+
+    def test_overflowing_feature_scale_in_the_single_view_helpers(self):
+        x = np.array([[1e200], [1e200], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature matrix: feature scale overflows"):
+                gaussian_gram(x, 1.0)
+            with pytest.raises(DataError, match="feature matrix: feature scale overflows"):
+                median_heuristic_gamma(x)
+
+    def test_large_feature_scale_below_overflow_is_accepted(self):
+        # squared norms of 1e306 keep every term of the distance formula finite
+        x = np.array([[1e153], [-1e153], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank, (gamma,) = build_bank([x])
+        assert gamma == 1.0 / 1e306
+        assert np.isfinite(bank[0].values).all()
 
     def test_explicit_gamma_skips_the_median(self):
         x = np.array([[0.0], [1e-160], [2e-160], [5e-160]])
@@ -327,6 +358,70 @@ class TestTypes:
         assert gammas == [pytest.approx(median_heuristic_gamma(v)) for v in views]
         for k in bank.kernels:
             assert np.array_equal(np.diag(k.values), np.ones(6))
+
+
+class TestOwnership:
+    """Caller arrays are copied, package-built arrays are adopted read-only,
+    and validation takes one pass that names the failure without warning."""
+
+    def test_caller_array_is_copied(self):
+        arr = np.eye(3)
+        g = GramMatrix(arr, "k")
+        arr[0, 1] = arr[1, 0] = 0.5
+        assert np.array_equal(g.values, np.eye(3))
+        assert arr.flags.writeable and not g.values.flags.writeable
+
+    def test_package_built_arrays_are_read_only(self, rng, tmp_path):
+        bank, _ = build_bank([rng.standard_normal((6, 2)), rng.standard_normal((6, 3))])
+        write_kernel(tmp_path / "k.kgm", bank[0])
+        write_kernel_csv(tmp_path / "k.csv", bank[1])
+        built = {
+            "build_bank": bank[0],
+            "read_kernel": read_kernel(tmp_path / "k.kgm"),
+            "read_kernel_csv": read_kernel_csv(tmp_path / "k.csv"),
+            "evaluate": evaluate(Add(Leaf(0), Leaf(1)), bank),
+            "restrict": bank.restrict([4, 1, 2])[0],
+            "normalize": normalize(multiply(bank[0], bank[1])),
+            "add": add(bank[0], bank[1]),
+            "with_tag": bank[0].with_tag("renamed"),
+        }
+        for where, g in built.items():
+            assert not g.values.flags.writeable, where
+            with pytest.raises(ValueError):
+                g.values[0, 0] = 2.0
+
+    def test_adopted_array_is_kept_and_tags_share_it(self):
+        v = np.eye(3)
+        g = GramMatrix._adopt(v, "k")
+        assert g.values is v and not v.flags.writeable
+        renamed = g.with_tag("other")
+        assert renamed.values is v and renamed.source_tag == "other" and g.source_tag == "k"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 1, np.inf), (0, 0, np.inf), (1, 2, -np.inf), (2, 2, np.nan), (2, 0, np.nan)],
+        ids=["inf-off-diagonal", "inf-diagonal", "minus-inf", "nan-diagonal", "nan-off-diagonal"],
+    )
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_non_finite_entry_is_data_error_without_warning(self, entry, mirrored):
+        i, j, value = entry
+        v = np.eye(3)
+        v[i, j] = value
+        if mirrored:
+            v[j, i] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite") as raised:
+                GramMatrix(v)
+        assert raised.type is DataError
+
+    def test_finite_entries_whose_difference_overflows_are_shape_error(self):
+        v = np.zeros((3, 3))
+        v[0, 2], v[2, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="asymmetric"):
+                GramMatrix(v)
 
 
 class TestBuildBankBitIdentity:

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kernelforge import DataError, GramMatrix
+from kernelforge import DataError, GramMatrix, ShapeError
 from kernelforge.kernel_io import (
+    MAGIC,
     load_feature_csv,
     load_labels_csv,
     read_kernel,
@@ -67,6 +72,89 @@ class TestKernelBinary:
         write_kernel(a, g)
         write_kernel(b, g)
         assert a.read_bytes() == b.read_bytes()
+
+
+# any finite float, with signed zeros and subnormals drawn often
+ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+)
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.sampled_from(
+    ["é", "视图 K1", "(* K1 K2) κ🙂"]
+)
+
+
+@st.composite
+def symmetric_matrices(draw, max_m=12):
+    m = draw(st.integers(1, max_m))
+    upper = np.triu_indices(m)
+    v = np.zeros((m, m))
+    v[upper] = v.T[upper] = draw(st.lists(ENTRIES, min_size=upper[0].size, max_size=upper[0].size))
+    return v
+
+
+def kgm_bytes(values, name: str) -> bytes:
+    """A kernel file laid out by hand, so the entries skip GramMatrix's checks."""
+    name_bytes = name.encode("utf-8")
+    return (
+        MAGIC
+        + struct.pack("<I", values.shape[0])
+        + np.ascontiguousarray(values, "<f8").tobytes()
+        + struct.pack("<I", len(name_bytes))
+        + name_bytes
+    )
+
+
+class TestKernelBinaryProperties:
+    @given(values=symmetric_matrices(), name=NAMES)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, values, name):
+        path = tmp_path_factory.mktemp("kgm") / "k.kgm"
+        write_kernel(path, GramMatrix(values, name))
+        assert path.read_bytes() == kgm_bytes(values, name)
+        back = read_kernel(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert back.source_tag == name
+        assert not back.values.flags.writeable
+
+    @given(values=symmetric_matrices(max_m=3), name=NAMES)
+    def test_every_truncation_and_one_extra_byte_rejected(self, tmp_path_factory, values, name):
+        path = tmp_path_factory.mktemp("kgm") / "k.kgm"
+        blob = kgm_bytes(values, name)
+        for corrupt in [blob[:cut] for cut in range(len(blob))] + [blob + b"\x00"]:
+            path.write_bytes(corrupt)
+            with pytest.raises(DataError):
+                read_kernel(path)
+
+    def test_header_promising_more_than_the_file_holds_rejected(self, tmp_path):
+        # 2**32 - 1 rows would not even fit an address space; the file size check comes first
+        path = tmp_path / "k.kgm"
+        path.write_bytes(MAGIC + struct.pack("<I", 2**32 - 1) + bytes(12))
+        with pytest.raises(DataError, match="truncated"):
+            read_kernel(path)
+
+    @given(
+        values=symmetric_matrices(max_m=5),
+        where=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_entry_is_data_error(self, tmp_path_factory, values, where, bad):
+        m = values.shape[0]
+        values[where[0] % m, where[1] % m] = bad
+        path = tmp_path_factory.mktemp("kgm") / "k.kgm"
+        path.write_bytes(kgm_bytes(values, "k"))
+        with pytest.raises(DataError, match="non-finite") as raised:
+            read_kernel(path)
+        assert raised.type is DataError
+
+    @given(values=symmetric_matrices(max_m=5).filter(lambda v: v.shape[0] > 1), data=st.data())
+    def test_asymmetric_entry_is_shape_error(self, tmp_path_factory, values, data):
+        m = values.shape[0]
+        i = data.draw(st.integers(0, m - 2))
+        j = data.draw(st.integers(i + 1, m - 1))
+        values[i, j] = data.draw(ENTRIES.filter(lambda x: abs(x - values[j, i]) > 1e-9))
+        path = tmp_path_factory.mktemp("kgm") / "k.kgm"
+        path.write_bytes(kgm_bytes(values, "k"))
+        with pytest.raises(ShapeError, match="asymmetric"):
+            read_kernel(path)
 
 
 class TestKernelCsv:
