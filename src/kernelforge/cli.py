@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -26,13 +25,9 @@ from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
 from .gp import SplitFitness, evolve, write_evolution_log
 from .gram import KernelBank, build_bank
-from .harness import ProtocolConfig, fit_expr, make_splits, run_comparison, write_comparison_outputs
+from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, write_comparison_outputs
 from .retrieval import ORDERS, load_index, query
-from .rng import derive_seed
 from .svm import save_multiclass
-
-log = logging.getLogger("kernelforge")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("KF_LOG", "warning").upper()
@@ -40,17 +35,13 @@ def _setup_logging() -> None:
 
 
 def _load_run_config(args) -> RunConfig:
-    values: dict[str, object] = {}
-    base_dir = Path.cwd()
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-        base_dir = Path(args.config).resolve().parent
-    values.update(parse_overrides(getattr(args, "set", None)))
-    if getattr(args, "seed", None) is not None:
+    values = load_config_file(args.config) if args.config else {}
+    values.update(parse_overrides(args.set))
+    if args.seed is not None:
         values["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
+    if args.output is not None:
         values["output_dir"] = args.output
-    return build_run_config(values, base_dir)
+    return build_run_config(values, Path(args.config).resolve().parent if args.config else Path.cwd())
 
 
 def _run_dir(config: RunConfig) -> Path:
@@ -62,13 +53,13 @@ def _run_dir(config: RunConfig) -> Path:
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
     if config.manifest is not None:
-        require_paths(config, [config.manifest])
+        require_paths([config.manifest])
         bank, labels, _ = kernel_io.load_bank_from_manifest(config.manifest)
         return bank, labels
     if config.kernels:
         if config.labels is None:
             raise ConfigError("data.kernels input needs data.labels")
-        require_paths(config, [*config.kernels, config.labels])
+        require_paths([*config.kernels, config.labels])
         kernels = [kernel_io.read_kernel(p) for p in config.kernels]
         names = [k.source_tag or p.stem for k, p in zip(kernels, config.kernels)]
         labels = kernel_io.load_labels_csv(config.labels)
@@ -82,7 +73,7 @@ def cmd_gram(args) -> int:
     config = _load_run_config(args)
     if not config.features:
         raise ConfigError("gram needs data.features (one CSV per descriptor)")
-    require_paths(config, config.features)
+    require_paths(config.features)
 
     feature_sets, label_sets = [], []
     for path in config.features:
@@ -116,12 +107,11 @@ def cmd_gram(args) -> int:
 def cmd_evolve(args) -> int:
     config = _load_run_config(args)
     bank, labels = _load_bank(config)
-    split = make_splits(labels, config.per_class_train, config.per_class_val, 1, config.seed)[0]
-    gp_params = replace(config.gp, rng_seed=derive_seed(config.seed, "gp", 0))
-
+    protocol = config.protocol
+    split = make_splits(labels, protocol.per_class_train, protocol.per_class_val, 1, protocol.seed)[0]
     score = SplitFitness(bank, labels, split)
-    result = evolve(score, gp_params, config.svm)
-    test_acc, model, _, _ = fit_expr(result.best_expr, score, config.svm, config.grid_search_c)
+    result = evolve(score, repeat_gp_params(config.gp, protocol, 0), config.svm)
+    test_acc, model, _, _ = fit_expr(result.best_expr, score, config.svm, protocol.grid_search_c)
     best_text = canonical_string(result.best_expr)
 
     rundir = _run_dir(config)
@@ -146,14 +136,7 @@ def cmd_evolve(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_run_config(args)
     bank, labels = _load_bank(config)
-    protocol = ProtocolConfig(
-        per_class_train=config.per_class_train,
-        per_class_val=config.per_class_val,
-        repeats=config.repeats,
-        seed=config.seed,
-        grid_search_c=config.grid_search_c,
-    )
-    report, results = run_comparison(bank, labels, protocol, config.gp, config.svm, config_echo=config.echo())
+    report, results = run_comparison(bank, labels, config.protocol, config.gp, config.svm, config_echo=config.echo())
     rundir = _run_dir(config)
     text = write_comparison_outputs(report, results, rundir)
     print(text)
@@ -208,23 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    for name, func, text in (
+        ("gram", cmd_gram, "build normalized Gaussian kernels from feature CSVs"),
+        ("evolve", cmd_evolve, "evolve a kernel combination on one split"),
+        ("compare", cmd_compare, "repeated-split comparison: addition vs best single vs evolved"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="key=value config file with dotted keys")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--seed", type=int, help="master seed (overrides the config file)")
         p.add_argument("--output", help="output directory (overrides the config file)")
-
-    p = sub.add_parser("gram", help="build normalized Gaussian kernels from feature CSVs")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("evolve", help="evolve a kernel combination on one split")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("compare", help="repeated-split comparison: addition vs best single vs evolved")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_compare)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("retrieve", help="query a similarity index for the most similar items")
     p.add_argument("--index", required=True, help="index file written by retrieval.save_index")

@@ -55,6 +55,17 @@ def _max_asymmetry(v: np.ndarray) -> float:
     return float(worst)
 
 
+def _is_symmetric(v: np.ndarray, tol: float, what: str) -> bool:
+    """Whether max |v - v.T| <= tol.  A non-finite entry makes the asymmetry
+    NaN or inf, so this one pass also checks finiteness: such an entry raises
+    DataError naming `what` (finiteness is tested only to name the failure)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = _max_asymmetry(v)
+    if not worst <= tol and not np.isfinite(v).all():
+        raise DataError(f"{what} contains non-finite entries")
+    return worst <= tol
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
@@ -81,13 +92,7 @@ class GramMatrix:
     def _own(self, v: np.ndarray) -> None:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"gram matrix must be square, got shape {v.shape}")
-        # a non-finite entry makes the asymmetry NaN or inf, so one pass checks
-        # both; finiteness is tested only to name a failure
-        with np.errstate(invalid="ignore", over="ignore"):
-            worst = _max_asymmetry(v)
-        if not worst <= SYMMETRY_TOL:
-            if not np.isfinite(v).all():
-                raise DataError("gram matrix contains non-finite entries")
+        if not _is_symmetric(v, SYMMETRY_TOL, "gram matrix"):
             raise ShapeError(f"gram matrix asymmetric beyond {SYMMETRY_TOL}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -186,7 +191,8 @@ def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
     """exp(-gamma * sq), symmetrised, unit diagonal; overwrites ``sq``."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive and finite, got {gamma}")
-    np.multiply(sq, -gamma, out=sq)
+    with np.errstate(over="ignore"):  # a product past -inf is -inf, and exp(-inf) = 0 is the limit
+        np.multiply(sq, -gamma, out=sq)
     g = np.exp(sq, out=sq)
     g = g + g.T
     g *= 0.5
@@ -241,7 +247,7 @@ def check_psd(g, tol: float = PSD_TOL) -> bool:
     v = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {v.shape}")
-    if _max_asymmetry(v) > 1e-8:
+    if not _is_symmetric(v, 1e-8, "matrix"):
         raise ShapeError("matrix asymmetric beyond 1e-8")
     w = np.linalg.eigvalsh(0.5 * (v + v.T))
     return bool(w[0] >= -tol)

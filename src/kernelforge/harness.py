@@ -8,8 +8,9 @@ selection all score through.  The three candidates are expressions (the
 goes through ``fit_expr``: optionally choose C by validation fitness, then
 ``fit_and_score`` trains on train+validation and scores once on test, so the
 three columns are like-for-like.  All training goes through
-``svm.fit_predict``; the CLI's ``evolve`` uses ``fit_expr`` too.  Reports
-aggregate mean and sample (n-1) standard deviation across repeats.
+``svm.fit_predict``.  The CLI's ``evolve`` is repeat 0: the first split,
+``repeat_gp_params(..., 0)`` and ``fit_expr``.  Reports aggregate mean and
+sample (n-1) standard deviation across repeats.
 """
 
 from __future__ import annotations
@@ -54,11 +55,20 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    per_class_train: int
-    per_class_val: int
-    repeats: int
-    seed: int
+    """Split sizes per class, repeats, master seed and C selection of a comparison.
+
+    The CLI always sets ``seed`` (config key ``seed``); 0 serves library callers."""
+
+    per_class_train: int = 15
+    per_class_val: int = 5
+    repeats: int = 10
+    seed: int = 0
     grid_search_c: bool = False
+
+
+def repeat_gp_params(gp_params: GpParams, protocol: ProtocolConfig, r: int) -> GpParams:
+    """gp_params on repeat r's own rng stream; the CLI's ``evolve`` is repeat 0."""
+    return replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
 
 
 def make_splits(labels, per_class_train: int, per_class_val: int, repeats: int, seed: int) -> list[DatasetSplit]:
@@ -219,8 +229,7 @@ def run_comparison(
             idx, _ = _best_leaf(score, svm_params)
             best_indices.append(idx)
 
-            gp_r = replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
-            result = evolve(score, gp_r, svm_params)
+            result = evolve(score, repeat_gp_params(gp_params, protocol, r), svm_params)
             evolution_results.append(result)
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])

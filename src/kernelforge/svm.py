@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
-from .gram import GramMatrix, _max_asymmetry
+from .gram import GramMatrix, _is_symmetric
 from .kernel_io import check_json, parse_json
 from .rng import derived_rng
 
@@ -105,7 +105,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     p = y.shape[0]
     if k.ndim != 2 or k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if _max_asymmetry(k) > 1e-8:
+    if not _is_symmetric(k, 1e-8, "training kernel"):
         raise ShapeError("training kernel asymmetric beyond 1e-8")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("binary labels must be -1/+1")

@@ -8,7 +8,9 @@ import pytest
 
 from kernelforge import (
     ConfigError,
+    GpParams,
     Leaf,
+    ProtocolConfig,
     SplitFitness,
     SvmParams,
     accuracy,
@@ -20,7 +22,7 @@ from kernelforge import (
     save_index,
 )
 from kernelforge.cli import main
-from kernelforge.config import build_run_config, load_config_file, parse_config_text, parse_overrides
+from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import GramMatrix, KernelBank
 from kernelforge.harness import _select_c
 from kernelforge.kernel_io import load_bank_from_manifest, save_feature_csv
@@ -75,7 +77,7 @@ class TestConfigParsing:
         config = build_run_config({"seed": 5}, tmp_path)
         assert config.gp.population_size == 50
         assert config.svm.c == 10.0
-        assert config.per_class_train == 15 and config.per_class_val == 5
+        assert config.protocol.per_class_train == 15 and config.protocol.per_class_val == 5
 
     def test_echo_excludes_location_only_keys(self, tmp_path):
         config = build_run_config({"seed": 5, "run_dir": "fixed"}, tmp_path)
@@ -91,6 +93,92 @@ class TestConfigParsing:
         assert main(["evolve", "--set", "seed=1", "--set", f"{key}=1e400"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
+
+
+# every key the config accepted before the keys were mapped through one table
+ACCEPTED_KEYS = {
+    "seed", "output_dir", "run_dir",
+    "data.features", "data.header", "data.kernels", "data.labels", "data.manifest", "kernel.gamma",
+    "gp.population_size", "gp.max_generations", "gp.crossover_rate", "gp.mutation_rate",
+    "gp.tournament_size", "gp.max_depth", "gp.init_depth_min", "gp.init_depth_max",
+    "gp.stagnation_limit", "gp.elitism", "gp.fitness_mode", "gp.n_folds", "gp.seed_leaves",
+    "gp.initial_exprs", "svm.c", "svm.kkt_tol", "svm.max_passes", "svm.grid_search_c",
+    "protocol.per_class_train", "protocol.per_class_val", "protocol.repeats",
+}
+
+# key -> (legal value that is not the default, attribute path on the built RunConfig)
+FIELD_KEYS = {
+    "seed": (12, "protocol.seed"),
+    "gp.population_size": (20, "gp.population_size"),
+    "gp.max_generations": (7, "gp.max_generations"),
+    "gp.crossover_rate": (0.5, "gp.crossover_rate"),
+    "gp.mutation_rate": (0.3, "gp.mutation_rate"),
+    "gp.tournament_size": (5, "gp.tournament_size"),
+    "gp.max_depth": (8, "gp.max_depth"),
+    "gp.stagnation_limit": (9, "gp.stagnation_limit"),
+    "gp.elitism": (2, "gp.elitism"),
+    "gp.fitness_mode": ("k_fold", "gp.fitness_mode"),
+    "gp.n_folds": (3, "gp.n_folds"),
+    "gp.seed_leaves": (False, "gp.seed_leaves"),
+    "gp.initial_exprs": (["(+ K1 K2)"], "gp.initial_exprs"),
+    "svm.c": (2.5, "svm.c"),
+    "svm.kkt_tol": (1e-4, "svm.kkt_tol"),
+    "svm.max_passes": (50, "svm.max_passes"),
+    "svm.grid_search_c": (True, "protocol.grid_search_c"),
+    "protocol.per_class_train": (20, "protocol.per_class_train"),
+    "protocol.per_class_val": (4, "protocol.per_class_val"),
+    "protocol.repeats": (3, "protocol.repeats"),
+}
+
+
+def _attr(obj, dotted: str):
+    for name in dotted.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+class TestConfigKeys:
+    def test_accepted_keys_are_unchanged(self):
+        assert set(KNOWN_KEYS) == ACCEPTED_KEYS
+
+    def test_every_field_key_is_covered(self):
+        prefixed = {k for k in ACCEPTED_KEYS if k.split(".")[0] in ("gp", "svm", "protocol")}
+        assert prefixed - {"gp.init_depth_min", "gp.init_depth_max"} | {"seed"} == set(FIELD_KEYS)
+
+    @pytest.mark.parametrize("key", FIELD_KEYS)
+    def test_key_reaches_its_field(self, tmp_path, key):
+        value, attr = FIELD_KEYS[key]
+        values = {"seed": 5, **parse_overrides([f"{key}={json.dumps(value)}"])}
+        default, built = build_run_config({"seed": 5}, tmp_path), build_run_config(values, tmp_path)
+        want = tuple(value) if isinstance(value, list) else value
+        assert _attr(built, attr) == want and _attr(default, attr) != want
+
+    def test_init_depth_pair_reaches_the_range(self, tmp_path):
+        values = parse_overrides(["seed=5", "gp.init_depth_min=1", "gp.init_depth_max=3"])
+        assert build_run_config(values, tmp_path).gp.init_depth_range == (1, 3)
+
+    @pytest.mark.parametrize("key", ["gp.init_depth_min", "gp.init_depth_max"])
+    def test_init_depth_bound_alone_is_config_error(self, tmp_path, key):
+        with pytest.raises(ConfigError, match="must be set together"):
+            build_run_config({"seed": 5, key: 3}, tmp_path)
+
+    def test_gp_rng_seed_is_left_to_each_repeat(self, tmp_path):
+        assert build_run_config({"seed": 5}, tmp_path).gp.rng_seed == GpParams().rng_seed
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+        table = {cells[0].strip().strip("`"): [c.strip().strip("`") for c in cells[1:]] for cells in rows}
+        assert set(table) == set(KNOWN_KEYS)
+        blocks = {"GpParams": GpParams(), "SvmParams": SvmParams(), "ProtocolConfig": ProtocolConfig()}
+        for key, (kind, default, target) in table.items():
+            assert [kind, target] == list(KNOWN_KEYS[key][:2]), key
+            block, _, attr = target.partition(".")
+            if block in blocks and key != "seed":
+                name, _, index = attr.partition("[")
+                value = getattr(blocks[block], name)
+                assert default == json.dumps(value[int(index[0])] if index else value), key
 
 
 @pytest.fixture
@@ -356,6 +444,60 @@ class TestCompareCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+def _digests(rundir: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(rundir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(rundir.rglob("*"))
+        if p.is_file()
+    }
+
+
+# sha256 of every file `evolve` and `compare` wrote for the xor_workspace input
+# before the config keys were mapped through one table; a change to how a run
+# is set up that moves one bit of its outputs fails here
+PINNED_RUN_OUTPUTS = {
+    "evolve": {
+        "best_expr.txt": "469bb9db7125657b057d9a6ecb7735e998f6ff1b1e065459eeb778b905809da6",
+        "evolution.csv": "c623a6a15bb0f5308d0ccb5e666bcdff25d5080224578f95db909347447b3503",
+        "model.json": "2259e007d225145a51a1d33bd19ce5de3837e6e3ce3aac50be0b8c4325488b08",
+        "result.json": "cf67bc19421a2bee65f7d3192009f730673cb16dc4ff2dcd6798a5610befa7ce",
+    },
+    "compare": {
+        "binary_problems.csv": "5ad41fd34d6bddfa11adf63769890a39bb40271876b98a7eb90c39a0f0fb7d01",
+        "generations.csv": "e440b2e2e4331324c4810e7ebe16ae0ea4c8f57531c10dae4f989b1246bf39da",
+        "iterations.csv": "56044f333099d689fee44a38b1ef8308a7646731e1998199bce9adab45a3319a",
+        "logs/evolution_r0.csv": "c623a6a15bb0f5308d0ccb5e666bcdff25d5080224578f95db909347447b3503",
+        "logs/evolution_r1.csv": "ba31cccd5decf9d64d49c2388ffb13df26c3dded3fd2f5c5f7759b425fd79c68",
+        "report.json": "a29084e78a259b67ba28c5c4af40a517493272b5508e855c29d0179985bcd186",
+        "summary.csv": "1bc68b0f8a96e6ba152282d4f0605f9c19a9673933daa026248556ac86ee8eb2",
+    },
+}
+
+
+class TestRunOutputs:
+    @pytest.mark.parametrize("command", PINNED_RUN_OUTPUTS)
+    def test_output_bytes_are_pinned(self, xor_workspace, command):
+        cfg = xor_workspace / "run.cfg"
+        assert run_cli(["gram", "--config", cfg]) == 0
+        args = ["--set", "data.manifest=kernels/manifest.json", "--set", "run_dir=pinned", "--output", "runs"]
+        assert run_cli([command, "--config", cfg, *args]) == 0
+        assert _digests(xor_workspace / "runs" / "pinned") == PINNED_RUN_OUTPUTS[command]
+
+    @pytest.mark.parametrize("grid_search_c", ["false", "true"])
+    def test_evolve_is_repeat_zero_of_compare(self, xor_workspace, grid_search_c):
+        cfg = xor_workspace / "run.cfg"
+        run_cli(["gram", "--config", cfg])
+        common = ["--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs",
+                  "--set", f"svm.grid_search_c={grid_search_c}"]
+        assert run_cli(["evolve", *common, "--set", "run_dir=e"]) == 0
+        assert run_cli(["compare", *common, "--set", "run_dir=c"]) == 0
+        result = json.loads((xor_workspace / "runs" / "e" / "result.json").read_text())
+        report = json.loads((xor_workspace / "runs" / "c" / "report.json").read_text())
+        assert result["best_expr"] == report["best_exprs"][0]
+        assert result["generations"] == report["generations"][0]
+        assert result["final_test_accuracy"] == report["methods"]["evolved"][0]
 
 
 def _edit_json(path, edit):

@@ -281,6 +281,17 @@ class TestCheckPsd:
         with pytest.raises(ShapeError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-8)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raw_input_is_data_error_without_warning(self, value):
+        # a NaN asymmetry compares False against the tolerance; it must not pass
+        v = np.eye(3)
+        v[0, 2] = v[2, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite") as raised:
+                check_psd(v)
+        assert raised.type is DataError
+
 
 class TestMaxAsymmetry:
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 130])
@@ -466,6 +477,13 @@ class TestBuildBankBitIdentity:
         for x in views:
             assert np.array_equal(gaussian_gram(x, 0.37).values, reference_kernel(x, 0.37)[0])
             assert median_heuristic_gamma(x) == reference_kernel(x)[1]
+
+    def test_overflowing_gamma_product_is_exactly_zero_without_warning(self):
+        # gamma * squared distance overflows to -inf in the exponent; exp(-inf) = 0 is the limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank, _ = build_bank([np.array([[1e150], [-1e150], [0.0]])], gammas=1e10)
+        assert np.array_equal(bank.kernels[0].values, np.eye(3))
 
     def test_mixed_gammas(self, rng):
         self.assert_matches_reference([rng.standard_normal((21, 2)), rng.standard_normal((21, 3))], [None, 1.5])

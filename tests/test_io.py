@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from kernelforge import DataError, GramMatrix, ShapeError
 from kernelforge.kernel_io import (
     MAGIC,
+    MANIFEST_SCHEMA,
     load_feature_csv,
     load_labels_csv,
     read_kernel,
@@ -20,6 +22,7 @@ from kernelforge.kernel_io import (
     write_manifest,
 )
 
+from jsondocs import corrupted
 from oracles import random_psd
 
 
@@ -207,6 +210,20 @@ class TestLabelsCsv:
         assert np.array_equal(load_labels_csv(path), labels)
 
 
+def manifests():
+    entry = st.fixed_dictionaries(
+        {"name": st.text(), "file": st.text(), "gamma": st.floats(allow_nan=False, allow_infinity=False)}
+    )
+    return st.fixed_dictionaries(
+        {
+            "schema": st.just(MANIFEST_SCHEMA),
+            "m": st.integers(0, 2**63 - 1),
+            "kernels": st.lists(entry, max_size=3),
+            "labels_file": st.text(),
+        }
+    )
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         entries = [{"name": "v1", "file": "k_v1.kgm", "gamma": 0.25}]
@@ -220,3 +237,16 @@ class TestManifest:
         (tmp_path / "manifest.json").write_text('{"schema": "other", "m": 1}')
         with pytest.raises(DataError):
             read_manifest(tmp_path / "manifest.json")
+
+    @given(manifests())
+    def test_round_trip_property(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        write_manifest(path, doc["m"], doc["kernels"], doc["labels_file"])
+        assert read_manifest(path) == doc
+
+    @given(manifests(), st.data())
+    def test_corruption_rejected(self, tmp_path_factory, doc, data):
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        path.write_text(json.dumps(corrupted(data, doc)))
+        with pytest.raises(DataError):
+            read_manifest(path)

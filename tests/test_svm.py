@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -82,6 +83,17 @@ class TestTrainBinary:
         k = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ShapeError):
             train_binary(k, TWO_POINT_Y, SvmParams())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_kernel_is_data_error_without_warning(self, value):
+        # a NaN asymmetry compares False against the tolerance; it must not train
+        k = np.eye(4)
+        k[0, 1] = k[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite") as raised:
+                train_binary(k, [1, 1, -1, -1], SvmParams())
+        assert raised.type is DataError
 
     def test_zero_passes_flags_non_converged(self):
         model = train_binary(TWO_POINT_K, TWO_POINT_Y, SvmParams(max_passes=0))
