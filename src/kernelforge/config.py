@@ -56,6 +56,12 @@ KNOWN_KEYS: dict[str, tuple[str, str, str]] = {
 _EXECUTION_KEYS = ("run_dir",)  # location-only; excluded from report echoes
 
 
+def _float(v) -> float:
+    if isinstance(v, bool):  # float(True) would read a JSON boolean as 1.0
+        raise TypeError("a boolean is not a number")
+    return float(v)
+
+
 def _parse_value(key: str, raw: str) -> object:
     kind = KNOWN_KEYS[key][0]
     try:
@@ -66,7 +72,7 @@ def _parse_value(key: str, raw: str) -> object:
         if kind == "int" and not isinstance(value, bool) and int(value) == value:
             return int(value)
         if kind == "float":
-            return float(value)
+            return _float(value)
         if kind == "bool" and str(value).lower() in ("true", "false"):
             return str(value).lower() == "true"
         if kind == "str" and isinstance(value, str):
@@ -74,8 +80,8 @@ def _parse_value(key: str, raw: str) -> object:
         items = [value] if isinstance(value, str) else value
         if kind == "str_list" and isinstance(items, list) and all(isinstance(v, str) for v in items):
             return items
-        if kind == "float_or_list" and isinstance(value, (int, float, list)) and not isinstance(value, bool):
-            return [float(v) for v in value] if isinstance(value, list) else float(value)
+        if kind == "float_or_list" and isinstance(value, (int, float, list)):
+            return [_float(v) for v in value] if isinstance(value, list) else _float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf) from 1e400
         pass
     raise ConfigError(f"config key {key!r} expects a {kind} value, got {raw!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError, ShapeError
+from .errors import DataError, ExprSyntaxError, NumericalError, ParameterError, ShapeError
 from .expr import (
     Add,
     KernelExpr,
@@ -89,6 +89,13 @@ class GpParams:
             raise ParameterError(f"fitness_mode must be one of {FITNESS_MODES}")
         if self.fitness_mode == "k_fold" and self.n_folds < 2:
             raise ParameterError("k_fold mode needs n_folds >= 2")
+        for text in self.initial_exprs:  # leaf indices meet the bank in _initial_population
+            try:
+                tree = parse_expr(text)
+            except ExprSyntaxError as exc:
+                raise ParameterError(f"initial_exprs entry {text!r}: {exc}") from exc
+            if depth(tree) > self.max_depth:
+                raise ParameterError(f"initial_exprs entry {text!r} deeper than max_depth {self.max_depth}")
 
 
 @dataclass
@@ -266,8 +273,6 @@ def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
         bad = [node.index for node, _ in iter_nodes(tree) if isinstance(node, Leaf) and node.index >= n]
         if bad:
             raise ParameterError(f"seed expression {text!r} references kernel K{bad[0] + 1}; bank has {n}")
-        if depth(tree) > params.max_depth:
-            raise ParameterError(f"seed expression {text!r} deeper than max_depth")
         population.append(tree)
     while len(population) < params.population_size:
         rng = derived_rng(params.rng_seed, "init", len(population))

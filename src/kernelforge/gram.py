@@ -10,11 +10,15 @@ runs no separate normalize pass.  Its bandwidth defaults to the median
 heuristic, taken exactly (the same value as ``np.median``) over the nonzero
 pairwise squared distances; each view's distance matrix is computed once and
 serves both the bandwidth and the kernel.
+
+A kernel is checked once, where it is made: by ``GramMatrix(...)``, by ``_adopt``
+for the arrays the package builds (here, in ``expr.evaluate`` and in the kernel
+readers), and at the raw-array entries ``check_psd``, ``svm.train_binary`` and
+``svm.train_multiclass``.  A block cut from a checked matrix keeps its check.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,32 +74,35 @@ def _is_symmetric(v: np.ndarray, tol: float, what: str) -> bool:
 class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
 
-    Instances are immutable: the array is validated in one pass and marked
+    Instances are immutable: the array is checked in one pass and marked
     read-only, so it can be shared without defensive copies.  A caller's
-    array is copied first; arrays the package builds are adopted (``_adopt``).
+    array is copied first; arrays the package builds are adopted (``_adopt``);
+    ``restrict`` and ``with_tag`` keep the check and do not run it again.
     """
 
     values: np.ndarray
     source_tag: str = ""
 
-    def __post_init__(self):
-        self._own(np.array(self.values, dtype=float, order="C"))
+    def __post_init__(self):  # adopts a private copy of the caller's array
+        object.__setattr__(self, "values", self._adopt(np.array(self.values, dtype=float, order="C")).values)
 
     @classmethod
     def _adopt(cls, values: np.ndarray, tag: str = "") -> "GramMatrix":
-        """Wrap a fresh float array that nothing else writes to, without copying it."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "source_tag", tag)
-        g._own(values)
-        return g
-
-    def _own(self, v: np.ndarray) -> None:
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"gram matrix must be square, got shape {v.shape}")
-        if not _is_symmetric(v, SYMMETRY_TOL, "gram matrix"):
+        """Check a fresh float array that nothing else writes to and wrap it without copying."""
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ShapeError(f"gram matrix must be square, got shape {values.shape}")
+        if not _is_symmetric(values, SYMMETRY_TOL, "gram matrix"):
             raise ShapeError(f"gram matrix asymmetric beyond {SYMMETRY_TOL}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        return cls._checked(values, tag)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, tag: str) -> "GramMatrix":
+        """Wrap an array known to pass ``_adopt``'s check, read-only, without checking it again."""
+        values.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "values", values)
+        object.__setattr__(g, "source_tag", tag)
+        return g
 
     @property
     def size(self) -> int:
@@ -103,9 +110,12 @@ class GramMatrix:
 
     def with_tag(self, tag: str) -> "GramMatrix":
         """The same read-only array under another tag; nothing is checked or copied again."""
-        g = copy.copy(self)
-        object.__setattr__(g, "source_tag", tag)
-        return g
+        return self._checked(self.values, tag)
+
+    def restrict(self, idx) -> "GramMatrix":
+        """The idx x idx block under the same tag; out-of-range indices raise IndexError.
+        A principal block is finite and no more asymmetric than its parent, so it keeps the check."""
+        return self._checked(submatrix(self, idx, idx), self.source_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +149,9 @@ class KernelBank:
         return self.kernels[i]
 
     def restrict(self, idx) -> "KernelBank":
-        """The bank over the items ``idx`` in that order: each kernel's idx x idx block.
-
-        Out-of-range indices raise IndexError (see ``submatrix``).
-        """
-        return KernelBank(tuple(GramMatrix._adopt(submatrix(k, idx, idx), k.source_tag) for k in self.kernels), self.names)
+        """The bank over the items ``idx`` in that order: each kernel's idx x idx
+        block (``GramMatrix.restrict``), which keeps the kernel's check."""
+        return KernelBank(tuple(k.restrict(idx) for k in self.kernels), self.names)
 
 
 def _pairwise_sq_dists(x: np.ndarray, where: str = "feature matrix") -> np.ndarray:

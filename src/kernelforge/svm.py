@@ -6,6 +6,11 @@ follow Platt's analytic two-variable solve; the second index of each working
 pair is drawn from a seeded random permutation.  ``fit_predict`` is the one
 train-then-predict path of the package: fitness folds, C selection and final
 scoring all go through it, and it refuses a model that stopped at max_passes.
+
+A GramMatrix was checked where it was made, so it is trusted here.  The raw-array
+entries check theirs: ``train_multiclass`` wraps it in a GramMatrix once, and
+``train_binary`` checks it on every call.  The class-pair blocks are cut with
+``GramMatrix.restrict`` and keep the check of the matrix they come from.
 """
 
 from __future__ import annotations
@@ -64,10 +69,6 @@ def dual_objective(kernel: np.ndarray, labels: np.ndarray, alpha: np.ndarray) ->
     return float(alpha.sum() - 0.5 * (v @ kernel @ v))
 
 
-def _as_matrix(kernel) -> np.ndarray:
-    return kernel.values if isinstance(kernel, GramMatrix) else np.asarray(kernel, dtype=float)
-
-
 def _violators(alpha, g, b, y, c, tol, eps) -> np.ndarray:
     e = g + b - y
     r = y * e
@@ -100,12 +101,13 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     pair makes progress.  Returns a best-effort model flagged converged=False
     if violators survive max_passes sweeps.
     """
-    k = _as_matrix(train_gram)
+    checked = isinstance(train_gram, GramMatrix)
+    k = train_gram.values if checked else np.asarray(train_gram, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
     p = y.shape[0]
     if k.ndim != 2 or k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if not _is_symmetric(k, 1e-8, "training kernel"):
+    if not checked and not _is_symmetric(k, 1e-8, "training kernel"):
         raise ShapeError("training kernel asymmetric beyond 1e-8")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("binary labels must be -1/+1")
@@ -237,12 +239,13 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
 
     Pair label convention: the smaller class id maps to -1.  Each pair's SMO
     stream is derived from (seed, class pair), so results do not depend on
-    training order.
+    training order.  A raw array is checked once, as a GramMatrix.
     """
-    k = _as_matrix(gram)
+    if not isinstance(gram, GramMatrix):
+        gram = GramMatrix(gram)
     labels = np.asarray(labels)
     train_idx = np.asarray(train_idx, dtype=int)
-    if train_idx.size and (train_idx.min() < 0 or train_idx.max() >= k.shape[0]):
+    if train_idx.size and (train_idx.min() < 0 or train_idx.max() >= gram.size):
         raise IndexError("training index out of range for the kernel")
     train_labels = labels[train_idx]
     classes = sorted(int(v) for v in set(train_labels.tolist()))
@@ -252,10 +255,8 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     pairs, models, positions = [], [], []
     for a, b in combinations(classes, 2):
         pos = np.flatnonzero((train_labels == a) | (train_labels == b))
-        idx = train_idx[pos]
-        sub = k[np.ix_(idx, idx)]
         y = np.where(train_labels[pos] == a, -1.0, 1.0)
-        model = train_binary(sub, y, params, derived_rng(seed, "pair", a, b))
+        model = train_binary(gram.restrict(train_idx[pos]), y, params, derived_rng(seed, "pair", a, b))
         pairs.append((a, b))
         models.append(model)
         positions.append(pos)
@@ -288,24 +289,18 @@ def predict(model: MulticlassModel, gram_rows, train_idx) -> np.ndarray:
         margins[win_b, ib] += np.abs(f[win_b])
         margins[~win_b, ia] += np.abs(f[~win_b])
 
-    out = np.empty(q.shape[0], dtype=int)
-    for row in range(q.shape[0]):
-        best_votes = votes[row].max()
-        tied = np.flatnonzero(votes[row] == best_votes)
-        if tied.size > 1:
-            tied = tied[margins[row, tied] == margins[row, tied].max()]
-        out[row] = model.class_labels[tied[0]]
-    return out
+    # margins are >= 0, so -inf rules out every class short of the most votes
+    top = np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf), axis=1)
+    return np.asarray(model.class_labels, dtype=int)[top]
 
 
-def fit_predict(gram, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> tuple[np.ndarray, MulticlassModel]:
+def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> tuple[np.ndarray, MulticlassModel]:
     """Train on the fit_idx points and predict the held_idx rows: (predictions, model).
     Raises NumericalError if any pair model stopped at max_passes."""
     model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
     if not model.converged:
-        tag = gram.source_tag if isinstance(gram, GramMatrix) else ""
-        raise NumericalError(f"SMO on kernel {tag!r} did not converge within max_passes")
-    return predict(model, _as_matrix(gram)[np.asarray(held_idx, dtype=int)], fit_idx), model
+        raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
+    return predict(model, gram.values[np.asarray(held_idx, dtype=int)], fit_idx), model
 
 
 def accuracy(predicted, actual) -> float:

@@ -56,3 +56,19 @@ def fitness_calls(monkeypatch):
 
     monkeypatch.setattr(gp_mod, "fitness", fitness)
     return calls
+
+
+@pytest.fixture
+def symmetry_passes(monkeypatch):
+    """List that gains the shape of each array gram._max_asymmetry scans: one
+    entry per symmetry check, wherever it is made."""
+    import kernelforge.gram as gram_mod
+
+    shapes, real = [], gram_mod._max_asymmetry
+
+    def max_asymmetry(v):
+        shapes.append(v.shape)
+        return real(v)
+
+    monkeypatch.setattr(gram_mod, "_max_asymmetry", max_asymmetry)
+    return shapes

@@ -30,6 +30,10 @@ from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
 
 
+# float(True) is 1.0, so a JSON boolean would pass for a number
+BOOLEANS_FOR_FLOATS = ["svm.c=true", "kernel.gamma=[true, 2]", "gp.crossover_rate=false"]
+
+
 class TestConfigParsing:
     def test_basic_types(self):
         values = parse_config_text(
@@ -59,6 +63,9 @@ class TestConfigParsing:
             parse_config_text("gp.population_size = soon")
         with pytest.raises(ConfigError):
             parse_config_text("gp.crossover_rate = []")
+        for item in BOOLEANS_FOR_FLOATS:
+            with pytest.raises(ConfigError, match=item.split("=")[0]):
+                parse_overrides([item])
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -87,6 +94,11 @@ class TestConfigParsing:
     def test_bad_gp_values_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             build_run_config({"seed": 1, "gp.crossover_rate": 1.5}, tmp_path)
+
+    @pytest.mark.parametrize("item", BOOLEANS_FOR_FLOATS)
+    def test_boolean_for_float_key_exits_2(self, item, capsys):
+        assert main(["evolve", "--set", "seed=1", "--set", item]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     @pytest.mark.parametrize("key", ["gp.population_size", "svm.max_passes", "seed"])
     def test_out_of_range_integer_exits_2(self, key, capsys):
@@ -530,6 +542,17 @@ MALFORMED_BANK_FILES = {
     "labels_not_numeric": (lambda d: _set_first_label(d / "labels.csv", "zero"), "labels.csv"),
     "labels_infinite": (lambda d: _set_first_label(d / "labels.csv", "inf"), "labels.csv"),
 }
+
+
+@pytest.mark.parametrize("exprs", ['["(+ K1"]', '["(* K1 (+ K2 (* K1 (+ K2 (* K1 (+ K2 K1))))))"]'])
+def test_malformed_initial_exprs_exit_2_before_the_bank_is_loaded(xor_workspace, capsys, monkeypatch, exprs):
+    def load_bank(config):
+        raise AssertionError("the bank was loaded")
+
+    monkeypatch.setattr("kernelforge.cli._load_bank", load_bank)
+    assert run_cli(["evolve", "--config", xor_workspace / "run.cfg", "--set", f"gp.initial_exprs={exprs}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "initial_exprs" in err["message"]
 
 
 @pytest.mark.parametrize("case", MALFORMED_BANK_FILES)

@@ -361,6 +361,11 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             evolve(SplitFitness(bank, labels, split), quick_params(initial_exprs=("(+ K1 K9)",)), SvmParams())
 
+    @pytest.mark.parametrize("text", ["(+ K1", "K1 K2", "(+ K1 (* K1 K2))"])
+    def test_malformed_or_deep_seed_expression_is_rejected_by_the_params(self, text):
+        with pytest.raises(ParameterError, match="initial_exprs"):
+            GpParams(max_depth=2, init_depth_range=(1, 2), initial_exprs=(text,))
+
     @pytest.mark.parametrize("mode,kw", [("leave_one_out", {}), ("k_fold", {"n_folds": 3})])
     def test_cross_validation_fitness_modes(self, rng, mode, kw):
         bank, labels = two_cluster_bank(rng, per_class=4)

@@ -339,6 +339,17 @@ class TestRestrict:
         with pytest.raises(IndexError):
             KernelBank((gm(np.eye(2)),), ("a",)).restrict(idx)
 
+    def test_blocks_keep_the_check(self, rng, symmetry_passes):
+        bank = KernelBank((gm(random_psd(5, rng), "a"), gm(random_psd(5, rng), "b")), ("a", "b"))
+        symmetry_passes.clear()
+        sub = bank.restrict([3, 0, 4])
+        block = bank[1].restrict([4, 4, 1])
+        assert symmetry_passes == []
+        assert block.source_tag == "b" and np.array_equal(block.values, bank[1].values[np.ix_([4, 4, 1], [4, 4, 1])])
+        for k, full in zip((*sub.kernels, block), (*bank.kernels, bank[1])):
+            assert k.source_tag == full.source_tag and not k.values.flags.writeable
+            assert not np.shares_memory(k.values, full.values)
+
 
 class TestTypes:
     def test_gram_requires_symmetry(self):

@@ -236,6 +236,25 @@ class TestRunComparison:
         leaves = [key for key in fitness_calls if key[0] in ("K1", "K2") and key[2] == SvmParams()]
         assert len(leaves) == len(bank) * protocol.repeats
 
+    def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
+        # bank restriction and the class-pair blocks keep the check of the matrix they are cut from
+        import kernelforge.gp as gp_mod
+        import kernelforge.harness as harness_mod
+
+        bank, labels = xor_bank(n_per_class=10, seed=6)
+        symmetry_passes.clear()
+        evaluations, pair_problems = [], []
+
+        def counted(calls, real):
+            return lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+
+        for mod in (gp_mod, harness_mod):
+            monkeypatch.setattr(mod, "evaluate", counted(evaluations, mod.evaluate))
+        monkeypatch.setattr(svm_mod, "train_binary", counted(pair_problems, svm_mod.train_binary))
+        run_comparison(bank, labels, small_protocol(repeats=2, seed=7), small_gp(max_generations=2), SvmParams())
+        assert len(pair_problems) == 3 * len(evaluations) > 0  # three classes
+        assert len(symmetry_passes) == len(evaluations)
+
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):
         bank, labels = xor_bank(n_per_class=12, seed=2)

@@ -22,17 +22,23 @@ from kernelforge import (
     train_binary,
     train_multiclass,
 )
+from kernelforge.expr import evaluate, parse_expr
+from kernelforge.gram import build_bank
+from kernelforge.harness import C_GRID, make_splits
+from kernelforge.rng import derived_rng
 from kernelforge.svm import (
     MulticlassModel,
     SvmModel,
+    _violators,
     load_multiclass,
     multiclass_from_dict,
     multiclass_to_dict,
     save_multiclass,
 )
+from kernelforge.synthetic import xor_views
 
 from jsondocs import corrupted
-from oracles import brute_force_dual_max, random_psd
+from oracles import brute_force_dual_max, interior_point_dual_max, random_psd
 
 TWO_POINT_K = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TWO_POINT_Y = np.array([-1.0, 1.0])
@@ -94,6 +100,18 @@ class TestTrainBinary:
             with pytest.raises(DataError, match="non-finite") as raised:
                 train_binary(k, [1, 1, -1, -1], SvmParams())
         assert raised.type is DataError
+
+    def test_checked_block_and_raw_block_give_equal_models(self, rng, symmetry_passes):
+        k, labels = three_class_clusters(rng, per_class=6)
+        idx = np.flatnonzero(labels != 1)
+        block = GramMatrix(k, "K1").restrict(idx)
+        y = np.where(labels[idx] == 0, -1.0, 1.0)
+        raw = train_binary(np.array(block.values), y, SvmParams(), np.random.default_rng(3))
+        symmetry_passes.clear()
+        checked = train_binary(block, y, SvmParams(), np.random.default_rng(3))
+        assert symmetry_passes == []  # the block keeps the check of the matrix it was cut from
+        assert np.array_equal(checked.alpha, raw.alpha) and checked.bias == raw.bias
+        assert checked.converged == raw.converged
 
     def test_zero_passes_flags_non_converged(self):
         model = train_binary(TWO_POINT_K, TWO_POINT_Y, SvmParams(max_passes=0))
@@ -215,6 +233,25 @@ class TestMulticlass:
         with pytest.raises(DataError):
             train_multiclass(np.eye(4), np.zeros(4, dtype=int), np.arange(4), SvmParams())
 
+    def test_raw_kernel_is_checked_once(self, rng, symmetry_passes):
+        k, labels = three_class_clusters(rng)
+        model = train_multiclass(k, labels, np.arange(labels.size), SvmParams())
+        assert len(model.models) == 3 and symmetry_passes == [k.shape]
+
+    def test_raw_kernel_asymmetric_beyond_symmetry_tol_is_shape_error(self, rng):
+        k, labels = three_class_clusters(rng)
+        k[0, 1] += 1e-9  # within train_binary's 1e-8 on a raw block, beyond SYMMETRY_TOL
+        with pytest.raises(ShapeError, match="asymmetric"):
+            train_multiclass(k, labels, np.arange(labels.size), SvmParams())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raw_kernel_is_data_error(self, rng, value):
+        k, labels = three_class_clusters(rng)
+        k[0, 5] = k[5, 0] = value
+        with pytest.raises(DataError, match="non-finite") as raised:
+            train_multiclass(k, labels, np.arange(labels.size), SvmParams())
+        assert raised.type is DataError
+
     def test_circular_tie_broken_by_margin(self):
         # alpha = 0 makes each pair decision a constant equal to its bias:
         # pair (0,1) votes 1 with margin 1.0, (0,2) votes 0 with 0.5, (1,2) votes 2 with 0.2
@@ -258,6 +295,123 @@ class TestMulticlass:
         )
         # votes: 1, 0, 2 -> all tied at one vote with margin 1.0 each
         assert predict(model, np.zeros((1, 6)), np.arange(6))[0] == 0
+
+
+def reference_predict(model, q, train_idx):
+    """predict as a loop over rows: most votes, then the largest margin sum
+    among the tied classes, then the first of those in class_labels."""
+    out = []
+    for row in q:
+        votes = dict.fromkeys(model.class_labels, 0)
+        margins = dict.fromkeys(model.class_labels, 0.0)
+        for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
+            f = decision(mdl, row[train_idx[pos]][None, :])[0]
+            winner = b if f > 0 else a
+            votes[winner] += 1
+            margins[winner] += abs(f)
+        tied = [c for c in model.class_labels if votes[c] == max(votes.values())]
+        out.append(next(c for c in tied if margins[c] == max(margins[t] for t in tied)))
+    return np.array(out)
+
+
+class TestPredictTies:
+    def test_matches_per_row_reference(self, rng):
+        # each pair decides by q[:, j] - q[:, i] + bias on values in steps of 1/2, so
+        # decisions of 0 (a vote for the smaller class), vote ties and margin ties are common
+        params = SvmParams()
+        classes = [2, 5, 7, 9]
+        pairs = list(combinations(classes, 2))
+        models = [
+            SvmModel(np.ones(2), float(bias), np.array([-1.0, 1.0]), params, True)
+            for bias in rng.choice([-0.5, 0.0, 0.5], size=len(pairs))
+        ]
+        positions = [np.array([2 * n, 2 * n + 1]) for n in range(len(pairs))]
+        model = MulticlassModel(classes, pairs, models, positions, params)
+        train_idx = rng.permutation(2 * len(pairs))
+        q = rng.choice([0.0, 0.5, 1.0], size=(2000, train_idx.size))
+        expected = reference_predict(model, q, train_idx)
+        assert np.array_equal(predict(model, q, train_idx), expected)
+        assert set(expected) == set(classes)
+        votes = np.zeros((q.shape[0], len(classes)), dtype=int)
+        for (a, b), mdl, pos in zip(pairs, models, positions):
+            f = decision(mdl, q[:, train_idx[pos]])
+            votes[np.arange(q.shape[0]), np.where(f > 0, classes.index(b), classes.index(a))] += 1
+        assert (np.sum(votes == votes.max(axis=1, keepdims=True), axis=1) > 1).mean() > 0.2
+
+    def test_empty_query_gives_empty_prediction(self, rng):
+        k, labels = three_class_clusters(rng)
+        idx = np.arange(labels.size)
+        model = train_multiclass(k, labels, idx, SvmParams())
+        assert predict(model, np.zeros((0, idx.size)), idx).shape == (0,)
+
+
+def run_shaped_bank(noise_views):
+    """The benchmark's bank shapes at m = 180: the two XOR views of xor-small,
+    plus the standard-normal noise views of wide-bank."""
+    views, labels = xor_views(60, seed=1)
+    rng = np.random.default_rng([7, 0])
+    views += [rng.standard_normal((labels.size, 2)) for _ in range(noise_views)]
+    return build_bank(views)[0], labels
+
+
+class TestOracleAtRunSizes:
+    """SMO against the interior-point oracle on the class-pair problems a run
+    solves: pools of 10, 20 and 40 per class give p = 20, 40 and 80."""
+
+    # kkt_tol = 1e-3 stops SMO with every KKT residual within 1e-3, which leaves
+    # a relative shortfall of that order in the objective (at most 3e-4 here)
+    SHORTFALL = 1e-3
+
+    def test_oracle_matches_brute_force_on_small_problems(self, rng):
+        for trial in range(6):
+            k, y = random_binary_problem(rng, max_points=4)
+            c = (0.1, 1.0, 10.0)[trial % 3]
+            grid, _ = brute_force_dual_max(k, y, c)
+            optimum, alpha, gap = interior_point_dual_max(k, y, c)
+            assert np.all((alpha > 0) & (alpha < c)) and abs(alpha @ y) <= 1e-9
+            assert grid - 1e-9 <= optimum + gap and optimum == pytest.approx(grid, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "noise_views,exprs,pools,max_unconverged",
+        [
+            (0, ["(* K1 K2)", "(+ K1 K2)"], (10, 20, 40), 0),
+            # the Platt loop stops at max_passes on four of these problems, all at
+            # p = 40 and C >= 10; the model says so and fit_predict refuses it
+            (4, ["(+ K3 (* K1 K2))", "(* (+ K1 K4) K2)"], (10, 20), 4),
+        ],
+        ids=["xor-small-shaped", "wide-bank-shaped"],
+    )
+    def test_smo_reaches_the_oracle_optimum(self, noise_views, exprs, pools, max_unconverged):
+        bank, labels = run_shaped_bank(noise_views)
+        solved, unconverged = 0, 0
+        for pool in pools:
+            split = make_splits(labels, pool, 1, 1, 7)[0]
+            fit = np.asarray(split.train_idx + split.val_idx)
+            for text in exprs:
+                gram = evaluate(parse_expr(text), bank)
+                for c in C_GRID:
+                    params = SvmParams(c=c)
+                    multi = train_multiclass(gram, labels, fit, params, seed=0)
+                    for (a, b), pos, model in zip(multi.pairs, multi.pair_positions, multi.models):
+                        k = gram.values[np.ix_(fit[pos], fit[pos])]
+                        y = model.train_labels
+                        raw = train_binary(k, y, params, derived_rng(0, "pair", a, b))
+                        assert np.array_equal(raw.alpha, model.alpha) and raw.bias == model.bias
+                        assert raw.converged == model.converged
+                        g = k @ (model.alpha * y)
+                        violators = _violators(model.alpha, g, model.bias, y, c, params.kkt_tol, params.eps)
+                        solved += 1
+                        if not model.converged:
+                            assert violators.size > 0
+                            unconverged += 1
+                            continue
+                        assert violators.size == 0
+                        optimum, _, gap = interior_point_dual_max(k, y, c)
+                        smo = dual_objective(k, y, model.alpha)
+                        scale = max(1.0, abs(optimum))
+                        assert optimum - self.SHORTFALL * scale <= smo <= optimum + gap + 1e-9 * scale, (text, c, pool)
+        assert solved == 3 * len(pools) * len(exprs) * len(C_GRID)
+        assert unconverged <= max_unconverged
 
 
 class TestFitPredict:
