@@ -179,20 +179,22 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     """Fold the tree over the bank's raw arrays and wrap the result once.
 
     Sums and products of the intermediate arrays skip the checks of
-    ``gram.add``/``gram.multiply``.  The result, tagged with the canonical
+    ``gram.add``/``gram.multiply`` and write into an operand the fold made, if
+    any (the bank's arrays are read-only).  The result, tagged with the canonical
     string, is validated in one pass and adopted read-only without a copy; a
     bare leaf gives a read-only copy that shares no memory with the bank.
     """
 
-    def fold(node: KernelExpr) -> np.ndarray:
+    def fold(node: KernelExpr) -> tuple[np.ndarray, bool]:  # (array, made by the fold)
         if isinstance(node, Leaf):
             if not 0 <= node.index < len(bank):
                 raise DataError(
                     f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels"
                 )
-            return bank.kernels[node.index].values
+            return bank.kernels[node.index].values, False
         op = np.add if isinstance(node, Add) else np.multiply
-        return op(fold(node.left), fold(node.right))
+        (a, own_a), (b, own_b) = fold(node.left), fold(node.right)
+        return op(a, b, out=a if own_a else b if own_b else None), True
 
     wrap = GramMatrix if isinstance(expr, Leaf) else GramMatrix._adopt  # a leaf folds to the bank's array
-    return wrap(fold(expr), canonical_string(expr))
+    return wrap(fold(expr)[0], canonical_string(expr))

@@ -8,8 +8,9 @@ Matrix multiplication would not, which is why it is absent here.
 A Gaussian base kernel is unit-diagonal by construction, so ``build_bank``
 runs no separate normalize pass.  Its bandwidth defaults to the median
 heuristic, taken exactly (the same value as ``np.median``) over the nonzero
-pairwise squared distances; each view's distance matrix is computed once and
-serves both the bandwidth and the kernel.
+pairwise squared distances.  Each view's distances are computed once, in the
+array ``x @ x.T`` makes, which serves the bandwidth and then becomes the kernel;
+numpy mirrors one triangle of ``x @ x.T``, so the kernel is exactly symmetric.
 
 A kernel is checked once, where it is made: by ``GramMatrix(...)``, by ``_adopt``
 for the arrays the package builds (here, in ``expr.evaluate`` and in the kernel
@@ -27,7 +28,7 @@ from .errors import DataError, ParameterError, ShapeError
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
-_ASYMMETRY_STRIP = 64  # rows per strip in _max_asymmetry
+_ASYMMETRY_STRIP = 64  # rows per strip of the m x m loops here, whose one temporary is B x m
 
 
 def validate_features(features) -> np.ndarray:
@@ -155,7 +156,7 @@ class KernelBank:
 
 
 def _pairwise_sq_dists(x: np.ndarray, where: str = "feature matrix") -> np.ndarray:
-    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0; two m x m allocations.
+    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0, in the one m x m array ``x @ x.T`` makes.
 
     No term exceeds 4 max(n), so squared norms above a quarter of the float64
     range raise DataError, naming ``where``, before any term can overflow.
@@ -164,31 +165,33 @@ def _pairwise_sq_dists(x: np.ndarray, where: str = "feature matrix") -> np.ndarr
         n = np.einsum("ij,ij->i", x, x)
     if not n.max() <= np.finfo(float).max / 4:
         raise DataError(f"{where}: feature scale overflows, so it gives no usable bandwidth or kernel")
-    sq = np.add.outer(n, n)
-    dot = x @ x.T
-    dot *= 2.0
-    np.subtract(sq, dot, out=sq)
-    np.clip(sq, 0.0, None, out=sq)
+    sq = x @ x.T
+    for s in range(0, sq.shape[0], _ASYMMETRY_STRIP):
+        rows = sq[s : s + _ASYMMETRY_STRIP]
+        rows *= 2.0
+        np.subtract(np.add.outer(n[s : s + _ASYMMETRY_STRIP], n), rows, out=rows)
+        np.clip(rows, 0.0, None, out=rows)
     return sq
 
 
-def _exact_median(a: np.ndarray) -> float:
-    """np.median(a) of a nonempty 1-d array, partitioning ``a`` in place."""
-    k = a.size // 2
+def _exact_median(a: np.ndarray, skip: int = 0) -> float:
+    """np.median of a 1-d array less its ``skip`` smallest entries (one at least is left); partitions ``a``."""
+    k = skip + (a.size - skip) // 2
     a.partition(k)
-    if a.size % 2:
+    if (a.size - skip) % 2:
         return float(a[k])
     return float((a[:k].max() + a[k]) / 2.0)
 
 
-def _median_gamma(sq: np.ndarray) -> float:
-    """1 / median of the nonzero strict-upper-triangle entries of a distance matrix."""
+def _median_gamma(sq: np.ndarray, pair: np.ndarray | None = None) -> float:
+    """1 / median of the nonzero strict-upper-triangle entries of a distance matrix,
+    copied into the scratch ``pair`` (m(m-1)/2 floats) if given; the zeros sort first."""
     m = sq.shape[0]
-    pair = np.concatenate([sq[i, i + 1 :] for i in range(m - 1)])
-    nonzero = pair[pair > 0.0]
-    if nonzero.size == 0:
+    pair = np.concatenate([sq[i, i + 1 :] for i in range(m - 1)], out=pair)
+    zeros = pair.size - np.count_nonzero(pair)
+    if zeros == pair.size:
         raise DataError("all pairwise distances are zero; no usable bandwidth")
-    median = _exact_median(nonzero)
+    median = _exact_median(pair, zeros)
     gamma = 1.0 / median
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise DataError(f"median pairwise squared distance {median!r} gives no usable bandwidth")
@@ -196,14 +199,12 @@ def _median_gamma(sq: np.ndarray) -> float:
 
 
 def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
-    """exp(-gamma * sq), symmetrised, unit diagonal; overwrites ``sq``."""
+    """exp(-gamma * sq), unit diagonal, in ``sq``'s array, which ``_pairwise_sq_dists`` makes exactly symmetric."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive and finite, got {gamma}")
     with np.errstate(over="ignore"):  # a product past -inf is -inf, and exp(-inf) = 0 is the limit
         np.multiply(sq, -gamma, out=sq)
     g = np.exp(sq, out=sq)
-    g = g + g.T
-    g *= 0.5
     np.fill_diagonal(g, 1.0)
     return GramMatrix._adopt(g, name)
 
@@ -236,12 +237,16 @@ def multiply(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 
 def normalize(g: GramMatrix) -> GramMatrix:
-    """Rescale to unit diagonal: G[i,j] / sqrt(G[i,i] * G[j,j])."""
+    """Rescale to unit diagonal: G[i,j] / (sqrt(G[i,i]) * sqrt(G[j,j])), computed
+    strip by strip in the one new array (the products, then the quotients)."""
     d = np.diag(g.values)
     if np.any(d <= 0):
         raise DataError("cannot normalize a kernel with a nonpositive diagonal entry")
     s = np.sqrt(d)
-    v = g.values / np.outer(s, s)
+    v = np.empty_like(g.values)
+    for r in range(0, g.size, _ASYMMETRY_STRIP):
+        rows = np.multiply.outer(s[r : r + _ASYMMETRY_STRIP], s, out=v[r : r + _ASYMMETRY_STRIP])
+        np.divide(g.values[r : r + _ASYMMETRY_STRIP], rows, out=rows)
     np.fill_diagonal(v, 1.0)
     return GramMatrix._adopt(v, g.source_tag)
 
@@ -250,13 +255,13 @@ def check_psd(g, tol: float = PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol.
 
     Accepts a GramMatrix or a raw square array; raw input asymmetric beyond
-    1e-8 is rejected.
+    ``SYMMETRY_TOL`` is rejected, as ``GramMatrix`` would reject it.
     """
     v = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {v.shape}")
-    if not _is_symmetric(v, 1e-8, "matrix"):
-        raise ShapeError("matrix asymmetric beyond 1e-8")
+    if not _is_symmetric(v, SYMMETRY_TOL, "matrix"):
+        raise ShapeError(f"matrix asymmetric beyond {SYMMETRY_TOL}")
     w = np.linalg.eigvalsh(0.5 * (v + v.T))
     return bool(w[0] >= -tol)
 
@@ -292,11 +297,13 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
     if len(gammas) != len(feature_sets):
         raise ParameterError("need one gamma per descriptor matrix")
 
-    kernels, used = [], []
+    kernels, used, pair = [], [], np.empty(0)  # pair: the median's scratch, shared by the views
     for i, (x, name, gamma) in enumerate(zip(feature_sets, names, gammas)):
         sq = _pairwise_sq_dists(validate_features(x), f"view {i} ({name})")
+        if gamma is None and 2 * pair.size != sq.size - len(sq):
+            pair = np.empty((sq.size - len(sq)) // 2)
         # the bandwidth reads sq before the kernel overwrites it
-        g = _median_gamma(sq) if gamma is None else float(gamma)
+        g = _median_gamma(sq, pair) if gamma is None else float(gamma)
         kernels.append(_gaussian_from_sq(sq, g, name))
         used.append(g)
     return KernelBank(tuple(kernels), tuple(names)), used

@@ -8,8 +8,8 @@ train-then-predict path of the package: fitness folds, C selection and final
 scoring all go through it, and it refuses a model that stopped at max_passes.
 
 A GramMatrix was checked where it was made, so it is trusted here.  The raw-array
-entries check theirs: ``train_multiclass`` wraps it in a GramMatrix once, and
-``train_binary`` checks it on every call.  The class-pair blocks are cut with
+entries check theirs to ``SYMMETRY_TOL``: ``train_multiclass`` wraps it in a
+GramMatrix once, and ``train_binary`` checks it on every call.  The class-pair blocks are cut with
 ``GramMatrix.restrict`` and keep the check of the matrix they come from.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
-from .gram import GramMatrix, _is_symmetric
+from .gram import SYMMETRY_TOL, GramMatrix, _is_symmetric, submatrix
 from .kernel_io import check_json, parse_json
 from .rng import derived_rng
 
@@ -107,8 +107,8 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     p = y.shape[0]
     if k.ndim != 2 or k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if not checked and not _is_symmetric(k, 1e-8, "training kernel"):
-        raise ShapeError("training kernel asymmetric beyond 1e-8")
+    if not checked and not _is_symmetric(k, SYMMETRY_TOL, "training kernel"):
+        raise ShapeError(f"training kernel asymmetric beyond {SYMMETRY_TOL}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("binary labels must be -1/+1")
     if np.all(y == y[0]):
@@ -300,7 +300,7 @@ def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, 
     model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
     if not model.converged:
         raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
-    return predict(model, gram.values[np.asarray(held_idx, dtype=int)], fit_idx), model
+    return predict(model, submatrix(gram, held_idx, fit_idx), np.arange(len(fit_idx))), model
 
 
 def accuracy(predicted, actual) -> float:

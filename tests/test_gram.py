@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,12 +16,14 @@ from kernelforge import (
     ShapeError,
     add,
     build_bank,
+    build_index,
     check_psd,
     evaluate,
     gaussian_gram,
     median_heuristic_gamma,
     multiply,
     normalize,
+    parse_expr,
     submatrix,
 )
 from kernelforge.gram import _exact_median, _max_asymmetry
@@ -171,6 +174,9 @@ class TestMedianHeuristic:
     def test_exact_median_equals_np_median(self, values):
         a = np.array(values)
         assert _exact_median(a.copy()) == np.median(a)
+        nonzero = a[a > 0.0]
+        if nonzero.size:  # the zeros are the smallest entries, so skipping them leaves the rest
+            assert _exact_median(a.copy(), a.size - nonzero.size) == np.median(nonzero)
 
 
 class TestAlgebra:
@@ -280,6 +286,13 @@ class TestCheckPsd:
     def test_asymmetric_raw_input_rejected(self):
         with pytest.raises(ShapeError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-8)
+
+    def test_raw_input_asymmetric_beyond_symmetry_tol_rejected(self):
+        # the tolerance GramMatrix applies, not a looser one for raw arrays
+        v = np.eye(3)
+        v[0, 1] += 1e-9
+        with pytest.raises(ShapeError, match="asymmetric"):
+            check_psd(v)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_raw_input_is_data_error_without_warning(self, value):
@@ -496,5 +509,57 @@ class TestBuildBankBitIdentity:
             bank, _ = build_bank([np.array([[1e150], [-1e150], [0.0]])], gammas=1e10)
         assert np.array_equal(bank.kernels[0].values, np.eye(3))
 
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 130])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_kernels_are_exactly_symmetric(self, m, d, layout, rng):
+        # no symmetrising pass: x @ x.T is one triangle mirrored, and the
+        # distances and exp of it keep every pair bitwise equal
+        x = rng.standard_normal((m, 2 * d))
+        x = {"C": x[:, :d].copy(), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
+        for k in (build_bank([x])[0][0], gaussian_gram(x, 0.7)):
+            assert np.array_equal(k.values, k.values.T)
+        self.assert_matches_reference([x])
+
+    def test_views_of_different_sizes_are_shape_error(self, rng):
+        # the median's scratch is sized per view; the bank then rejects the mix
+        with pytest.raises(ShapeError, match="disagree on size"):
+            build_bank([rng.standard_normal((6, 2)), rng.standard_normal((9, 2)), rng.standard_normal((6, 2))])
+
     def test_mixed_gammas(self, rng):
         self.assert_matches_reference([rng.standard_normal((21, 2)), rng.standard_normal((21, 3))], [None, 1.5])
+
+
+class TestAllocationBudget:
+    """Peak traced memory, in m x m float64 arrays, of the calls that build
+    kernels: each makes one new array per kernel it keeps, plus strips of
+    rows and, in build_bank, the median's one m(m-1)/2 scratch."""
+
+    M = 300
+
+    @staticmethod
+    def peak_units(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1] / (TestAllocationBudget.M**2 * 8)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        rng = np.random.default_rng(3)
+        return [rng.standard_normal((self.M, d)) for d in (2, 5, 3)]
+
+    def test_build_bank(self, views):
+        assert self.peak_units(lambda: build_bank(views)) <= 4.1  # 3 kernels kept
+
+    def test_build_index(self, views):
+        bank, _ = build_bank(views)
+        ids = range(self.M)
+        assert self.peak_units(lambda: build_index(parse_expr("(+ (* K1 K2) K1)"), bank, ids)) <= 2.6
+
+    def test_evaluate_folds_into_its_own_arrays(self, views):
+        bank, _ = build_bank(views)
+        expr = parse_expr("(+ (+ (+ K1 K2) (* K3 K1)) (* K2 K2))")
+        assert self.peak_units(lambda: evaluate(expr, bank)) <= 2.1

@@ -90,6 +90,13 @@ class TestTrainBinary:
         with pytest.raises(ShapeError):
             train_binary(k, TWO_POINT_Y, SvmParams())
 
+    def test_kernel_asymmetric_beyond_symmetry_tol_rejected(self):
+        # the tolerance GramMatrix and train_multiclass apply to a raw array
+        k = np.eye(2)
+        k[0, 1] += 1e-9
+        with pytest.raises(ShapeError, match="asymmetric"):
+            train_binary(k, TWO_POINT_Y, SvmParams())
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_kernel_is_data_error_without_warning(self, value):
         # a NaN asymmetry compares False against the tolerance; it must not train
@@ -240,7 +247,7 @@ class TestMulticlass:
 
     def test_raw_kernel_asymmetric_beyond_symmetry_tol_is_shape_error(self, rng):
         k, labels = three_class_clusters(rng)
-        k[0, 1] += 1e-9  # within train_binary's 1e-8 on a raw block, beyond SYMMETRY_TOL
+        k[0, 1] += 1e-9  # beyond SYMMETRY_TOL
         with pytest.raises(ShapeError, match="asymmetric"):
             train_multiclass(k, labels, np.arange(labels.size), SvmParams())
 
