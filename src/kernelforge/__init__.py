@@ -38,7 +38,6 @@ from .harness import (
     ProtocolConfig,
     addition_kernel,
     best_single_kernel,
-    fit_and_score,
     make_splits,
     report_from_json,
     report_to_json,

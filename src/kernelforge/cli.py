@@ -111,7 +111,7 @@ def cmd_evolve(args) -> int:
     split = make_splits(labels, protocol.per_class_train, protocol.per_class_val, 1, protocol.seed)[0]
     score = SplitFitness(bank, labels, split)
     result = evolve(score, repeat_gp_params(config.gp, protocol, 0), config.svm)
-    test_acc, model, _, _ = fit_expr(result.best_expr, score, config.svm, protocol.grid_search_c)
+    test_acc, model, _ = fit_expr(result.best_expr, score, config.svm, protocol.grid_search_c)
     best_text = canonical_string(result.best_expr)
 
     rundir = _run_dir(config)

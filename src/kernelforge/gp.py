@@ -12,8 +12,7 @@ over ``svm.fit_predict``; validation is the single pair (train, validation).
 harness's best-leaf and C selection score through it.
 Per-chromosome RNG streams are derived from (seed, generation, slot), so a run
 is reproducible from its seed.  The search never sees the test set: retraining
-the winner on train+validation and scoring it on test is
-``harness.fit_and_score``.
+the winner on train+validation and scoring it on test is ``harness.fit_expr``.
 """
 
 from __future__ import annotations
@@ -164,22 +163,26 @@ def mutate(expr: KernelExpr, rng: np.random.Generator, params: GpParams, n: int)
     if branch == 0:
         leaf_pos = [i for i, (node, _) in enumerate(nodes) if isinstance(node, Leaf)]
         pos = leaf_pos[int(rng.integers(0, len(leaf_pos)))]
-        current = subtree_at(expr, pos)
         if n == 1:
             return expr
-        others = [i for i in range(n) if i != current.index]
+        others = [i for i in range(n) if i != nodes[pos][0].index]
         return replace_at(expr, pos, Leaf(others[int(rng.integers(0, len(others)))]))
     if branch == 1:
         op_pos = [i for i, (node, _) in enumerate(nodes) if not isinstance(node, Leaf)]
         if not op_pos:
             return expr
         pos = op_pos[int(rng.integers(0, len(op_pos)))]
-        node = subtree_at(expr, pos)
+        node = nodes[pos][0]
         swapped = Mul(node.left, node.right) if isinstance(node, Add) else Add(node.left, node.right)
         return replace_at(expr, pos, swapped)
     pos = int(rng.integers(0, len(nodes)))
     budget = params.max_depth - nodes[pos][1] + 1
     return replace_at(expr, pos, _random_tree(n, 1, max(1, budget), rng))
+
+
+def _fitter_first(fits, sizes):
+    """Ranking key over slots: higher fitness, then the smaller tree, then the lower slot."""
+    return lambda i: (-fits[i], sizes[i], i)
 
 
 def tournament_select(fitnesses, k: int, rng: np.random.Generator, node_counts=None) -> int:
@@ -196,7 +199,7 @@ def tournament_select(fitnesses, k: int, rng: np.random.Generator, node_counts=N
         raise ParameterError(f"tournament size {k} must lie in [1, {n}]")
     sizes = node_counts if node_counts is not None else [1] * n
     pool = range(n) if k == n else rng.integers(0, n, size=k)
-    return int(min(pool, key=lambda i: (-fitnesses[i], sizes[i], i)))
+    return int(min(pool, key=_fitter_first(fitnesses, sizes)))
 
 
 def _folds(mode: str, train: np.ndarray, val: np.ndarray, n_folds: int, seed: int) -> list:
@@ -231,7 +234,7 @@ def fitness(
     SVM failures (non-convergence, degenerate folds, nothing held out) score 0
     with a warning instead of raising, so evolution keeps moving.
     """
-    fit_idx = np.asarray(split.train_idx + split.val_idx, dtype=int)
+    fit_idx = split.fit_idx
     kernel = evaluate(expr, bank.restrict(fit_idx))
     labels = np.asarray(labels)[fit_idx]
     t = len(split.train_idx)
@@ -283,7 +286,10 @@ def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
 def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> EvolutionResult:
     """Run the generational loop on score's split; return the fittest chromosome found.
 
-    Elites pass through unchanged, so the best fitness never decreases.  The
+    Every generation, the initial one included, is scored once and ranked
+    fitter-first: its head is the generation's best and its first ``elitism``
+    slots pass to the next generation unchanged, so with elitism the best
+    fitness never decreases.  Variation starts at generation 1.  The
     loop stops at max_generations, or earlier once the best fitness has not
     improved by more than 1e-6 for stagnation_limit generations.  Only the
     training and validation points are used; split.test_idx is never read.
@@ -297,47 +303,33 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
 
     mode, folds = params.fitness_mode, params.n_folds
     population = _initial_population(params, n)
-    fits = [score(e, svm_params, mode, folds) for e in population]
-    sizes = [node_count(e) for e in population]
-
-    def gen_best(fit_list, size_list) -> int:
-        return int(min(range(len(fit_list)), key=lambda i: (-fit_list[i], size_list[i], i)))
-
-    best_i = gen_best(fits, sizes)
-    best_expr, best_fit = population[best_i], fits[best_i]
-    history = [(0, fits[best_i], float(np.mean(fits)))]
-    best_strings = [canonical_string(population[best_i])]
-
-    stagnant = 0
-    for gen in range(1, params.max_generations + 1):
-        if stagnant >= params.stagnation_limit:
-            break
-        order = sorted(range(len(population)), key=lambda i: (-fits[i], sizes[i], i))
-        next_pop = [population[i] for i in order[: params.elitism]]
-        for slot in range(params.population_size - params.elitism):
-            rng = derived_rng(params.rng_seed, "gen", gen, slot)
-            p1 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
-            p2 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
-            child = p1
-            if rng.random() < params.crossover_rate:
-                child = crossover(p1, p2, rng, params.max_depth)[0]
-            if rng.random() < params.mutation_rate:
-                child = mutate(child, rng, params, n)
-            next_pop.append(child)
-        population = next_pop
+    best_expr, best_fit, stagnant = None, -np.inf, 0
+    history, best_strings = [], []
+    for gen in range(params.max_generations + 1):
+        if gen:
+            next_pop = [population[i] for i in order[: params.elitism]]
+            for slot in range(params.population_size - params.elitism):
+                rng = derived_rng(params.rng_seed, "gen", gen, slot)
+                p1 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
+                p2 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
+                child = p1
+                if rng.random() < params.crossover_rate:
+                    child = crossover(p1, p2, rng, params.max_depth)[0]
+                if rng.random() < params.mutation_rate:
+                    child = mutate(child, rng, params, n)
+                next_pop.append(child)
+            population = next_pop
         fits = [score(e, svm_params, mode, folds) for e in population]
         sizes = [node_count(e) for e in population]
-        best_i = gen_best(fits, sizes)
-        history.append((gen, fits[best_i], float(np.mean(fits))))
-        best_strings.append(canonical_string(population[best_i]))
-        if fits[best_i] > best_fit + IMPROVEMENT_TOL:
-            stagnant = 0
-        else:
-            stagnant += 1
-        if fits[best_i] > best_fit or (
-            fits[best_i] == best_fit and sizes[best_i] < node_count(best_expr)
-        ):
-            best_expr, best_fit = population[best_i], fits[best_i]
+        order = sorted(range(len(population)), key=_fitter_first(fits, sizes))
+        top = order[0]
+        history.append((gen, fits[top], float(np.mean(fits))))
+        best_strings.append(canonical_string(population[top]))
+        stagnant = 0 if fits[top] > best_fit + IMPROVEMENT_TOL else stagnant + 1
+        if fits[top] > best_fit or (fits[top] == best_fit and sizes[top] < node_count(best_expr)):
+            best_expr, best_fit = population[top], fits[top]
+        if stagnant >= params.stagnation_limit:
+            break
 
     return EvolutionResult(
         best_expr=best_expr,

@@ -297,10 +297,14 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
     if len(gammas) != len(feature_sets):
         raise ParameterError("need one gamma per descriptor matrix")
 
-    kernels, used, pair = [], [], np.empty(0)  # pair: the median's scratch, shared by the views
-    for i, (x, name, gamma) in enumerate(zip(feature_sets, names, gammas)):
-        sq = _pairwise_sq_dists(validate_features(x), f"view {i} ({name})")
-        if gamma is None and 2 * pair.size != sq.size - len(sq):
+    views = [validate_features(x) for x in feature_sets]
+    if len({len(x) for x in views}) > 1:  # before any m x m work
+        raise ShapeError(f"views disagree on size: {[len(x) for x in views]} rows")
+
+    kernels, used, pair = [], [], None  # pair: the median's scratch, shared by the views
+    for i, (x, name, gamma) in enumerate(zip(views, names, gammas)):
+        sq = _pairwise_sq_dists(x, f"view {i} ({name})")
+        if gamma is None and pair is None:
             pair = np.empty((sq.size - len(sq)) // 2)
         # the bandwidth reads sq before the kernel overwrites it
         g = _median_gamma(sq, pair) if gamma is None else float(gamma)

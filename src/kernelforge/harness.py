@@ -6,11 +6,11 @@ Every repeat draws its own train/validation/test split and one
 selection all score through.  The three candidates are expressions (the
 ``Add`` chain of every leaf, the best leaf and the evolved winner), and each
 goes through ``fit_expr``: optionally choose C by validation fitness, then
-``fit_and_score`` trains on train+validation and scores once on test, so the
-three columns are like-for-like.  All training goes through
-``svm.fit_predict``.  The CLI's ``evolve`` is repeat 0: the first split,
-``repeat_gp_params(..., 0)`` and ``fit_expr``.  Reports aggregate mean and
-sample (n-1) standard deviation across repeats.
+train on train+validation and score once on test, so the three columns are
+like-for-like.  All training goes through ``svm.fit_predict``.  The CLI's
+``evolve`` is repeat 0: the first split, ``repeat_gp_params(..., 0)`` and
+``fit_expr``.  Reports aggregate mean and sample (n-1) standard deviation
+across repeats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ComparisonError, DataError, KernelForgeError, ParameterError
+from .errors import ComparisonError, DataError, KernelForgeError, NumericalError, ParameterError
 from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve, write_evolution_log
 from .gram import GramMatrix, KernelBank
@@ -51,6 +51,11 @@ class DatasetSplit:
         train, val, test = set(self.train_idx), set(self.val_idx), set(self.test_idx)
         if train & val or train & test or val & test:
             raise DataError("train/validation/test index sets overlap")
+
+    @property
+    def fit_idx(self) -> np.ndarray:
+        """The rows a model is fitted on: train, then validation."""
+        return np.asarray(self.train_idx + self.val_idx, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -156,40 +161,29 @@ def _select_c(expr: KernelExpr, score: SplitFitness, svm_params: SvmParams) -> S
     return replace(svm_params, c=C_GRID[int(np.argmax(scores))])
 
 
-def fit_and_score(
-    kernel: GramMatrix, labels, split: DatasetSplit, svm_params: SvmParams
-) -> tuple[float, MulticlassModel, np.ndarray]:
-    """Train the final model on train+validation and score it once on test.
-
-    Returns (test accuracy, model, fit indices).  Test points cannot reach the
-    fit, since DatasetSplit rejects overlapping index sets.  A model that stops
-    at max_passes raises NumericalError instead of reporting an accuracy.
-    """
-    labels = np.asarray(labels)
-    fit_idx = np.asarray(split.train_idx + split.val_idx, dtype=int)
-    test_idx = np.asarray(split.test_idx, dtype=int)
-    seed = derive_seed(split.seed, "final", kernel.source_tag)
-    pred, model = fit_predict(kernel, labels, fit_idx, test_idx, svm_params, seed)
-    return accuracy(pred, labels[test_idx]), model, fit_idx
-
-
 def fit_expr(
     expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, grid_search_c: bool
-) -> tuple[float, MulticlassModel, np.ndarray, GramMatrix]:
-    """Choose C on score's split if grid_search_c, then fit_and_score the
-    evaluated expression: (test accuracy, model, fit indices, kernel)."""
+) -> tuple[float, MulticlassModel, GramMatrix]:
+    """Choose C on score's split if grid_search_c, then train the evaluated
+    expression on train+validation and score it once on test.
+
+    Returns (test accuracy, model, kernel).  Test points cannot reach the fit,
+    since DatasetSplit rejects overlapping index sets.  A model that stops at
+    max_passes raises NumericalError instead of reporting an accuracy.
+    """
     if grid_search_c:
         svm_params = _select_c(expr, score, svm_params)
     kernel = evaluate(expr, score.bank)
-    return (*fit_and_score(kernel, score.labels, score.split, svm_params), kernel)
+    test_idx = np.asarray(score.split.test_idx, dtype=int)
+    seed = derive_seed(score.split.seed, "final", kernel.source_tag)
+    pred, model = fit_predict(kernel, score.labels, score.split.fit_idx, test_idx, svm_params, seed)
+    return accuracy(pred, score.labels[test_idx]), model, kernel
 
 
-def _pair_accuracies(
-    model: MulticlassModel, kernel: GramMatrix, labels, test_idx: np.ndarray, fit_idx: np.ndarray
-) -> dict[str, float]:
+def _pair_accuracies(model: MulticlassModel, kernel: GramMatrix, labels, split: DatasetSplit) -> dict[str, float]:
     """Accuracy of each pair's binary decision on the test points of its two classes."""
     out = {}
-    labels = np.asarray(labels)
+    test_idx, fit_idx = np.asarray(split.test_idx, dtype=int), split.fit_idx
     for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
         sel = test_idx[np.isin(labels[test_idx], (a, b))]
         if sel.size == 0:
@@ -211,7 +205,8 @@ def run_comparison(
     """Run all repeats of the three-way comparison.
 
     Returns the report plus the per-repeat evolution results (for logging).
-    Any repeat failing hard aborts with the repeat index and cause.
+    Any repeat failing hard aborts with the repeat index and cause: a
+    numerical failure as ComparisonError, any other error in its own class.
     """
     labels = np.asarray(labels)
     splits = make_splits(labels, protocol.per_class_train, protocol.per_class_val, protocol.repeats, protocol.seed)
@@ -234,15 +229,17 @@ def run_comparison(
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])
 
-            test_idx = np.asarray(split.test_idx)
             candidates = zip(METHODS, (_addition_expr(len(bank)), Leaf(idx), result.best_expr))
             for method, expr in candidates:
-                acc, model, fit_idx, kernel = fit_expr(expr, score, svm_params, protocol.grid_search_c)
+                acc, model, kernel = fit_expr(expr, score, svm_params, protocol.grid_search_c)
                 per_method[method].append(acc)
-                for pair, value in _pair_accuracies(model, kernel, labels, test_idx, fit_idx).items():
+                for pair, value in _pair_accuracies(model, kernel, labels, split).items():
                     pair_series[method].setdefault(pair, []).append(value)
-        except KernelForgeError as exc:
+        except NumericalError as exc:
             raise ComparisonError(f"repeat {r} failed: {exc}") from exc
+        except KernelForgeError as exc:  # keeps its class, and so its CLI exit code
+            exc.args = (f"repeat {r} failed: {exc}",)
+            raise
 
     mean = {m: _aggregate(per_method[m])[0] for m in METHODS}
     std = {m: _aggregate(per_method[m])[1] for m in METHODS}

@@ -8,6 +8,7 @@ import pytest
 
 from kernelforge import (
     ConfigError,
+    DataError,
     GpParams,
     Leaf,
     ProtocolConfig,
@@ -553,6 +554,37 @@ def test_malformed_initial_exprs_exit_2_before_the_bank_is_loaded(xor_workspace,
     assert run_cli(["evolve", "--config", xor_workspace / "run.cfg", "--set", f"gp.initial_exprs={exprs}"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "initial_exprs" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_too_many_folds_exits_2_from_both_commands(xor_workspace, capsys, command):
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    capsys.readouterr()
+    code = run_cli(
+        [command, "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs",
+         "--set", "gp.fitness_mode=k_fold", "--set", "gp.n_folds=50"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "50 folds" in err["message"]
+    assert err["message"].startswith("repeat 0 failed: ") == (command == "compare")
+
+
+@pytest.mark.parametrize(
+    "command,target", [("evolve", "kernelforge.cli.evolve"), ("compare", "kernelforge.harness.evolve")]
+)
+def test_data_error_in_a_run_exits_3_from_both_commands(xor_workspace, capsys, monkeypatch, command, target):
+    def evolve(*args):
+        raise DataError("degenerate split")
+
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    capsys.readouterr()
+    monkeypatch.setattr(target, evolve)
+    assert run_cli([command, "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and err["message"].endswith("degenerate split")
 
 
 @pytest.mark.parametrize("case", MALFORMED_BANK_FILES)

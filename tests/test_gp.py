@@ -375,6 +375,147 @@ class TestEvolve:
         assert result.best_fitness == 1.0
 
 
+# (params over PINNED_BASE, best_expr, best_fitness, per_generation,
+# generation_best_exprs) on a noisy xor_bank, captured when evolve still scored
+# generation 0 ahead of its loop.  The best improves at generation 3, and at
+# generation 1 a smaller tree ties it on fitness and takes its place.
+PINNED_BASE = dict(population_size=12, max_generations=5, rng_seed=1, stagnation_limit=3)
+PINNED_EVOLUTIONS = [
+    (
+        {},
+        "(* K1 K2)",
+        0.8333333333333334,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+            (1, 0.6666666666666666, 0.4861111111111111),
+            (2, 0.6666666666666666, 0.6250000000000001),
+            (3, 0.8333333333333334, 0.5972222222222222),
+            (4, 0.8333333333333334, 0.5694444444444444),
+            (5, 0.8333333333333334, 0.47222222222222215),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K1)) K2)",
+            "(* (* (* K1 K2) (+ K1 K1)) K2)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+        ],
+    ),
+    (
+        {"max_generations": 0},
+        "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+        0.6666666666666666,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+        ],
+    ),
+    (
+        {"elitism": 0},
+        "(* K1 K2)",
+        0.8333333333333334,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+            (1, 0.6666666666666666, 0.4444444444444445),
+            (2, 0.6666666666666666, 0.5),
+            (3, 0.8333333333333334, 0.5277777777777778),
+            (4, 0.6666666666666666, 0.5694444444444444),
+            (5, 0.8333333333333334, 0.6249999999999999),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K1)) K2)",
+            "(* (* (* K2 K2) K1) K1)",
+            "(* K1 K2)",
+            "(* (* (* K2 K2) K1) K1)",
+            "(* K1 K2)",
+        ],
+    ),
+    (
+        {"elitism": 2},
+        "(* (* (* K1 K2) K2) K1)",
+        0.6666666666666666,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+            (1, 0.6666666666666666, 0.4861111111111111),
+            (2, 0.6666666666666666, 0.5972222222222222),
+            (3, 0.6666666666666666, 0.486111111111111),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K1)) K2)",
+            "(* (* (* K1 K2) K2) K1)",
+            "(* (* (* K1 K2) K2) K1)",
+        ],
+    ),
+    (
+        {"stagnation_limit": 1},
+        "(* (* (* K1 K2) (+ K1 K1)) K2)",
+        0.6666666666666666,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+            (1, 0.6666666666666666, 0.4861111111111111),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K1)) K2)",
+        ],
+    ),
+    (
+        {"tournament_size": 12},
+        "(* K1 K2)",
+        0.8333333333333334,
+        [
+            (0, 0.6666666666666666, 0.3055555555555555),
+            (1, 0.6666666666666666, 0.6111111111111112),
+            (2, 0.6666666666666666, 0.6250000000000001),
+            (3, 0.8333333333333334, 0.5555555555555555),
+            (4, 0.8333333333333334, 0.4583333333333333),
+            (5, 0.8333333333333334, 0.3194444444444444),
+        ],
+        [
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K1)) (* (* K1 K2) (+ K1 K2)))",
+            "(* (* (* K1 K2) (+ K1 K2)) K1)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+        ],
+    ),
+    (
+        {"seed_leaves": False},
+        "(* K1 K2)",
+        0.8333333333333334,
+        [
+            (0, 0.8333333333333334, 0.36111111111111116),
+            (1, 0.8333333333333334, 0.5138888888888888),
+            (2, 0.8333333333333334, 0.5555555555555556),
+            (3, 0.8333333333333334, 0.5416666666666667),
+        ],
+        [
+            "(* K1 K2)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+            "(* K1 K2)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("kw,best_expr,best_fitness,per_generation,best_exprs", PINNED_EVOLUTIONS)
+def test_evolve_results_are_pinned(kw, best_expr, best_fitness, per_generation, best_exprs):
+    bank, labels = xor_bank(n_per_class=9, noise=6.0, seed=5)
+    split = make_splits(labels, 6, 2, 1, seed=4)[0]
+    result = evolve(SplitFitness(bank, labels, split), GpParams(**{**PINNED_BASE, **kw}), SvmParams())
+    assert canonical_string(result.best_expr) == best_expr
+    assert result.best_fitness == best_fitness
+    assert result.per_generation == per_generation
+    assert result.generation_best_exprs == best_exprs
+
+
 class TestEvolutionLog:
     def test_csv_format(self, rng, tmp_path):
         bank, labels = two_cluster_bank(rng)

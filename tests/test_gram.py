@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernelforge.gram as gram_mod
 from kernelforge import (
     Add,
     DataError,
@@ -521,9 +522,13 @@ class TestBuildBankBitIdentity:
             assert np.array_equal(k.values, k.values.T)
         self.assert_matches_reference([x])
 
-    def test_views_of_different_sizes_are_shape_error(self, rng):
-        # the median's scratch is sized per view; the bank then rejects the mix
-        with pytest.raises(ShapeError, match="disagree on size"):
+    def test_views_of_different_sizes_are_shape_error(self, rng, monkeypatch):
+        # the row counts are checked before any view's distances are computed
+        def no_distances(*args):
+            raise AssertionError("a distance matrix was computed")
+
+        monkeypatch.setattr(gram_mod, "_pairwise_sq_dists", no_distances)
+        with pytest.raises(ShapeError, match=r"disagree on size: \[6, 9, 6\] rows"):
             build_bank([rng.standard_normal((6, 2)), rng.standard_normal((9, 2)), rng.standard_normal((6, 2))])
 
     def test_mixed_gammas(self, rng):

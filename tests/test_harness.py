@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernelforge.harness as harness_mod
 import kernelforge.svm as svm_mod
 from kernelforge import (
     Add,
@@ -13,6 +14,7 @@ from kernelforge import (
     ComparisonReport,
     DataError,
     DatasetSplit,
+    ExprSyntaxError,
     GpParams,
     GramMatrix,
     KernelBank,
@@ -20,6 +22,7 @@ from kernelforge import (
     NumericalError,
     ParameterError,
     ProtocolConfig,
+    ShapeError,
     SplitFitness,
     SvmParams,
     addition_kernel,
@@ -27,14 +30,13 @@ from kernelforge import (
     build_bank,
     evaluate,
     evolve,
-    fit_and_score,
     make_splits,
     report_from_json,
     report_to_json,
     run_comparison,
     summarize,
 )
-from kernelforge.harness import METHODS, _select_c, write_comparison_outputs
+from kernelforge.harness import METHODS, _select_c, fit_expr, write_comparison_outputs
 from kernelforge.synthetic import xor_bank, xor_views
 
 from jsondocs import corrupted
@@ -139,21 +141,40 @@ class TestBestSingleKernel:
 
 
 class TestFitAndScore:
-    def test_final_test_accuracy_uses_held_out_points(self):
+    """fit_expr's final fit: train on train+validation, score once on test."""
+
+    def test_final_test_accuracy_uses_held_out_points(self, monkeypatch):
         bank, labels = xor_bank(n_per_class=12, seed=5)
         split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
         params = GpParams(population_size=12, max_generations=8, rng_seed=3, stagnation_limit=3)
-        result = evolve(SplitFitness(bank, labels, split), params, SvmParams())
-        acc, _, fit_idx = fit_and_score(evaluate(result.best_expr, bank), labels, split, SvmParams())
-        assert fit_idx.tolist() == [*split.train_idx, *split.val_idx]
-        assert not set(fit_idx.tolist()) & set(split.test_idx)
+        score = SplitFitness(bank, labels, split)
+        result = evolve(score, params, SvmParams())
+        rows, real = [], harness_mod.fit_predict
+
+        def fit_predict(kernel, labels, fit_idx, held_idx, *args):
+            rows.append((fit_idx.tolist(), held_idx.tolist()))
+            return real(kernel, labels, fit_idx, held_idx, *args)
+
+        monkeypatch.setattr(harness_mod, "fit_predict", fit_predict)
+        acc, _, kernel = fit_expr(result.best_expr, score, SvmParams(), grid_search_c=False)
+        [(fit_rows, held_rows)] = rows
+        assert fit_rows == [*split.train_idx, *split.val_idx] == split.fit_idx.tolist()
+        assert held_rows == list(split.test_idx)
+        assert not set(fit_rows) & set(split.test_idx)
+        assert np.array_equal(kernel.values, evaluate(result.best_expr, bank).values)
         assert 0.0 <= acc <= 1.0
 
     def test_unconverged_final_model_raises(self):
         bank, labels = xor_bank(n_per_class=12, seed=5)
         split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
         with pytest.raises(NumericalError, match="did not converge"):
-            fit_and_score(bank.kernels[0], labels, split, SvmParams(max_passes=0))
+            fit_expr(Leaf(0), SplitFitness(bank, labels, split), SvmParams(max_passes=0), grid_search_c=False)
+
+    def test_fit_idx_is_read_only(self):
+        split = DatasetSplit((4, 0), (2,), (1, 3), seed=0)
+        assert split.fit_idx.tolist() == [4, 0, 2]
+        with pytest.raises(AttributeError):
+            split.fit_idx = np.arange(3)
 
 
 def small_protocol(repeats=2, seed=21, **kw):
@@ -262,6 +283,22 @@ class TestRunComparison:
             run_comparison(
                 bank, labels, small_protocol(), small_gp(max_generations=1), SvmParams(max_passes=0)
             )
+
+    @pytest.mark.parametrize(
+        "error",
+        [ParameterError("bad value"), DataError("bad data"), ShapeError("bad shape"), ExprSyntaxError("bad text", 3)],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_config_and_data_errors_keep_their_class(self, monkeypatch, error):
+        def evolve(*args):
+            raise error
+
+        monkeypatch.setattr(harness_mod, "evolve", evolve)
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        message = f"repeat 0 failed: {error}"
+        with pytest.raises(type(error)) as info:
+            run_comparison(bank, labels, small_protocol(), small_gp(), SvmParams())
+        assert type(info.value) is type(error) and str(info.value) == message
 
     def test_grid_search_c_runs(self):
         bank, labels = xor_bank(n_per_class=10, seed=6)
