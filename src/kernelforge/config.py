@@ -113,7 +113,11 @@ def load_config_file(path) -> dict[str, object]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, source=str(path))
 
 
 def parse_overrides(pairs) -> dict[str, object]:

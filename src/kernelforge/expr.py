@@ -182,7 +182,7 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     ``gram.add``/``gram.multiply`` and write into an operand the fold made, if
     any (the bank's arrays are read-only).  The result, tagged with the canonical
     string, is validated in one pass and adopted read-only without a copy; a
-    bare leaf gives a read-only copy that shares no memory with the bank.
+    bare leaf gives the bank's checked array under that tag, unscanned.
     """
 
     def fold(node: KernelExpr) -> tuple[np.ndarray, bool]:  # (array, made by the fold)
@@ -196,5 +196,5 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
         (a, own_a), (b, own_b) = fold(node.left), fold(node.right)
         return op(a, b, out=a if own_a else b if own_b else None), True
 
-    wrap = GramMatrix if isinstance(expr, Leaf) else GramMatrix._adopt  # a leaf folds to the bank's array
-    return wrap(fold(expr)[0], canonical_string(expr))
+    values, made = fold(expr)
+    return (GramMatrix._adopt if made else GramMatrix._checked)(values, canonical_string(expr))

@@ -293,6 +293,7 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
     loop stops at max_generations, or earlier once the best fitness has not
     improved by more than 1e-6 for stagnation_limit generations.  Only the
     training and validation points are used; split.test_idx is never read.
+    The split and the fitness mode's folds are checked before any fitness work.
     """
     labels, split = score.labels, score.split
     n = len(score.bank)
@@ -300,6 +301,8 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
         raise DataError("split.train_idx must cover at least 2 classes")
     if params.fitness_mode == "validation" and len(set(labels[list(split.val_idx)].tolist())) < 2:
         raise DataError("split.val_idx must cover at least 2 classes")
+    # the fold rule rejects too many folds here, before any fitness work
+    _folds(params.fitness_mode, np.arange(len(split.train_idx)), None, params.n_folds, split.seed)
 
     mode, folds = params.fitness_mode, params.n_folds
     population = _initial_population(params, n)

@@ -12,10 +12,10 @@ pairwise squared distances.  Each view's distances are computed once, in the
 array ``x @ x.T`` makes, which serves the bandwidth and then becomes the kernel;
 numpy mirrors one triangle of ``x @ x.T``, so the kernel is exactly symmetric.
 
-A kernel is checked once, where it is made: by ``GramMatrix(...)``, by ``_adopt``
-for the arrays the package builds (here, in ``expr.evaluate`` and in the kernel
-readers), and at the raw-array entries ``check_psd``, ``svm.train_binary`` and
-``svm.train_multiclass``.  A block cut from a checked matrix keeps its check.
+A kernel is checked in one place, ``GramMatrix._adopt``.  The arrays the package
+builds are adopted without a copy; ``GramMatrix(...)`` checks a copy of a caller's
+array, and ``check_psd``, ``svm.train_binary`` and ``svm.train_multiclass`` wrap a
+raw array so at entry.  A block cut from a checked matrix keeps its check.
 """
 
 from __future__ import annotations
@@ -60,17 +60,6 @@ def _max_asymmetry(v: np.ndarray) -> float:
     return float(worst)
 
 
-def _is_symmetric(v: np.ndarray, tol: float, what: str) -> bool:
-    """Whether max |v - v.T| <= tol.  A non-finite entry makes the asymmetry
-    NaN or inf, so this one pass also checks finiteness: such an entry raises
-    DataError naming `what` (finiteness is tested only to name the failure)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        worst = _max_asymmetry(v)
-    if not worst <= tol and not np.isfinite(v).all():
-        raise DataError(f"{what} contains non-finite entries")
-    return worst <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
@@ -89,10 +78,15 @@ class GramMatrix:
 
     @classmethod
     def _adopt(cls, values: np.ndarray, tag: str = "") -> "GramMatrix":
-        """Check a fresh float array that nothing else writes to and wrap it without copying."""
+        """Check a fresh float array that nothing else writes to and wrap it without copying.
+        A non-finite entry makes the asymmetry NaN or inf, so the one pass checks finiteness too."""
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ShapeError(f"gram matrix must be square, got shape {values.shape}")
-        if not _is_symmetric(values, SYMMETRY_TOL, "gram matrix"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            worst = _max_asymmetry(values)
+        if not worst <= SYMMETRY_TOL:
+            if not np.isfinite(values).all():
+                raise DataError("gram matrix contains non-finite entries")
             raise ShapeError(f"gram matrix asymmetric beyond {SYMMETRY_TOL}")
         return cls._checked(values, tag)
 
@@ -252,30 +246,21 @@ def normalize(g: GramMatrix) -> GramMatrix:
 
 
 def check_psd(g, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol.
-
-    Accepts a GramMatrix or a raw square array; raw input asymmetric beyond
-    ``SYMMETRY_TOL`` is rejected, as ``GramMatrix`` would reject it.
-    """
-    v = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {v.shape}")
-    if not _is_symmetric(v, SYMMETRY_TOL, "matrix"):
-        raise ShapeError(f"matrix asymmetric beyond {SYMMETRY_TOL}")
+    """True iff the smallest eigenvalue is >= -tol; a raw array is checked as a GramMatrix first."""
+    v = (g if isinstance(g, GramMatrix) else GramMatrix(g)).values
     w = np.linalg.eigvalsh(0.5 * (v + v.T))
     return bool(w[0] >= -tol)
 
 
-def submatrix(g, row_idx, col_idx) -> np.ndarray:
+def submatrix(g: GramMatrix, row_idx, col_idx) -> np.ndarray:
     """G[row_idx x col_idx] as a plain array (train x train, test x train blocks)."""
-    v = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    m = v.shape[0]
+    m = g.size
     rows = np.asarray(row_idx, dtype=int)
     cols = np.asarray(col_idx, dtype=int)
     for name, idx in (("row", rows), ("column", cols)):
         if idx.size and (idx.min() < 0 or idx.max() >= m):
             raise IndexError(f"{name} index out of range for size {m}")
-    return v[np.ix_(rows, cols)]
+    return g.values[np.ix_(rows, cols)]
 
 
 def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[float]]:

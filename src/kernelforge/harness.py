@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ComparisonError, DataError, KernelForgeError, NumericalError, ParameterError
 from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve, write_evolution_log
-from .gram import GramMatrix, KernelBank
+from .gram import GramMatrix, KernelBank, submatrix
 from .kernel_io import parse_json
 from .rng import derive_seed
 from .svm import MulticlassModel, SvmParams, accuracy, decision, fit_predict
@@ -183,14 +183,15 @@ def fit_expr(
 def _pair_accuracies(model: MulticlassModel, kernel: GramMatrix, labels, split: DatasetSplit) -> dict[str, float]:
     """Accuracy of each pair's binary decision on the test points of its two classes."""
     out = {}
-    test_idx, fit_idx = np.asarray(split.test_idx, dtype=int), split.fit_idx
+    test_idx = np.asarray(split.test_idx, dtype=int)
+    rows, test_labels = submatrix(kernel, test_idx, split.fit_idx), labels[test_idx]
     for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
-        sel = test_idx[np.isin(labels[test_idx], (a, b))]
+        sel = np.flatnonzero(np.isin(test_labels, (a, b)))
         if sel.size == 0:
             continue
-        f = decision(mdl, kernel.values[np.ix_(sel, fit_idx[pos])])
+        f = decision(mdl, rows[np.ix_(sel, pos)])
         pred = np.where(f > 0, b, a)
-        out[f"{a}|{b}"] = accuracy(pred, labels[sel])
+        out[f"{a}|{b}"] = accuracy(pred, test_labels[sel])
     return out
 
 
@@ -221,13 +222,13 @@ def run_comparison(
     for r, split in enumerate(splits):
         try:
             score = SplitFitness(bank, labels, split)
-            idx, _ = _best_leaf(score, svm_params)
-            best_indices.append(idx)
-
+            # evolve first: it checks the split and the GP settings before any fitness work
             result = evolve(score, repeat_gp_params(gp_params, protocol, r), svm_params)
             evolution_results.append(result)
             best_exprs.append(canonical_string(result.best_expr))
             generations.append([[g, b, m] for g, b, m in result.per_generation])
+            idx, _ = _best_leaf(score, svm_params)
+            best_indices.append(idx)
 
             candidates = zip(METHODS, (_addition_expr(len(bank)), Leaf(idx), result.best_expr))
             for method, expr in candidates:

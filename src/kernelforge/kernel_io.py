@@ -107,7 +107,11 @@ def write_kernel_csv(path, gram: GramMatrix) -> None:
 
 
 def read_kernel_csv(path, name: str = "") -> GramMatrix:
-    return GramMatrix._adopt(np.loadtxt(path, delimiter=",", ndmin=2), name)
+    try:
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise DataError(f"{path}: could not read kernel CSV: {exc}") from exc
+    return GramMatrix._adopt(values, name)
 
 
 def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +119,8 @@ def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray
     path = Path(path)
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: could not parse feature CSV: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise DataError(f"{path}: could not read feature CSV: {exc}") from exc
     if table.shape[1] < 2:
         raise DataError(f"{path}: need at least one feature column plus a label column")
     features = table[:, :-1]
@@ -177,7 +181,11 @@ _MANIFEST_DOC = {
 def read_manifest(path) -> dict:
     """The manifest document; anything but UTF JSON of write_manifest's shape raises DataError."""
     path = Path(path)
-    return parse_json(path.read_bytes(), _MANIFEST_DOC, str(path))
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read manifest: {exc}") from exc
+    return parse_json(raw, _MANIFEST_DOC, str(path))
 
 
 def load_bank_from_manifest(path) -> tuple[KernelBank, np.ndarray, dict]:

@@ -7,10 +7,9 @@ pair is drawn from a seeded random permutation.  ``fit_predict`` is the one
 train-then-predict path of the package: fitness folds, C selection and final
 scoring all go through it, and it refuses a model that stopped at max_passes.
 
-A GramMatrix was checked where it was made, so it is trusted here.  The raw-array
-entries check theirs to ``SYMMETRY_TOL``: ``train_multiclass`` wraps it in a
-GramMatrix once, and ``train_binary`` checks it on every call.  The class-pair blocks are cut with
-``GramMatrix.restrict`` and keep the check of the matrix they come from.
+A GramMatrix was checked where it was made, so it is trusted here; a raw array
+becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
+keep that check.  ``predict`` reads the held x fit block ``fit_predict`` cuts.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
-from .gram import SYMMETRY_TOL, GramMatrix, _is_symmetric, submatrix
+from .gram import GramMatrix, submatrix
 from .kernel_io import check_json, parse_json
 from .rng import derived_rng
 
@@ -101,14 +100,11 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     pair makes progress.  Returns a best-effort model flagged converged=False
     if violators survive max_passes sweeps.
     """
-    checked = isinstance(train_gram, GramMatrix)
-    k = train_gram.values if checked else np.asarray(train_gram, dtype=float)
+    k = (train_gram if isinstance(train_gram, GramMatrix) else GramMatrix(train_gram)).values
     y = np.asarray(labels, dtype=float).ravel()
     p = y.shape[0]
-    if k.ndim != 2 or k.shape != (p, p):
+    if k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if not checked and not _is_symmetric(k, SYMMETRY_TOL, "training kernel"):
-        raise ShapeError(f"training kernel asymmetric beyond {SYMMETRY_TOL}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("binary labels must be -1/+1")
     if np.all(y == y[0]):
@@ -241,13 +237,8 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     stream is derived from (seed, class pair), so results do not depend on
     training order.  A raw array is checked once, as a GramMatrix.
     """
-    if not isinstance(gram, GramMatrix):
-        gram = GramMatrix(gram)
-    labels = np.asarray(labels)
-    train_idx = np.asarray(train_idx, dtype=int)
-    if train_idx.size and (train_idx.min() < 0 or train_idx.max() >= gram.size):
-        raise IndexError("training index out of range for the kernel")
-    train_labels = labels[train_idx]
+    fit = (gram if isinstance(gram, GramMatrix) else GramMatrix(gram)).restrict(train_idx)
+    train_labels = np.asarray(labels)[np.asarray(train_idx, dtype=int)]
     classes = sorted(int(v) for v in set(train_labels.tolist()))
     if len(classes) < 2:
         raise DataError("need training points from at least 2 classes")
@@ -256,32 +247,30 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     for a, b in combinations(classes, 2):
         pos = np.flatnonzero((train_labels == a) | (train_labels == b))
         y = np.where(train_labels[pos] == a, -1.0, 1.0)
-        model = train_binary(gram.restrict(train_idx[pos]), y, params, derived_rng(seed, "pair", a, b))
+        model = train_binary(fit.restrict(pos), y, params, derived_rng(seed, "pair", a, b))
         pairs.append((a, b))
         models.append(model)
         positions.append(pos)
     return MulticlassModel(classes, pairs, models, positions, params)
 
 
-def predict(model: MulticlassModel, gram_rows, train_idx) -> np.ndarray:
-    """Majority vote over pair decisions.
+def predict(model: MulticlassModel, rows) -> np.ndarray:
+    """Majority vote over pair decisions on a held x fit kernel block, whose
+    columns are the model's training points in training order.
 
     Vote ties are broken by the larger sum of |decision| over the pairs that
     voted for the tied class, then by the smaller class id.
     """
-    q = np.asarray(gram_rows, dtype=float)
-    train_idx = np.asarray(train_idx, dtype=int)
+    q = np.asarray(rows, dtype=float)
     if q.ndim != 2:
         raise ShapeError(f"expected 2-d kernel rows, got shape {q.shape}")
-    if train_idx.size and train_idx.max() >= q.shape[1]:
-        raise ShapeError("kernel rows narrower than the training indices require")
 
     n_cls = len(model.class_labels)
     col_of = {c: i for i, c in enumerate(model.class_labels)}
     votes = np.zeros((q.shape[0], n_cls))
     margins = np.zeros((q.shape[0], n_cls))
     for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
-        f = decision(mdl, q[:, train_idx[pos]])
+        f = decision(mdl, q[:, pos])
         win_b = f > 0
         ia, ib = col_of[a], col_of[b]
         votes[win_b, ib] += 1
@@ -300,7 +289,7 @@ def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, 
     model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
     if not model.converged:
         raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
-    return predict(model, submatrix(gram, held_idx, fit_idx), np.arange(len(fit_idx))), model
+    return predict(model, submatrix(gram, held_idx, fit_idx)), model
 
 
 def accuracy(predicted, actual) -> float:

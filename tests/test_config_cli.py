@@ -368,7 +368,7 @@ class TestEvolveCommand:
         kernel = evaluate(parse_expr(result["best_expr"]), bank)
         model = load_multiclass(rundir / "model.json")
         test_idx = list(split.test_idx)
-        pred = predict(model, kernel.values[test_idx], [*split.train_idx, *split.val_idx])
+        pred = predict(model, kernel.values[np.ix_(test_idx, split.fit_idx)])
         assert accuracy(pred, labels[test_idx]) == result["final_test_accuracy"]
         assert run_cli([*common, "--set", "run_dir=b"]) == 0
         for name in ("result.json", "model.json"):
@@ -557,7 +557,7 @@ def test_malformed_initial_exprs_exit_2_before_the_bank_is_loaded(xor_workspace,
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])
-def test_too_many_folds_exits_2_from_both_commands(xor_workspace, capsys, command):
+def test_too_many_folds_exits_2_from_both_commands(xor_workspace, capsys, fitness_calls, command):
     cfg = xor_workspace / "run.cfg"
     run_cli(["gram", "--config", cfg])
     capsys.readouterr()
@@ -566,9 +566,40 @@ def test_too_many_folds_exits_2_from_both_commands(xor_workspace, capsys, comman
          "--set", "gp.fitness_mode=k_fold", "--set", "gp.n_folds=50"]
     )
     assert code == 2
+    assert fitness_calls == []  # rejected before any fitness work
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParameterError" and "50 folds" in err["message"]
     assert err["message"].startswith("repeat 0 failed: ") == (command == "compare")
+
+
+def _not_utf8_config(ws):
+    path = ws / "latin1.cfg"
+    path.write_bytes(b"seed = 11\n# caf\xe9\n")
+    return ["gram", "--config", path]
+
+
+# case -> (arguments, given the workspace; exit code; error class; what the message names)
+UNREADABLE_INPUTS = {
+    "config_is_a_directory": (lambda ws: ["gram", "--config", ws / "adir"], 2, "ConfigError", "adir"),
+    "config_not_utf8": (_not_utf8_config, 2, "ConfigError", "latin1.cfg"),
+    "feature_csv_is_a_directory": (
+        lambda ws: ["gram", "--config", ws / "run.cfg", "--set", 'data.features=["adir"]'], 3, "DataError", "adir"
+    ),
+    "manifest_is_a_directory": (
+        lambda ws: ["evolve", "--config", ws / "run.cfg", "--set", "data.manifest=adir"], 3, "DataError", "adir"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_input_exits_with_one_line_json_error(xor_workspace, capsys, case):
+    args, code, error, named = UNREADABLE_INPUTS[case]
+    (xor_workspace / "adir").mkdir()
+    assert run_cli(args(xor_workspace)) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error and err["exit_code"] == code and named in err["message"]
 
 
 @pytest.mark.parametrize(

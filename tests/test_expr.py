@@ -134,9 +134,17 @@ class TestEvaluate:
         with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
             evaluate(Mul(Leaf(0), Leaf(0)), bank)
 
-    def test_result_is_read_only_copy(self, rng):
+    def test_leaf_is_the_banks_array_under_the_canonical_tag(self, rng, symmetry_passes):
+        bank = bank_of([random_psd(3, rng), random_psd(3, rng)])
+        symmetry_passes.clear()
+        result = evaluate(Leaf(1), bank)
+        assert symmetry_passes == []  # the bank's array was checked when the bank was made
+        assert result.values is bank.kernels[1].values and not result.values.flags.writeable
+        assert result.source_tag == "K2"
+
+    def test_non_leaf_result_is_read_only_and_shares_no_memory(self, rng):
         bank = bank_of([random_psd(3, rng)])
-        values = evaluate(Leaf(0), bank).values
+        values = evaluate(Add(Leaf(0), Leaf(0)), bank).values
         assert not values.flags.writeable
         assert not np.shares_memory(values, bank.kernels[0].values)
 

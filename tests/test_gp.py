@@ -188,14 +188,14 @@ class TestTournament:
 
 
 def full_bank_fitness(expr, bank, labels, split, svm_params, mode, n_folds):
-    """fitness computed on the whole m x m fold, predicting from full kernel rows."""
+    """fitness computed on the whole m x m fold, predicting from held x fit blocks cut from it."""
     kernel = evaluate(expr, bank)
     train_idx, val_idx = np.asarray(split.train_idx), np.asarray(split.val_idx)
     seed = derive_seed(split.seed, canonical_string(expr))
     if mode == "validation":
         model = train_multiclass(kernel, labels, train_idx, svm_params, seed=seed)
         assert model.converged
-        return accuracy(predict(model, kernel.values[val_idx], train_idx), labels[val_idx])
+        return accuracy(predict(model, kernel.values[np.ix_(val_idx, train_idx)]), labels[val_idx])
     if mode == "leave_one_out":
         folds = [np.array([pos]) for pos in range(train_idx.size)]
     else:
@@ -205,7 +205,7 @@ def full_bank_fitness(expr, bank, labels, split, svm_params, mode, n_folds):
         held, rest = train_idx[fold], np.delete(train_idx, fold)
         model = train_multiclass(kernel, labels, rest, svm_params, seed=seed)
         assert model.converged
-        correct += int(np.sum(predict(model, kernel.values[held], rest) == labels[held]))
+        correct += int(np.sum(predict(model, kernel.values[np.ix_(held, rest)]) == labels[held]))
     return correct / train_idx.size
 
 

@@ -284,6 +284,11 @@ class TestCheckPsd:
         # eigenvalues 3 and -1
         assert not check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
 
+    def test_raw_input_is_checked_in_one_pass(self, rng, symmetry_passes):
+        v = random_psd(4, rng)
+        assert check_psd(v)
+        assert symmetry_passes == [v.shape]
+
     def test_asymmetric_raw_input_rejected(self):
         with pytest.raises(ShapeError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-8)

@@ -258,7 +258,8 @@ class TestRunComparison:
         assert len(leaves) == len(bank) * protocol.repeats
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
-        # bank restriction and the class-pair blocks keep the check of the matrix they are cut from
+        # bank restriction and the class-pair blocks keep the check of the matrix they are cut from,
+        # and a bare leaf is the restricted bank's own block, so it is not scanned again
         import kernelforge.gp as gp_mod
         import kernelforge.harness as harness_mod
 
@@ -274,7 +275,9 @@ class TestRunComparison:
         monkeypatch.setattr(svm_mod, "train_binary", counted(pair_problems, svm_mod.train_binary))
         run_comparison(bank, labels, small_protocol(repeats=2, seed=7), small_gp(max_generations=2), SvmParams())
         assert len(pair_problems) == 3 * len(evaluations) > 0  # three classes
-        assert len(symmetry_passes) == len(evaluations)
+        leaves = [expr for expr, _ in evaluations if isinstance(expr, Leaf)]
+        assert 0 < len(leaves) < len(evaluations)
+        assert len(symmetry_passes) == len(evaluations) - len(leaves)
 
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):

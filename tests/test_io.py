@@ -169,6 +169,13 @@ class TestKernelCsv:
         assert back.source_tag == "restored"
         assert np.allclose(back.values, g.values, atol=1e-15)
 
+    @pytest.mark.parametrize("text", ["1.0,0.5\n0.5\n", "1.0,x\nx,1.0\n"], ids=["ragged", "not_a_number"])
+    def test_malformed_csv_is_data_error(self, tmp_path, text):
+        path = tmp_path / "k.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="k.csv"):
+            read_kernel_csv(path)
+
 
 class TestFeatureCsv:
     def test_round_trip_without_header(self, rng, tmp_path):

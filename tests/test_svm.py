@@ -108,6 +108,11 @@ class TestTrainBinary:
                 train_binary(k, [1, 1, -1, -1], SvmParams())
         assert raised.type is DataError
 
+    def test_raw_kernel_is_checked_in_one_pass(self, rng, symmetry_passes):
+        k, y = separable_clusters(rng)
+        train_binary(k, y, SvmParams())
+        assert symmetry_passes == [k.shape]
+
     def test_checked_block_and_raw_block_give_equal_models(self, rng, symmetry_passes):
         k, labels = three_class_clusters(rng, per_class=6)
         idx = np.flatnonzero(labels != 1)
@@ -219,7 +224,7 @@ class TestMulticlass:
         k, y = separable_clusters(rng)
         labels = np.where(y < 0, 3, 7)
         model = train_multiclass(k, labels, np.arange(labels.size), SvmParams())
-        pred = predict(model, k, np.arange(labels.size))
+        pred = predict(model, k)
         f = decision(model.models[0], k)
         assert np.array_equal(pred, np.where(f > 0, 7, 3))
 
@@ -227,7 +232,7 @@ class TestMulticlass:
         k, labels = three_class_clusters(rng)
         idx = np.arange(labels.size)
         model = train_multiclass(k, labels, idx, SvmParams())
-        assert np.array_equal(predict(model, k, idx), labels)
+        assert np.array_equal(predict(model, k), labels)
 
     def test_pair_membership(self, rng):
         k, labels = three_class_clusters(rng)
@@ -279,7 +284,7 @@ class TestMulticlass:
             pair_positions=[np.array([0, 1]), np.array([2, 3]), np.array([4, 5])],
             params=params,
         )
-        pred = predict(model, np.zeros((1, 6)), np.arange(6))
+        pred = predict(model, np.zeros((1, 6)))
         assert pred[0] == 1
 
     def test_vote_tie_margin_tie_goes_to_smaller_class(self):
@@ -301,7 +306,7 @@ class TestMulticlass:
             params=params,
         )
         # votes: 1, 0, 2 -> all tied at one vote with margin 1.0 each
-        assert predict(model, np.zeros((1, 6)), np.arange(6))[0] == 0
+        assert predict(model, np.zeros((1, 6)))[0] == 0
 
 
 def reference_predict(model, q, train_idx):
@@ -337,7 +342,7 @@ class TestPredictTies:
         train_idx = rng.permutation(2 * len(pairs))
         q = rng.choice([0.0, 0.5, 1.0], size=(2000, train_idx.size))
         expected = reference_predict(model, q, train_idx)
-        assert np.array_equal(predict(model, q, train_idx), expected)
+        assert np.array_equal(predict(model, q[:, train_idx]), expected)  # the block of the training columns
         assert set(expected) == set(classes)
         votes = np.zeros((q.shape[0], len(classes)), dtype=int)
         for (a, b), mdl, pos in zip(pairs, models, positions):
@@ -349,7 +354,7 @@ class TestPredictTies:
         k, labels = three_class_clusters(rng)
         idx = np.arange(labels.size)
         model = train_multiclass(k, labels, idx, SvmParams())
-        assert predict(model, np.zeros((0, idx.size)), idx).shape == (0,)
+        assert predict(model, np.zeros((0, idx.size))).shape == (0,)
 
 
 def run_shaped_bank(noise_views):
@@ -427,8 +432,16 @@ class TestFitPredict:
         fit, held = np.arange(0, labels.size, 2), np.arange(1, labels.size, 2)
         pred, model = fit_predict(GramMatrix(k, "K1"), labels, fit, held, SvmParams(), seed=4)
         reference = train_multiclass(k, labels, fit, SvmParams(), seed=4)
-        assert np.array_equal(pred, predict(reference, k[held], fit))
+        assert np.array_equal(pred, predict(reference, k[np.ix_(held, fit)]))
         assert all(np.array_equal(a.alpha, b.alpha) for a, b in zip(model.models, reference.models))
+
+    def test_block_prediction_equals_full_rows_and_training_indices(self, rng):
+        # predict reads the held x fit block; the oracle maps columns through the training indices
+        k, labels = three_class_clusters(rng, per_class=8)
+        fit = rng.permutation(labels.size)[: labels.size // 2]
+        model = train_multiclass(k, labels, fit, SvmParams(), seed=2)
+        held = np.setdiff1d(np.arange(labels.size), fit)
+        assert np.array_equal(predict(model, k[np.ix_(held, fit)]), reference_predict(model, k[held], fit))
 
     def test_unconverged_model_raises(self, rng):
         k, labels = three_class_clusters(rng)
@@ -474,7 +487,7 @@ class TestSerialization:
         for a, b, pos in zip(loaded.models, model.models, model.pair_positions):
             cols = idx[pos]
             assert np.max(np.abs(decision(a, q[:, cols]) - decision(b, q[:, cols]))) <= 1e-12
-        assert np.array_equal(predict(loaded, k, idx), predict(model, k, idx))
+        assert np.array_equal(predict(loaded, k), predict(model, k))
 
     def test_dict_round_trip_preserves_doc(self, rng):
         k, labels = three_class_clusters(rng)
