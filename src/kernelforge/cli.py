@@ -44,11 +44,18 @@ def _load_run_config(args) -> RunConfig:
     return build_run_config(values, Path(args.config).resolve().parent if args.config else Path.cwd())
 
 
+def _make_dir(path: Path) -> Path:
+    """Create path and its parents; one of them being a file is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {path} cannot be made: a file is in the way") from exc
+    return path
+
+
 def _run_dir(config: RunConfig) -> Path:
     name = config.run_dir or f"run-{datetime.now():%Y%m%d-%H%M%S}-s{config.seed}"
-    path = config.output_dir / name
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return _make_dir(config.output_dir / name)
 
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
@@ -89,10 +96,9 @@ def cmd_gram(args) -> int:
             raise DataError(f"labels in {path.name} disagree with {config.features[0].name}")
 
     names = [p.stem for p in config.features]
+    outdir = _make_dir(config.output_dir)
     bank, gammas = build_bank(feature_sets, names=names, gammas=config.gamma)
 
-    outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for kernel, name, gamma in zip(bank.kernels, names, gammas):
         filename = f"k_{name}.kgm"

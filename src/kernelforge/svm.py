@@ -3,7 +3,12 @@
 The solver never sees feature vectors: it consumes kernel blocks only, which
 keeps kernel construction and classification strictly separated.  Pair updates
 follow Platt's analytic two-variable solve; the second index of each working
-pair is drawn from a seeded random permutation.  ``fit_predict`` is the one
+pair is drawn from a seeded random permutation.  The loop runs on Python
+floats, since at p of about 20 numpy's per-call overhead on scalars dominates
+it; only the gradient update stays vectorised.  Its iterates are bitwise those
+of the numpy formulation (``numpy_platt_smo`` in the tests' oracles), so reruns
+are byte-identical, given a fixed BLAS thread count (the bits of a large kernel
+depend on it).  ``fit_predict`` is the one
 train-then-predict path of the package: fitness folds, C selection and final
 scoring all go through it, and it refuses a model that stopped at max_passes.
 
@@ -113,18 +118,18 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         rng = np.random.default_rng(0)
 
     c, tol, eps = params.c, params.kkt_tol, params.eps
-    alpha = np.zeros(p)
+    # scalars are read as Python floats (see the module docstring); cols[j] is column j of k
+    yl, kl, cols = y.tolist(), k.tolist(), np.ascontiguousarray(k.T)
+    alpha = [0.0] * p
     g = np.zeros(p)  # decision values without bias: K @ (alpha * y)
     b = 0.0
 
-    def take_step(i: int, j: int) -> bool:
+    def take_step(i: int, j: int, gi: float) -> bool:
         nonlocal b, g
         if i == j:
             return False
         ai, aj = alpha[i], alpha[j]
-        yi, yj = y[i], y[j]
-        ei = g[i] + b - yi
-        ej = g[j] + b - yj
+        yi, yj = yl[i], yl[j]
         s = yi * yj
         if s < 0:
             lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
@@ -132,15 +137,18 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
             lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
         if lo >= hi:
             return False
-        kii, kjj, kij = k[i, i], k[j, j], k[i, j]
+        gj = g.item(j)
+        ei = gi + b - yi
+        ej = gj + b - yj
+        kii, kjj, kij = kl[i][i], kl[j][j], kl[i][j]
         eta = kii + kjj - 2.0 * kij
         if eta > 0:
             aj_new = aj + yj * (ei - ej) / eta
             aj_new = min(hi, max(lo, aj_new))
         else:
             # flat pair direction: compare the objective at both clip ends
-            fi = yi * (g[i] - yi) - ai * kii - s * aj * kij
-            fj = yj * (g[j] - yj) - s * ai * kij - aj * kjj
+            fi = yi * (gi - yi) - ai * kii - s * aj * kij
+            fj = yj * (gj - yj) - s * ai * kij - aj * kjj
             li = ai + s * (aj - lo)
             hi_i = ai + s * (aj - hi)
             obj_lo = li * fi + lo * fj + 0.5 * li * li * kii + 0.5 * lo * lo * kjj + s * lo * li * kij
@@ -166,7 +174,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         else:
             b = 0.5 * (b1 + b2)
         alpha[i], alpha[j] = ai_new, aj_new
-        g += di * yi * k[:, i] + dj * yj * k[:, j]
+        g += di * yi * cols[i] + dj * yj * cols[j]
         return True
 
     passes = 0
@@ -174,22 +182,24 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     converged = False
     while passes < params.max_passes:
         if examine_all:
-            candidates = np.arange(p)
+            candidates = range(p)
         else:
-            candidates = np.flatnonzero((alpha > eps) & (alpha < c - eps))
+            candidates = [i for i, a in enumerate(alpha) if eps < a < c - eps]
         changed = 0
         for i in candidates:
-            ri = y[i] * (g[i] + b - y[i])
-            if (ri < -tol and alpha[i] < c - eps) or (ri > tol and alpha[i] > eps):
-                for j in rng.permutation(p):
-                    if take_step(int(i), int(j)):
+            gi, yi, ai = g.item(i), yl[i], alpha[i]
+            ri = yi * (gi + b - yi)
+            if (ri < -tol and ai < c - eps) or (ri > tol and ai > eps):
+                for j in rng.permutation(p).tolist():
+                    if take_step(i, j, gi):
                         changed += 1
                         break
         passes += 1
         if examine_all:
             if changed == 0:
-                b = _final_bias(alpha, g, y, c, eps)
-                if _violators(alpha, g, b, y, c, tol, eps).size == 0:
+                a = np.array(alpha)
+                b = _final_bias(a, g, y, c, eps)
+                if _violators(a, g, b, y, c, tol, eps).size == 0:
                     converged = True
                     break
                 # the refreshed bias exposed stragglers; keep sweeping
@@ -198,6 +208,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         elif changed == 0:
             examine_all = True
 
+    alpha = np.array(alpha)
     if not converged:
         b = _final_bias(alpha, g, y, c, eps)
         converged = _violators(alpha, g, b, y, c, tol, eps).size == 0

@@ -1,9 +1,20 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=40)
 hypothesis.settings.load_profile("suite")
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pytest_report_header(config):
+    """The BLAS thread setting the pinned-bytes tests ran under: the bits of a
+    large ``x @ x.T`` depend on how many threads BLAS splits it over."""
+    blas = " ".join(f"{var}={os.environ.get(var, '(unset)')}" for var in BLAS_THREAD_VARS)
+    return f"blas threads: {blas}; os.cpu_count()={os.cpu_count()}"
 
 
 @pytest.fixture

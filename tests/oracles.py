@@ -2,6 +2,7 @@
 
 Nothing here calls into the solver or evolution code paths being verified:
 the dual oracles are a grid search and a dense interior-point method, the
+Platt-loop reference is the solver's numpy formulation kept as it was, the
 expression oracles are plain recursion over scalars, and the tree enumerator
 builds the search space directly.
 """
@@ -107,6 +108,125 @@ def interior_point_dual_max(kernel: np.ndarray, labels: np.ndarray, c: float, ga
         raise RuntimeError("interior-point oracle did not converge")
     v = a * y
     return float(a.sum() - 0.5 * (v @ k @ v)), a, float(gap)
+
+
+def numpy_platt_smo(kernel: np.ndarray, labels: np.ndarray, c: float, kkt_tol: float, max_passes: int, eps: float, rng):
+    """Platt's SMO loop on numpy arrays and numpy scalars: (alpha, bias, converged).
+
+    The formulation ``svm.train_binary`` ran before its loop moved to Python
+    floats, kept operation for operation as the bitwise reference for that
+    loop: the same partner permutations drawn from ``rng``, the same
+    vectorised gradient update and the same final bias and KKT test.
+    """
+    k = np.asarray(kernel, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    p = y.shape[0]
+    alpha = np.zeros(p)
+    g = np.zeros(p)
+    b = 0.0
+
+    def violators(alpha, g, b):
+        r = y * (g + b - y)
+        return np.flatnonzero(((r < -kkt_tol) & (alpha < c - eps)) | ((r > kkt_tol) & (alpha > eps)))
+
+    def final_bias(alpha, g):
+        free = (alpha > eps) & (alpha < c - eps)
+        if free.any():
+            return float(np.mean(y[free] - g[free]))
+        margins = y - g
+        lower = ((alpha <= eps) & (y > 0)) | ((alpha >= c - eps) & (y < 0))
+        upper = ((alpha <= eps) & (y < 0)) | ((alpha >= c - eps) & (y > 0))
+        lo = np.max(margins[lower]) if lower.any() else -np.inf
+        hi = np.min(margins[upper]) if upper.any() else np.inf
+        if not np.isfinite(lo):
+            return float(hi)
+        if not np.isfinite(hi):
+            return float(lo)
+        return float(0.5 * (lo + hi))
+
+    def take_step(i: int, j: int) -> bool:
+        nonlocal b, g
+        if i == j:
+            return False
+        ai, aj = alpha[i], alpha[j]
+        yi, yj = y[i], y[j]
+        ei = g[i] + b - yi
+        ej = g[j] + b - yj
+        s = yi * yj
+        if s < 0:
+            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
+        else:
+            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
+        if lo >= hi:
+            return False
+        kii, kjj, kij = k[i, i], k[j, j], k[i, j]
+        eta = kii + kjj - 2.0 * kij
+        if eta > 0:
+            aj_new = aj + yj * (ei - ej) / eta
+            aj_new = min(hi, max(lo, aj_new))
+        else:
+            fi = yi * (g[i] - yi) - ai * kii - s * aj * kij
+            fj = yj * (g[j] - yj) - s * ai * kij - aj * kjj
+            li = ai + s * (aj - lo)
+            hi_i = ai + s * (aj - hi)
+            obj_lo = li * fi + lo * fj + 0.5 * li * li * kii + 0.5 * lo * lo * kjj + s * lo * li * kij
+            obj_hi = (
+                hi_i * fi + hi * fj + 0.5 * hi_i * hi_i * kii + 0.5 * hi * hi * kjj + s * hi * hi_i * kij
+            )
+            if obj_lo < obj_hi - eps:
+                aj_new = lo
+            elif obj_hi < obj_lo - eps:
+                aj_new = hi
+            else:
+                return False
+        if abs(aj_new - aj) < eps * (aj_new + aj + eps):
+            return False
+        ai_new = min(c, max(0.0, ai + s * (aj - aj_new)))
+        di, dj = ai_new - ai, aj_new - aj
+        b1 = b - ei - di * yi * kii - dj * yj * kij
+        b2 = b - ej - di * yi * kij - dj * yj * kjj
+        if eps < ai_new < c - eps:
+            b = b1
+        elif eps < aj_new < c - eps:
+            b = b2
+        else:
+            b = 0.5 * (b1 + b2)
+        alpha[i], alpha[j] = ai_new, aj_new
+        g += di * yi * k[:, i] + dj * yj * k[:, j]
+        return True
+
+    passes = 0
+    examine_all = True
+    converged = False
+    while passes < max_passes:
+        if examine_all:
+            candidates = np.arange(p)
+        else:
+            candidates = np.flatnonzero((alpha > eps) & (alpha < c - eps))
+        changed = 0
+        for i in candidates:
+            ri = y[i] * (g[i] + b - y[i])
+            if (ri < -kkt_tol and alpha[i] < c - eps) or (ri > kkt_tol and alpha[i] > eps):
+                for j in rng.permutation(p):
+                    if take_step(int(i), int(j)):
+                        changed += 1
+                        break
+        passes += 1
+        if examine_all:
+            if changed == 0:
+                b = final_bias(alpha, g)
+                if violators(alpha, g, b).size == 0:
+                    converged = True
+                    break
+            else:
+                examine_all = False
+        elif changed == 0:
+            examine_all = True
+
+    if not converged:
+        b = final_bias(alpha, g)
+        converged = violators(alpha, g, b).size == 0
+    return alpha, b, converged
 
 
 def enumerate_trees(n: int, max_depth: int) -> list:

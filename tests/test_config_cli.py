@@ -22,6 +22,7 @@ from kernelforge import (
     predict,
     save_index,
 )
+import kernelforge.cli as cli
 from kernelforge.cli import main
 from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import GramMatrix, KernelBank
@@ -457,6 +458,22 @@ class TestCompareCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+class TestOutputNamesAFile:
+    @pytest.mark.parametrize("command", ["gram", "evolve", "compare"])
+    def test_is_config_error(self, xor_workspace, capsys, monkeypatch, command):
+        # gram finds the file before it builds the bank; evolve and compare when they write
+        cfg = xor_workspace / "run.cfg"
+        assert run_cli(["gram", "--config", cfg]) == 0
+        capsys.readouterr()
+        (xor_workspace / "afile").write_text("kept\n")
+        monkeypatch.setattr(cli, "build_bank", lambda *args, **kwargs: pytest.fail("bank built"))
+        args = [] if command == "gram" else ["--set", "data.manifest=kernels/manifest.json"]
+        assert run_cli([command, "--config", cfg, *args, "--output", "afile"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "afile" in err["message"]
+        assert (xor_workspace / "afile").read_text() == "kept\n"
 
 
 def _digests(rundir: Path) -> dict[str, str]:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelforge import (
@@ -23,7 +23,7 @@ from kernelforge import (
     train_multiclass,
 )
 from kernelforge.expr import evaluate, parse_expr
-from kernelforge.gram import build_bank
+from kernelforge.gram import SYMMETRY_TOL, build_bank
 from kernelforge.harness import C_GRID, make_splits
 from kernelforge.rng import derived_rng
 from kernelforge.svm import (
@@ -38,7 +38,7 @@ from kernelforge.svm import (
 from kernelforge.synthetic import xor_views
 
 from jsondocs import corrupted
-from oracles import brute_force_dual_max, interior_point_dual_max, random_psd
+from oracles import brute_force_dual_max, interior_point_dual_max, numpy_platt_smo, random_psd
 
 TWO_POINT_K = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TWO_POINT_Y = np.array([-1.0, 1.0])
@@ -364,6 +364,42 @@ def run_shaped_bank(noise_views):
     rng = np.random.default_rng([7, 0])
     views += [rng.standard_normal((labels.size, 2)) for _ in range(noise_views)]
     return build_bank(views)[0], labels
+
+
+class TestNumpyReference:
+    """train_binary runs Platt's loop on Python floats; its iterates are the
+    numpy formulation's (oracles.numpy_platt_smo) bit for bit."""
+
+    @settings(max_examples=150)
+    @given(
+        p=st.integers(2, 30),
+        duplicates=st.integers(0, 5),
+        asymmetry=st.sampled_from([0.0, 0.5 * SYMMETRY_TOL]),
+        normalized=st.booleans(),
+        log_c=st.floats(-2.0, 4.0),
+        max_passes=st.sampled_from([0, 1, 2, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_numpy_loop_bitwise(self, p, duplicates, asymmetry, normalized, log_c, max_passes, seed):
+        draw = np.random.default_rng(seed)
+        k = random_psd(p, draw, normalized)
+        for _ in range(duplicates):  # a repeated point makes a flat pair direction, eta = 0
+            a, b = draw.integers(0, p, size=2)
+            k[b, :] = k[a, :]
+            k[:, b] = k[:, a]
+        # a raw array that stays within SYMMETRY_TOL of symmetric, which the solver
+        # reads as given: k[i, j] and column j keep their own bits
+        k = k + np.triu(draw.uniform(-asymmetry, asymmetry, (p, p)), 1)
+        y = np.where(draw.random(p) < 0.5, -1.0, 1.0)
+        y[0] = -y[1]
+        params = SvmParams(c=10.0**log_c, max_passes=max_passes)
+        mine, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        model = train_binary(k, y, params, mine)
+        alpha, bias, converged = numpy_platt_smo(k, y, params.c, params.kkt_tol, max_passes, params.eps, ref)
+        assert model.alpha.tobytes() == alpha.tobytes()  # the sign of a zero too
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        assert model.converged == converged
+        assert mine.integers(2**63) == ref.integers(2**63)
 
 
 class TestOracleAtRunSizes:
