@@ -18,16 +18,14 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .expr import Add, KernelExpr, Leaf, Mul, canonical_string, canonicalize, depth, evaluate, node_count, parse_expr
-from .gp import EvolutionResult, GpParams, SplitFitness, crossover, evolve, fitness, mutate, random_tree, tournament_select
+from .expr import Add, KernelExpr, Leaf, Mul, canonical_string, depth, evaluate, node_count, parse_expr
+from .gp import EvolutionResult, GpParams, SplitFitness, crossover, evolve, fitness, mutate, tournament_select
 from .gram import (
     GramMatrix,
     KernelBank,
     add,
     build_bank,
     check_psd,
-    gaussian_gram,
-    median_heuristic_gamma,
     multiply,
     normalize,
     submatrix,
@@ -36,7 +34,6 @@ from .harness import (
     ComparisonReport,
     DatasetSplit,
     ProtocolConfig,
-    addition_kernel,
     best_single_kernel,
     make_splits,
     report_from_json,

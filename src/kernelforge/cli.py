@@ -1,7 +1,9 @@
 """Command-line entry point: gram, evolve, compare, retrieve, inspect.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
-Set KF_LOG=debug|info|warning|error for log verbosity.  Every command is
+KF_LOG=debug|info|warning|error sets the level of the ``kernelforge`` logger
+(default warning; any other value exits 2); at info, gram, evolve and compare
+log one line per phase to stderr.  Every command is
 deterministic given the same config and seed; timestamps appear only in
 run-directory names, never inside output files.
 """
@@ -29,9 +31,16 @@ from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, wr
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+log = logging.getLogger("kernelforge")
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("KF_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    level = (os.environ.get("KF_LOG") or "warning").lower()
+    if level not in LOG_LEVELS:
+        raise ConfigError(f"KF_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level.upper())
 
 
 def _load_run_config(args) -> RunConfig:
@@ -54,8 +63,13 @@ def _make_dir(path: Path) -> Path:
 
 
 def _run_dir(config: RunConfig) -> Path:
-    name = config.run_dir or f"run-{datetime.now():%Y%m%d-%H%M%S}-s{config.seed}"
-    return _make_dir(config.output_dir / name)
+    """The run directory, checked but not made: a file where it or a parent
+    should be is a config error before any work, and nothing is left behind."""
+    path = config.output_dir / (config.run_dir or f"run-{datetime.now():%Y%m%d-%H%M%S}-s{config.seed}")
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path} cannot be made: a file is in the way")
+    return path
 
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
@@ -97,6 +111,7 @@ def cmd_gram(args) -> int:
 
     names = [p.stem for p in config.features]
     outdir = _make_dir(config.output_dir)
+    log.info("loaded %d descriptor files of %d items", len(feature_sets), len(label_sets[0]))
     bank, gammas = build_bank(feature_sets, names=names, gammas=config.gamma)
 
     entries = []
@@ -106,21 +121,25 @@ def cmd_gram(args) -> int:
         entries.append({"name": name, "file": filename, "gamma": gamma})
     kernel_io.save_labels_csv(outdir / "labels.csv", label_sets[0])
     kernel_io.write_manifest(outdir / "manifest.json", bank.size, entries, "labels.csv")
+    log.info("wrote %d kernels to %s", len(entries), outdir)
     print(f"wrote {len(entries)} kernels (m={bank.size}) and manifest to {outdir}")
     return 0
 
 
 def cmd_evolve(args) -> int:
     config = _load_run_config(args)
+    rundir = _run_dir(config)
     bank, labels = _load_bank(config)
+    log.info("loaded %d kernels of %d items", len(bank), bank.size)
     protocol = config.protocol
     split = make_splits(labels, protocol.per_class_train, protocol.per_class_val, 1, protocol.seed)[0]
     score = SplitFitness(bank, labels, split)
     result = evolve(score, repeat_gp_params(config.gp, protocol, 0), config.svm)
     test_acc, model, _ = fit_expr(result.best_expr, score, config.svm, protocol.grid_search_c)
     best_text = canonical_string(result.best_expr)
+    log.info("search finished after %d generations: %s", len(result.per_generation), best_text)
 
-    rundir = _run_dir(config)
+    _make_dir(rundir)
     (rundir / "best_expr.txt").write_text(best_text + "\n", encoding="utf-8")
     write_evolution_log(rundir / "evolution.csv", result)
     doc = {
@@ -133,6 +152,7 @@ def cmd_evolve(args) -> int:
     }
     (rundir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     save_multiclass(rundir / "model.json", model)
+    log.info("wrote outputs to %s", rundir)
     print(f"best expression: {best_text}")
     print(f"test accuracy: {100.0 * test_acc:.2f}")
     print(f"outputs in {rundir}")
@@ -141,10 +161,13 @@ def cmd_evolve(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_run_config(args)
-    bank, labels = _load_bank(config)
-    report, results = run_comparison(bank, labels, config.protocol, config.gp, config.svm, config_echo=config.echo())
     rundir = _run_dir(config)
-    text = write_comparison_outputs(report, results, rundir)
+    bank, labels = _load_bank(config)
+    log.info("loaded %d kernels of %d items", len(bank), bank.size)
+    report, results = run_comparison(bank, labels, config.protocol, config.gp, config.svm, config_echo=config.echo())
+    log.info("search finished: %d repeats", len(results))
+    text = write_comparison_outputs(report, results, _make_dir(rundir))
+    log.info("wrote outputs to %s", rundir)
     print(text)
     print(f"outputs in {rundir}")
     return 0
@@ -224,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
         return _fail(exc, 2)

@@ -105,17 +105,6 @@ def canonical_string(expr: KernelExpr) -> str:
     return f"({op} {a} {b})"
 
 
-def canonicalize(expr: KernelExpr) -> KernelExpr:
-    """Reorder commutative children so canonical_string round-trips exactly."""
-    if isinstance(expr, Leaf):
-        return expr
-    left = canonicalize(expr.left)
-    right = canonicalize(expr.right)
-    if canonical_string(right) < canonical_string(left):
-        left, right = right, left
-    return type(expr)(left, right)
-
-
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
     i = 0

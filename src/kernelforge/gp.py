@@ -115,6 +115,7 @@ def _grow(n: int, target: int, full: bool, rng: np.random.Generator, d: int) -> 
 
 
 def _random_tree(n: int, lo: int, hi: int, rng: np.random.Generator) -> KernelExpr:
+    """Ramped half-and-half tree over kernels 0..n-1 with depth in [lo, hi]."""
     target = int(rng.integers(lo, hi + 1))
     full = bool(rng.integers(0, 2))
     # the grow method can undershoot the minimum depth; resample, then force full
@@ -124,14 +125,6 @@ def _random_tree(n: int, lo: int, hi: int, rng: np.random.Generator) -> KernelEx
             return tree
         full = False
     return _grow(n, target, True, rng, 1)
-
-
-def random_tree(params: GpParams, n: int, rng: np.random.Generator) -> KernelExpr:
-    """Ramped half-and-half tree with depth inside params.init_depth_range."""
-    if n < 1:
-        raise ParameterError("kernel bank must hold at least one kernel")
-    lo, hi = params.init_depth_range
-    return _random_tree(n, lo, hi, rng)
 
 
 def crossover(
@@ -279,7 +272,7 @@ def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
         population.append(tree)
     while len(population) < params.population_size:
         rng = derived_rng(params.rng_seed, "init", len(population))
-        population.append(random_tree(params, n, rng))
+        population.append(_random_tree(n, *params.init_depth_range, rng))
     return population[: params.population_size]
 
 

@@ -149,7 +149,7 @@ class KernelBank:
         return KernelBank(tuple(k.restrict(idx) for k in self.kernels), self.names)
 
 
-def _pairwise_sq_dists(x: np.ndarray, where: str = "feature matrix") -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray, where: str) -> np.ndarray:
     """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0, in the one m x m array ``x @ x.T`` makes.
 
     No term exceeds 4 max(n), so squared norms above a quarter of the float64
@@ -177,9 +177,9 @@ def _exact_median(a: np.ndarray, skip: int = 0) -> float:
     return float((a[:k].max() + a[k]) / 2.0)
 
 
-def _median_gamma(sq: np.ndarray, pair: np.ndarray | None = None) -> float:
+def _median_gamma(sq: np.ndarray, pair: np.ndarray) -> float:
     """1 / median of the nonzero strict-upper-triangle entries of a distance matrix,
-    copied into the scratch ``pair`` (m(m-1)/2 floats) if given; the zeros sort first."""
+    copied into the scratch ``pair`` (m(m-1)/2 floats); the zeros sort first."""
     m = sq.shape[0]
     pair = np.concatenate([sq[i, i + 1 :] for i in range(m - 1)], out=pair)
     zeros = pair.size - np.count_nonzero(pair)
@@ -201,16 +201,6 @@ def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
     g = np.exp(sq, out=sq)
     np.fill_diagonal(g, 1.0)
     return GramMatrix._adopt(g, name)
-
-
-def gaussian_gram(features, gamma: float, name: str = "") -> GramMatrix:
-    """G[i,j] = exp(-gamma * ||x_i - x_j||^2), unit diagonal, PSD."""
-    return _gaussian_from_sq(_pairwise_sq_dists(validate_features(features)), gamma, name)
-
-
-def median_heuristic_gamma(features) -> float:
-    """Bandwidth 1 / median of the nonzero pairwise squared distances (the exact median)."""
-    return _median_gamma(_pairwise_sq_dists(validate_features(features)))
 
 
 def _require_same_size(a: GramMatrix, b: GramMatrix) -> None:

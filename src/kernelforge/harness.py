@@ -119,11 +119,6 @@ def _addition_expr(n: int) -> KernelExpr:
     return reduce(Add, (Leaf(i) for i in range(n)))
 
 
-def addition_kernel(bank: KernelBank) -> GramMatrix:
-    """Entrywise sum of every bank kernel, evaluated as ``_addition_expr``."""
-    return evaluate(_addition_expr(len(bank)), bank)
-
-
 def best_single_kernel(bank: KernelBank, labels, split: DatasetSplit, svm_params: SvmParams) -> tuple[int, float]:
     """Index and validation accuracy of the strongest base kernel (ties -> smaller index)."""
     return _best_leaf(SplitFitness(bank, labels, split), svm_params)
@@ -287,56 +282,50 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def summarize(report: ComparisonReport, outdir=None) -> str:
-    """Readable summary plus, when outdir is given, the CSV/JSON emissions:
+def summarize(report: ComparisonReport) -> str:
+    """One readable line per method: mean±std test accuracy in percent."""
+    return "\n".join(f"{m:>12}: {_pct(report.mean[m])}±{_pct(report.std[m])}" for m in METHODS)
 
-    report.json          full report (round-trips to an equal ComparisonReport)
-    summary.csv          method, mean, std (percent)
-    iterations.csv       per-repeat test accuracy per method
-    generations.csv      per repeat/generation best and mean fitness
-    binary_problems.csv  per class-pair mean accuracy per method
-    """
-    lines = ["method,mean_accuracy_pct,std_pct"]
-    for m in METHODS:
-        lines.append(f"{m},{_pct(report.mean[m])},{_pct(report.std[m])}")
-    text = "\n".join(
-        f"{m:>12}: {_pct(report.mean[m])}±{_pct(report.std[m])}" for m in METHODS
-    )
 
-    if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(report_to_json(report), encoding="utf-8")
-        (outdir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        repeats = len(report.best_exprs)
-        rows = ["repeat," + ",".join(METHODS)]
-        for r in range(repeats):
-            rows.append(f"{r}," + ",".join(repr(report.methods[m][r]) for m in METHODS))
-        (outdir / "iterations.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-        rows = ["repeat,generation,best_fitness,mean_fitness"]
-        for r, series in enumerate(report.generations):
-            for gen, best, mean in series:
-                rows.append(f"{r},{int(gen)},{best!r},{mean!r}")
-        (outdir / "generations.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-        pairs = sorted({p for m in METHODS for p in report.binary_problems[m]})
-        rows = ["pair," + ",".join(METHODS)]
-        for pair in pairs:
-            cells = [repr(float(np.mean(report.binary_problems[m][pair]))) for m in METHODS]
-            rows.append(f"{pair}," + ",".join(cells))
-        (outdir / "binary_problems.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    return text
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionResult], outdir) -> str:
-    """summarize() plus one evolution log per repeat under logs/."""
+    """Write a comparison's files under outdir, made if missing, and return summarize(report).
+
+    report.json              full report (round-trips to an equal ComparisonReport)
+    summary.csv              method, mean, std (percent)
+    iterations.csv           per-repeat test accuracy per method
+    generations.csv          per repeat/generation best and mean fitness
+    binary_problems.csv      per class-pair mean accuracy per method
+    logs/evolution_r<r>.csv  one evolution log per repeat
+    """
     outdir = Path(outdir)
-    text = summarize(report, outdir)
-    logdir = outdir / "logs"
-    logdir.mkdir(exist_ok=True)
+    (outdir / "logs").mkdir(parents=True, exist_ok=True)
+    (outdir / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    rows = ["method,mean_accuracy_pct,std_pct"]
+    rows += [f"{m},{_pct(report.mean[m])},{_pct(report.std[m])}" for m in METHODS]
+    _write_lines(outdir / "summary.csv", rows)
+
+    rows = ["repeat," + ",".join(METHODS)]
+    for r in range(len(report.best_exprs)):
+        rows.append(f"{r}," + ",".join(repr(report.methods[m][r]) for m in METHODS))
+    _write_lines(outdir / "iterations.csv", rows)
+
+    rows = ["repeat,generation,best_fitness,mean_fitness"]
+    for r, series in enumerate(report.generations):
+        for gen, best, mean in series:
+            rows.append(f"{r},{int(gen)},{best!r},{mean!r}")
+    _write_lines(outdir / "generations.csv", rows)
+
+    pairs = sorted({p for m in METHODS for p in report.binary_problems[m]})
+    rows = ["pair," + ",".join(METHODS)]
+    for pair in pairs:
+        cells = [repr(float(np.mean(report.binary_problems[m][pair]))) for m in METHODS]
+        rows.append(f"{pair}," + ",".join(cells))
+    _write_lines(outdir / "binary_problems.csv", rows)
+
     for r, result in enumerate(results):
-        write_evolution_log(logdir / f"evolution_r{r}.csv", result)
-    return text
+        write_evolution_log(outdir / "logs" / f"evolution_r{r}.csv", result)
+    return summarize(report)

@@ -19,7 +19,6 @@ from kernelforge import (
     Leaf,
     SplitFitness,
     SvmParams,
-    addition_kernel,
     best_single_kernel,
     build_bank,
     build_index,
@@ -38,7 +37,7 @@ from kernelforge import (
 from kernelforge.cli import main as cli_main
 from kernelforge.gram import add as gram_add
 from kernelforge.gram import multiply as gram_multiply
-from kernelforge.harness import ProtocolConfig
+from kernelforge.harness import ProtocolConfig, _addition_expr
 from kernelforge.kernel_io import save_feature_csv
 from kernelforge.svm import _violators
 from kernelforge.synthetic import xor_bank, xor_views
@@ -232,7 +231,7 @@ def test_07_retrieval_consistency():
             chain = Add(chain, Leaf(i))
         ids = [f"item{i}" for i in range(8)]
         index = build_index(chain, bank, ids)
-        expected = normalize(addition_kernel(bank))
+        expected = normalize(evaluate(_addition_expr(len(bank)), bank))
         assert np.max(np.abs(index.matrix.values - expected.values)) <= 1e-12
 
         for i in range(index.size):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -463,12 +467,14 @@ class TestCompareCommand:
 class TestOutputNamesAFile:
     @pytest.mark.parametrize("command", ["gram", "evolve", "compare"])
     def test_is_config_error(self, xor_workspace, capsys, monkeypatch, command):
-        # gram finds the file before it builds the bank; evolve and compare when they write
+        # each command finds the file before any work: gram before it builds the bank,
+        # evolve and compare before the search
         cfg = xor_workspace / "run.cfg"
         assert run_cli(["gram", "--config", cfg]) == 0
         capsys.readouterr()
         (xor_workspace / "afile").write_text("kept\n")
-        monkeypatch.setattr(cli, "build_bank", lambda *args, **kwargs: pytest.fail("bank built"))
+        for name in ("build_bank", "evolve", "run_comparison"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} called"))
         args = [] if command == "gram" else ["--set", "data.manifest=kernels/manifest.json"]
         assert run_cli([command, "--config", cfg, *args, "--output", "afile"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -645,6 +651,52 @@ def test_malformed_bank_file_exits_3(xor_workspace, capsys, case):
     assert run_cli(["evolve", "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and named in err["message"]
+
+
+@pytest.fixture
+def kf_logger():
+    """The package logger, whose level main sets from KF_LOG, restored after the test."""
+    logger = logging.getLogger("kernelforge")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", [None, "info"])
+    def test_info_logs_one_line_per_phase(self, xor_workspace, monkeypatch, caplog, kf_logger, value):
+        if value is None:
+            monkeypatch.delenv("KF_LOG", raising=False)
+        else:
+            monkeypatch.setenv("KF_LOG", value)
+        cfg = xor_workspace / "run.cfg"
+        common = ["--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
+        assert run_cli(["gram", "--config", cfg]) == 0
+        assert run_cli(["evolve", *common, "--set", "run_dir=e"]) == 0
+        assert run_cli(["compare", *common, "--set", "run_dir=c"]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "kernelforge"]
+        phases = ["loaded", "wrote"] + ["loaded", "search", "wrote"] * 2
+        assert [line.split()[0] for line in lines] == ([] if value is None else phases)
+
+    @pytest.mark.parametrize("value", ["basic_format", "verbose"])
+    def test_unknown_value_exits_2(self, tmp_path, capsys, monkeypatch, kf_logger, value):
+        monkeypatch.setenv("KF_LOG", value)
+        path = tmp_path / "expr.txt"
+        path.write_text("K1\n")
+        assert run_cli(["inspect", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["error"] == "ConfigError" and "KF_LOG" in err["message"] and value in err["message"]
+
+    def test_info_lines_reach_stderr(self, xor_workspace):
+        env = dict(os.environ, KF_LOG="info")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "kernelforge.cli", "gram", "--config", str(xor_workspace / "run.cfg")]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("INFO kernelforge: ") for line in lines)
 
 
 class TestRetrieveCommand:

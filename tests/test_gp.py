@@ -26,10 +26,10 @@ from kernelforge import (
     mutate,
     node_count,
     predict,
-    random_tree,
     tournament_select,
     train_multiclass,
 )
+from kernelforge.gp import _random_tree
 from kernelforge.harness import make_splits
 from kernelforge.rng import derive_seed, derived_rng
 from kernelforge.synthetic import or_bank, xor_bank
@@ -50,24 +50,21 @@ def two_cluster_bank(rng, per_class=3, gap=6.0):
 
 class TestRandomTree:
     def test_depth_one_range_gives_leaf(self, rng):
-        params = GpParams(init_depth_range=(1, 1))
         for _ in range(20):
-            assert isinstance(random_tree(params, 4, rng), Leaf)
+            assert isinstance(_random_tree(4, 1, 1, rng), Leaf)
 
     def test_full_depth_two_single_kernel(self):
-        params = GpParams(init_depth_range=(2, 2))
         seen = set()
         for seed in range(40):
-            tree = random_tree(params, 1, np.random.default_rng(seed))
+            tree = _random_tree(1, 2, 2, np.random.default_rng(seed))
             assert isinstance(tree, (Add, Mul))
             assert tree.left == Leaf(0) and tree.right == Leaf(0)
             seen.add(type(tree))
         assert seen == {Add, Mul}
 
     def test_seed_determinism(self):
-        params = GpParams(init_depth_range=(2, 4))
-        a = random_tree(params, 5, np.random.default_rng(99))
-        b = random_tree(params, 5, np.random.default_rng(99))
+        a = _random_tree(5, 2, 4, np.random.default_rng(99))
+        b = _random_tree(5, 2, 4, np.random.default_rng(99))
         assert a == b
 
     def test_range_exceeding_max_depth_rejected(self):
@@ -76,8 +73,7 @@ class TestRandomTree:
 
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
     def test_depth_within_range(self, seed, n):
-        params = GpParams(init_depth_range=(2, 4))
-        tree = random_tree(params, n, np.random.default_rng(seed))
+        tree = _random_tree(n, 2, 4, np.random.default_rng(seed))
         assert 2 <= depth(tree) <= 4
         assert all(leaf.index < n for leaf, _ in gp_mod.iter_nodes(tree) if isinstance(leaf, Leaf))
 
@@ -138,7 +134,7 @@ class TestMutate:
     def test_mutation_keeps_trees_legal(self, seed):
         rng = np.random.default_rng(seed)
         params = GpParams(max_depth=5, init_depth_range=(2, 4))
-        tree = random_tree(params, 3, rng)
+        tree = _random_tree(3, *params.init_depth_range, rng)
         out = mutate(tree, rng, params, n=3)
         assert depth(out) <= 5
         assert all(n.index < 3 for n, _ in gp_mod.iter_nodes(out) if isinstance(n, Leaf))
@@ -148,11 +144,11 @@ def test_variation_fuzz_keeps_invariants():
     """10^4 random tree operations stay within depth and index bounds."""
     params = GpParams(max_depth=6, init_depth_range=(2, 4))
     rng = np.random.default_rng(2024)
-    pool = [random_tree(params, 4, rng) for _ in range(50)]
+    pool = [_random_tree(4, *params.init_depth_range, rng) for _ in range(50)]
     for step in range(10_000):
         op = step % 3
         if op == 0:
-            tree = random_tree(params, 4, rng)
+            tree = _random_tree(4, *params.init_depth_range, rng)
         elif op == 1:
             a, b = rng.integers(0, len(pool), size=2)
             tree = crossover(pool[a], pool[b], rng, params.max_depth)[step % 2]

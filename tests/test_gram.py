@@ -20,8 +20,6 @@ from kernelforge import (
     build_index,
     check_psd,
     evaluate,
-    gaussian_gram,
-    median_heuristic_gamma,
     multiply,
     normalize,
     parse_expr,
@@ -35,6 +33,16 @@ from oracles import random_psd
 
 def gm(values, tag=""):
     return GramMatrix(np.asarray(values, dtype=float), tag)
+
+
+def gaussian(x, gamma):
+    """The kernel build_bank makes of one view at an explicit gamma."""
+    return build_bank([x], gammas=gamma)[0][0]
+
+
+def median_gamma(x):
+    """The bandwidth build_bank picks for one view by the median heuristic."""
+    return build_bank([x])[1][0]
 
 
 def reference_kernel(x, gamma=None):
@@ -56,63 +64,63 @@ def reference_kernel(x, gamma=None):
 class TestGaussianGram:
     def test_identical_rows_give_all_ones(self):
         x = np.array([[3.0, 4.0], [3.0, 4.0]])
-        g = gaussian_gram(x, gamma=2.5)
+        g = gaussian(x, gamma=2.5)
         assert np.array_equal(g.values, np.ones((2, 2)))
 
     def test_unit_distance_entry(self):
-        g = gaussian_gram(np.array([[0.0], [1.0]]), gamma=1.0)
+        g = gaussian(np.array([[0.0], [1.0]]), gamma=1.0)
         assert g.values[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_vanishing_gamma_limit(self, rng):
         x = rng.standard_normal((6, 3))
-        g = gaussian_gram(x, gamma=1e-12)
+        g = gaussian(x, gamma=1e-12)
         assert np.all(np.abs(g.values - 1.0) < 1e-9)
 
     def test_diagonal_exactly_one(self, rng):
-        g = gaussian_gram(rng.standard_normal((5, 2)), gamma=0.7)
+        g = gaussian(rng.standard_normal((5, 2)), gamma=0.7)
         assert np.array_equal(np.diag(g.values), np.ones(5))
 
     def test_output_is_psd(self, rng):
-        g = gaussian_gram(rng.standard_normal((8, 3)), gamma=0.3)
+        g = gaussian(rng.standard_normal((8, 3)), gamma=0.3)
         assert check_psd(g, 1e-8)
 
     def test_bad_gamma_rejected(self):
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ParameterError):
-            gaussian_gram(x, gamma=0.0)
+            gaussian(x, gamma=0.0)
         with pytest.raises(ParameterError):
-            gaussian_gram(x, gamma=-1.0)
+            gaussian(x, gamma=-1.0)
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(DataError):
-            gaussian_gram(np.array([[0.0], [np.nan]]), gamma=1.0)
+            gaussian(np.array([[0.0], [np.nan]]), gamma=1.0)
 
     @given(seed=st.integers(0, 10**6))
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((6, 2))
         perm = rng.permutation(6)
-        g = gaussian_gram(x, gamma=0.5).values
-        gp = gaussian_gram(x[perm], gamma=0.5).values
+        g = gaussian(x, gamma=0.5).values
+        gp = gaussian(x[perm], gamma=0.5).values
         assert np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-12)
 
 
 class TestMedianHeuristic:
     def test_three_points_on_a_line(self):
         # pairwise squared distances {1, 1, 4}; median 1
-        assert median_heuristic_gamma(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(1.0)
+        assert median_gamma(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(1.0)
 
     def test_single_pair(self):
-        assert median_heuristic_gamma(np.array([[0.0], [2.0]])) == pytest.approx(0.25)
+        assert median_gamma(np.array([[0.0], [2.0]])) == pytest.approx(0.25)
 
     def test_zero_distances_excluded(self):
         # duplicated rows contribute nothing; the only nonzero distance is 9
         x = np.array([[0.0], [0.0], [3.0]])
-        assert median_heuristic_gamma(x) == pytest.approx(1.0 / 9.0)
+        assert median_gamma(x) == pytest.approx(1.0 / 9.0)
 
     def test_all_duplicates_rejected(self):
         with pytest.raises(DataError):
-            median_heuristic_gamma(np.array([[1.0], [1.0], [1.0]]))
+            median_gamma(np.array([[1.0], [1.0], [1.0]]))
 
     def test_subnormal_median_is_data_error(self):
         # the squared distances are subnormal, so 1 / median overflows
@@ -120,18 +128,14 @@ class TestMedianHeuristic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="no usable bandwidth"):
-                median_heuristic_gamma(x)
-            with pytest.raises(DataError):
-                build_bank([x])
+                median_gamma(x)
 
     def test_infinite_median_is_data_error(self):
         # the squared distances overflow to inf, so 1 / median is 0
         x = np.array([[0.0], [1e200], [-1e200]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DataError, match="no usable bandwidth"):
-                median_heuristic_gamma(x)
-            with pytest.raises(DataError):
-                build_bank([x])
+                median_gamma(x)
 
     @pytest.mark.parametrize("gammas", [None, 1.0, [0.5, None]], ids=["median", "explicit", "mixed"])
     def test_overflowing_feature_scale_names_the_view(self, gammas):
@@ -146,10 +150,10 @@ class TestMedianHeuristic:
         x = np.array([[1e200], [1e200], [0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="feature matrix: feature scale overflows"):
-                gaussian_gram(x, 1.0)
-            with pytest.raises(DataError, match="feature matrix: feature scale overflows"):
-                median_heuristic_gamma(x)
+            with pytest.raises(DataError, match=r"view 0 \(K1\): feature scale overflows"):
+                gaussian(x, 1.0)
+            with pytest.raises(DataError, match=r"view 0 \(K1\): feature scale overflows"):
+                median_gamma(x)
 
     def test_large_feature_scale_below_overflow_is_accepted(self):
         # squared norms of 1e306 keep every term of the distance formula finite
@@ -239,14 +243,14 @@ class TestAlgebra:
         assert np.all(np.abs(prod) <= 1.0 + 1e-12)
 
     def test_products_of_gaussian_kernels_stay_in_unit_interval(self, rng):
-        a = gaussian_gram(rng.standard_normal((6, 2)), 0.4)
-        b = gaussian_gram(rng.standard_normal((6, 3)), 0.9)
+        a = gaussian(rng.standard_normal((6, 2)), 0.4)
+        b = gaussian(rng.standard_normal((6, 3)), 0.9)
         prod = multiply(a, b).values
         assert np.all(prod >= 0.0) and np.all(prod <= 1.0 + 1e-12)
 
     def test_normalized_gaussian_sums_stay_in_unit_interval(self, rng):
-        a = gaussian_gram(rng.standard_normal((6, 2)), 0.4)
-        b = gaussian_gram(rng.standard_normal((6, 3)), 0.9)
+        a = gaussian(rng.standard_normal((6, 2)), 0.4)
+        b = gaussian(rng.standard_normal((6, 3)), 0.9)
         total = normalize(add(a, b))
         assert np.array_equal(np.diag(total.values), np.ones(6))
         off = total.values[~np.eye(6, dtype=bool)]
@@ -255,7 +259,7 @@ class TestAlgebra:
 
 class TestNormalize:
     def test_idempotent_on_gaussian(self, rng):
-        g = gaussian_gram(rng.standard_normal((5, 2)), 0.8)
+        g = gaussian(rng.standard_normal((5, 2)), 0.8)
         assert np.allclose(normalize(g).values, g.values, atol=1e-12)
 
     def test_hand_computed(self):
@@ -396,7 +400,7 @@ class TestTypes:
         views = [rng.standard_normal((6, 2)), rng.standard_normal((6, 3))]
         bank, gammas = build_bank(views)
         assert len(bank) == 2 and bank.size == 6
-        assert gammas == [pytest.approx(median_heuristic_gamma(v)) for v in views]
+        assert gammas == [pytest.approx(median_gamma(v)) for v in views]
         for k in bank.kernels:
             assert np.array_equal(np.diag(k.values), np.ones(6))
 
@@ -505,8 +509,8 @@ class TestBuildBankBitIdentity:
         views = [rng.standard_normal((20, 2)), rng.standard_normal((20, 3))]
         self.assert_matches_reference(views, 0.37)
         for x in views:
-            assert np.array_equal(gaussian_gram(x, 0.37).values, reference_kernel(x, 0.37)[0])
-            assert median_heuristic_gamma(x) == reference_kernel(x)[1]
+            assert np.array_equal(gaussian(x, 0.37).values, reference_kernel(x, 0.37)[0])
+            assert median_gamma(x) == reference_kernel(x)[1]
 
     def test_overflowing_gamma_product_is_exactly_zero_without_warning(self):
         # gamma * squared distance overflows to -inf in the exponent; exp(-inf) = 0 is the limit
@@ -523,7 +527,7 @@ class TestBuildBankBitIdentity:
         # distances and exp of it keep every pair bitwise equal
         x = rng.standard_normal((m, 2 * d))
         x = {"C": x[:, :d].copy(), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
-        for k in (build_bank([x])[0][0], gaussian_gram(x, 0.7)):
+        for k in (build_bank([x])[0][0], gaussian(x, 0.7)):
             assert np.array_equal(k.values, k.values.T)
         self.assert_matches_reference([x])
 
