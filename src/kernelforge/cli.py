@@ -62,14 +62,17 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _run_dir(config: RunConfig) -> Path:
-    """The run directory, checked but not made: a file where it or a parent
-    should be is a config error before any work, and nothing is left behind."""
-    path = config.output_dir / (config.run_dir or f"run-{datetime.now():%Y%m%d-%H%M%S}-s{config.seed}")
+def _output_dir(path: Path) -> Path:
+    """An output directory, checked but not made: a file where it or a parent should
+    be is a config error before any work, and a run that fails leaves nothing behind."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {path} cannot be made: a file is in the way")
     return path
+
+
+def _run_dir(config: RunConfig) -> Path:
+    return _output_dir(config.output_dir / (config.run_dir or f"run-{datetime.now():%Y%m%d-%H%M%S}-s{config.seed}"))
 
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
@@ -95,6 +98,7 @@ def cmd_gram(args) -> int:
     if not config.features:
         raise ConfigError("gram needs data.features (one CSV per descriptor)")
     require_paths(config.features)
+    outdir = _output_dir(config.output_dir)
 
     feature_sets, label_sets = [], []
     for path in config.features:
@@ -110,10 +114,10 @@ def cmd_gram(args) -> int:
             raise DataError(f"labels in {path.name} disagree with {config.features[0].name}")
 
     names = [p.stem for p in config.features]
-    outdir = _make_dir(config.output_dir)
     log.info("loaded %d descriptor files of %d items", len(feature_sets), len(label_sets[0]))
     bank, gammas = build_bank(feature_sets, names=names, gammas=config.gamma)
 
+    _make_dir(outdir)
     entries = []
     for kernel, name, gamma in zip(bank.kernels, names, gammas):
         filename = f"k_{name}.kgm"

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError, ExprSyntaxError
-from .gram import GramMatrix, KernelBank
+from .gram import GramMatrix, KernelBank, _stays_finite
 
 
 @dataclass(frozen=True)
@@ -165,25 +165,23 @@ def parse_expr(text: str) -> KernelExpr:
 
 
 def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
-    """Fold the tree over the bank's raw arrays and wrap the result once.
+    """Fold the tree over the bank's raw arrays and wrap the result once, unscanned.
 
-    Sums and products of the intermediate arrays skip the checks of
-    ``gram.add``/``gram.multiply`` and write into an operand the fold made, if
-    any (the bank's arrays are read-only).  The result, tagged with the canonical
-    string, is validated in one pass and adopted read-only without a copy; a
-    bare leaf gives the bank's checked array under that tag, unscanned.
+    Sums and products write into an operand the fold made, if any (the bank's arrays
+    are read-only); an overflow or invalid operation in the fold raises DataError.
+    A bare leaf is the bank's own array under the canonical tag.
     """
 
-    def fold(node: KernelExpr) -> tuple[np.ndarray, bool]:  # (array, made by the fold)
+    def fold(node: KernelExpr) -> np.ndarray:  # the arrays the fold made are the writable ones
         if isinstance(node, Leaf):
             if not 0 <= node.index < len(bank):
-                raise DataError(
-                    f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels"
-                )
-            return bank.kernels[node.index].values, False
+                raise DataError(f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels")
+            return bank.kernels[node.index].values
         op = np.add if isinstance(node, Add) else np.multiply
-        (a, own_a), (b, own_b) = fold(node.left), fold(node.right)
-        return op(a, b, out=a if own_a else b if own_b else None), True
+        a, b = fold(node.left), fold(node.right)
+        return op(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)
 
-    values, made = fold(expr)
-    return (GramMatrix._adopt if made else GramMatrix._checked)(values, canonical_string(expr))
+    tag = canonical_string(expr)
+    with _stays_finite(tag):
+        values = fold(expr)
+    return GramMatrix._checked(values, tag)

@@ -12,14 +12,16 @@ pairwise squared distances.  Each view's distances are computed once, in the
 array ``x @ x.T`` makes, which serves the bandwidth and then becomes the kernel;
 numpy mirrors one triangle of ``x @ x.T``, so the kernel is exactly symmetric.
 
-A kernel is checked in one place, ``GramMatrix._adopt``.  The arrays the package
-builds are adopted without a copy; ``GramMatrix(...)`` checks a copy of a caller's
-array, and ``check_psd``, ``svm.train_binary`` and ``svm.train_multiclass`` wrap a
-raw array so at entry.  A block cut from a checked matrix keeps its check.
+A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
+enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The kernels
+derived from checked ones are symmetric by construction and not scanned again; an
+overflow or invalid operation, their one way to a non-finite entry, raises DataError
+as it happens (``_stays_finite``).  A block cut by ``restrict`` keeps the check.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +66,8 @@ def _max_asymmetry(v: np.ndarray) -> float:
 class GramMatrix:
     """Symmetric m x m similarity matrix plus a provenance tag.
 
-    Instances are immutable: the array is checked in one pass and marked
-    read-only, so it can be shared without defensive copies.  A caller's
-    array is copied first; arrays the package builds are adopted (``_adopt``);
-    ``restrict`` and ``with_tag`` keep the check and do not run it again.
+    Instances are immutable: the read-only array is shared without defensive copies.
+    A caller's array is copied and checked in one pass; derived kernels are not scanned.
     """
 
     values: np.ndarray
@@ -91,8 +91,8 @@ class GramMatrix:
         return cls._checked(values, tag)
 
     @classmethod
-    def _checked(cls, values: np.ndarray, tag: str) -> "GramMatrix":
-        """Wrap an array known to pass ``_adopt``'s check, read-only, without checking it again."""
+    def _checked(cls, values: np.ndarray, tag: str = "") -> "GramMatrix":
+        """Wrap, read-only and unscanned, an array ``_adopt`` checked or one derived from checked kernels."""
         values.flags.writeable = False
         g = object.__new__(cls)
         object.__setattr__(g, "values", values)
@@ -149,6 +149,16 @@ class KernelBank:
         return KernelBank(tuple(k.restrict(idx) for k in self.kernels), self.names)
 
 
+@contextmanager
+def _stays_finite(what: str):
+    """Turn an overflow, division by zero or invalid operation in the block into DataError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DataError(f"{what} is non-finite: {exc}") from exc
+
+
 def _pairwise_sq_dists(x: np.ndarray, where: str) -> np.ndarray:
     """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0, in the one m x m array ``x @ x.T`` makes.
 
@@ -193,31 +203,31 @@ def _median_gamma(sq: np.ndarray, pair: np.ndarray) -> float:
 
 
 def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
-    """exp(-gamma * sq), unit diagonal, in ``sq``'s array, which ``_pairwise_sq_dists`` makes exactly symmetric."""
+    """exp(-gamma * sq), in [0, 1] with unit diagonal, in ``sq``'s array, which is exactly symmetric."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise ParameterError(f"gamma must be positive and finite, got {gamma}")
     with np.errstate(over="ignore"):  # a product past -inf is -inf, and exp(-inf) = 0 is the limit
         np.multiply(sq, -gamma, out=sq)
     g = np.exp(sq, out=sq)
     np.fill_diagonal(g, 1.0)
-    return GramMatrix._adopt(g, name)
+    return GramMatrix._checked(g, name)
 
 
-def _require_same_size(a: GramMatrix, b: GramMatrix) -> None:
+def _entrywise(op, a: GramMatrix, b: GramMatrix, what: str) -> GramMatrix:
     if a.size != b.size:
         raise ShapeError(f"gram size mismatch: {a.size} vs {b.size}")
+    with _stays_finite(what):
+        return GramMatrix._checked(op(a.values, b.values))
 
 
 def add(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     """Entrywise sum; symmetry and PSD are preserved."""
-    _require_same_size(a, b)
-    return GramMatrix._adopt(a.values + b.values)
+    return _entrywise(np.add, a, b, "sum")
 
 
 def multiply(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     """Entrywise (Schur) product; PSD by the Schur product theorem."""
-    _require_same_size(a, b)
-    return GramMatrix._adopt(a.values * b.values)
+    return _entrywise(np.multiply, a, b, "product")
 
 
 def normalize(g: GramMatrix) -> GramMatrix:
@@ -228,11 +238,12 @@ def normalize(g: GramMatrix) -> GramMatrix:
         raise DataError("cannot normalize a kernel with a nonpositive diagonal entry")
     s = np.sqrt(d)
     v = np.empty_like(g.values)
-    for r in range(0, g.size, _ASYMMETRY_STRIP):
-        rows = np.multiply.outer(s[r : r + _ASYMMETRY_STRIP], s, out=v[r : r + _ASYMMETRY_STRIP])
-        np.divide(g.values[r : r + _ASYMMETRY_STRIP], rows, out=rows)
+    with _stays_finite(f"normalized kernel {g.source_tag!r}"):
+        for r in range(0, g.size, _ASYMMETRY_STRIP):
+            rows = np.multiply.outer(s[r : r + _ASYMMETRY_STRIP], s, out=v[r : r + _ASYMMETRY_STRIP])
+            np.divide(g.values[r : r + _ASYMMETRY_STRIP], rows, out=rows)
     np.fill_diagonal(v, 1.0)
-    return GramMatrix._adopt(v, g.source_tag)
+    return GramMatrix._checked(v, g.source_tag)
 
 
 def check_psd(g, tol: float = PSD_TOL) -> bool:

@@ -1,5 +1,5 @@
-"""File formats: binary kernel files, matrix CSV, feature CSV, run manifests,
-and the shape check that JSON documents pass before they are read.
+"""File formats: binary kernel files (``read_kernel`` is the one file entry point for
+kernels), feature CSV, run manifests, and the shape check JSON documents pass first.
 
 Binary kernel layout (little-endian throughout):
     magic "KGM1" | u32 m | m*m float64 entries, row-major | u32 name length | name utf-8
@@ -71,7 +71,7 @@ def write_kernel(path, gram: GramMatrix) -> None:
 
 
 def read_kernel(path) -> GramMatrix:
-    """The kernel in a binary kernel file; the entries are read straight into the kept array."""
+    """The kernel in a binary kernel file, read straight into the kept array and checked there."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
@@ -98,19 +98,6 @@ def read_kernel(path) -> GramMatrix:
         name = tail[4:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: kernel name is not valid UTF-8: {exc}") from exc
-    return GramMatrix._adopt(values, name)
-
-
-def write_kernel_csv(path, gram: GramMatrix) -> None:
-    """Headerless CSV export of the raw matrix (name is not preserved)."""
-    np.savetxt(path, gram.values, delimiter=",", fmt="%.17g")
-
-
-def read_kernel_csv(path, name: str = "") -> GramMatrix:
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-        raise DataError(f"{path}: could not read kernel CSV: {exc}") from exc
     return GramMatrix._adopt(values, name)
 
 

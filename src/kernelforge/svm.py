@@ -12,8 +12,8 @@ depend on it).  ``fit_predict`` is the one
 train-then-predict path of the package: fitness folds, C selection and final
 scoring all go through it, and it refuses a model that stopped at max_passes.
 
-A GramMatrix was checked where it was made, so it is trusted here; a raw array
-becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
+A GramMatrix was checked where it entered the package, so it is trusted here; a
+raw array becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
 keep that check.  ``predict`` reads the held x fit block ``fit_predict`` cuts.
 """
 

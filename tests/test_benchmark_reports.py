@@ -4,12 +4,13 @@ perfbench/workloads.py (loaded, never changed) rebuilds the xor-small and
 wide-bank inputs at seed 1, and ``run_comparison`` runs at the settings
 ``perfbench/bench.py`` uses.  A change that moves any float of a report fails
 here; a change meant to move one (a new solver) re-pins the hash on purpose.
-Each report also pins the symmetry passes: one per evaluated kernel that is not
-a bare leaf, none for a leaf (the bank's own checked array) or for the bank
-restrictions and class-pair blocks cut from it.  The set-up the
+Each report also pins the symmetry passes: none, since a kernel is scanned only
+where it enters the package, and every kernel a comparison evaluates, restricts
+or cuts into class-pair blocks is derived from the bank.  The set-up the
 benchmark times (``build_bank``, then ``build_index`` and ``save_index`` for
 ``INDEX_EXPR``) is pinned the same way: the bytes of every base kernel and of
-the saved index file, and one symmetry pass per kernel made.
+the saved index file, and no symmetry pass, since the Gaussians, the evaluated
+kernel and its normalized form are all derived.
 
 The bits of ``x @ x.T`` at wide-bank's m = 990 depend on how many threads BLAS
 splits it over, so the set-up runs in a child process with the BLAS thread
@@ -45,8 +46,8 @@ WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 PINNED = {
-    "xor-small": ("0f28212850a90e1414166c7b3a8440e97d039a417998d55d771ee7d1383348ea", 262),
-    "wide-bank": ("8a1861124016f8f1993287e62f9b91317e3e926ae53072ab699f682490e1f22c", 42),
+    "xor-small": ("0f28212850a90e1414166c7b3a8440e97d039a417998d55d771ee7d1383348ea", 0),
+    "wide-bank": ("8a1861124016f8f1993287e62f9b91317e3e926ae53072ab699f682490e1f22c", 0),
 }
 
 # (base kernel hashes, index file hash) by BLAS thread count, then workload;
@@ -160,8 +161,8 @@ def test_setup_bytes_are_pinned(name, blas_threads, tmp_path):
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
     kernels, index_file = SETUP_PINNED[blas_threads][name]
-    assert got["bank_passes"] == len(kernels)
-    assert got["index_passes"] == 2  # the evaluated kernel and its normalized form
+    assert got["bank_passes"] == 0  # the Gaussians are symmetric by construction
+    assert got["index_passes"] == 0  # so are the evaluated kernel and its normalized form
     assert got["kernels"] == list(kernels)
     assert got["index_file"] == index_file
     assert got["symmetric"]

@@ -29,9 +29,9 @@ from kernelforge import (
 import kernelforge.cli as cli
 from kernelforge.cli import main
 from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
-from kernelforge.gram import GramMatrix, KernelBank
+from kernelforge.gram import SYMMETRY_TOL, GramMatrix, KernelBank
 from kernelforge.harness import _select_c
-from kernelforge.kernel_io import load_bank_from_manifest, save_feature_csv
+from kernelforge.kernel_io import load_bank_from_manifest, read_kernel, save_feature_csv, write_kernel
 from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
 
@@ -276,6 +276,15 @@ class TestGramCommand:
         assert run_cli(["gram", "--config", cfg]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
+    def test_failed_build_leaves_no_output_dir(self, tmp_path, capsys):
+        # the output directory is checked before the build and made only when the kernels are written
+        save_feature_csv(tmp_path / "tiny.csv", [[0.0], [1e-160], [2e-160], [5e-160]], [0, 0, 1, 1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('seed = 1\ndata.features = ["tiny.csv"]\noutput_dir = out/k\n')
+        assert run_cli(["gram", "--config", cfg]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("gamma", [None, 1.0], ids=["median", "explicit"])
     def test_overflowing_feature_scale_is_data_error(self, tmp_path, capsys, gamma):
         # squared norms of 1e200 overflow float64; the error names the view before numpy warns
@@ -429,6 +438,21 @@ class TestEvolveCommand:
         assert code == 0
         best = (xor_workspace / "runs" / "evo1" / "best_expr.txt").read_text().strip()
         assert best == "K1"
+
+    def test_kernel_files_near_the_symmetry_tolerance_combine(self, xor_workspace, capsys):
+        # each file passes the loader at 0.9 SYMMETRY_TOL from symmetric; the sums and
+        # products the search makes of them are further off, and are not held to it
+        cfg = xor_workspace / "run.cfg"
+        assert run_cli(["gram", "--config", cfg]) == 0
+        paths = []
+        for name in ("view1", "view2"):
+            v = read_kernel(xor_workspace / "kernels" / f"k_{name}.kgm").values
+            paths.append(xor_workspace / f"near_{name}.kgm")
+            write_kernel(paths[-1], GramMatrix(v + np.triu(np.full(v.shape, 0.9 * SYMMETRY_TOL), 1), name))
+        kernels = json.dumps([str(p) for p in paths])
+        labels = xor_workspace / "kernels" / "labels.csv"
+        args = ["--set", f"data.kernels={kernels}", "--set", f"data.labels={labels}", "--output", "runs"]
+        assert run_cli(["evolve", "--config", cfg, *args]) == 0, capsys.readouterr().err
 
 
 class TestCompareCommand:

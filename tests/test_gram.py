@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kernelforge import (
     GramMatrix,
     KernelBank,
     Leaf,
+    Mul,
     ParameterError,
     ShapeError,
     add,
@@ -26,7 +28,7 @@ from kernelforge import (
     submatrix,
 )
 from kernelforge.gram import _exact_median, _max_asymmetry
-from kernelforge.kernel_io import read_kernel, read_kernel_csv, write_kernel, write_kernel_csv
+from kernelforge.kernel_io import read_kernel, write_kernel
 
 from oracles import random_psd
 
@@ -316,6 +318,86 @@ class TestCheckPsd:
         assert raised.type is DataError
 
 
+@contextmanager
+def no_warning_data_error():
+    """pytest.raises for a DataError naming a non-finite result, with any warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite") as raised:
+            yield raised
+
+
+class TestDerivedKernels:
+    """A kernel derived from checked ones is not scanned: entrywise arithmetic keeps an
+    exactly symmetric input exactly symmetric, and the overflow or invalid operation
+    that alone makes a finite input non-finite raises DataError as it happens."""
+
+    def test_overflow_in_a_nested_fold(self):
+        bank = KernelBank((gm(np.full((3, 3), 1e200)), gm(np.eye(3))), ("big", "id"))
+        before = [k.values.copy() for k in bank.kernels]
+        # K1 + K2 is finite; K1 * (K1 + K2) overflows one level down the tree
+        expr = Add(Leaf(1), Mul(Leaf(0), Add(Leaf(0), Leaf(1))))
+        with no_warning_data_error() as raised:
+            evaluate(expr, bank)
+        assert "(+ (* (+ K1 K2) K1) K2)" in str(raised.value)
+        for k, v in zip(bank.kernels, before):
+            assert np.array_equal(k.values, v)
+
+    @pytest.mark.parametrize("op,entry", [(add, 1e308), (multiply, 1e200)], ids=["add", "multiply"])
+    def test_overflow_in_add_and_multiply(self, op, entry):
+        a, b = gm(np.full((4, 4), entry)), gm(np.full((4, 4), entry))
+        with no_warning_data_error():
+            op(a, b)
+        assert np.array_equal(a.values, np.full((4, 4), entry)) and np.array_equal(b.values, a.values)
+
+    def test_normalize_with_a_subnormal_diagonal(self):
+        # sqrt(G[i,i]) * sqrt(G[j,j]) is at least the smaller diagonal entry, so it stays
+        # nonzero; dividing an entry of 1 by the subnormal product overflows
+        v = np.array([[5e-324, 1.0], [1.0, 5e-324]])
+        g = gm(v, "tiny")
+        with no_warning_data_error() as raised:
+            normalize(g)
+        assert "'tiny'" in str(raised.value)
+        assert np.array_equal(g.values, v)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        m=st.integers(2, 70),
+        d=st.integers(1, 4),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        gamma=st.none() | st.floats(1e-3, 1e3),
+    )
+    def test_build_bank_is_exactly_symmetric(self, seed, m, d, layout, gamma):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((max(2, m // 2), 2 * d)) * 10.0 ** rng.integers(-3, 4)
+        x = rows[np.r_[0, 1, rng.integers(0, len(rows), m - 2)]]  # duplicated rows, two distinct
+        x = {"C": x[:, :d].copy(), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
+        for k in build_bank([x, x[::-1]], gammas=gamma)[0].kernels:
+            assert np.array_equal(k.values, k.values.T)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        m=st.integers(1, 70),
+        expr=st.recursive(
+            st.integers(0, 2).map(Leaf),
+            lambda kids: st.builds(Add, kids, kids) | st.builds(Mul, kids, kids),
+            max_leaves=6,
+        ),
+    )
+    def test_evaluate_and_normalize_are_exactly_symmetric(self, seed, m, expr):
+        rng = np.random.default_rng(seed)
+        kernels = []
+        for _ in range(3):
+            a = rng.standard_normal((m, m))
+            v = np.triu(a) + np.triu(a, 1).T
+            np.fill_diagonal(v, rng.uniform(0.5, 2.0, m))  # sums and products keep it positive
+            kernels.append(gm(v))
+        bank = KernelBank(tuple(kernels), ("a", "b", "c"))
+        k = evaluate(expr, bank)
+        for v in (k.values, normalize(k).values):
+            assert np.array_equal(v, v.T)
+
+
 class TestMaxAsymmetry:
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 130])
     def test_equals_full_difference(self, m, rng):
@@ -419,11 +501,9 @@ class TestOwnership:
     def test_package_built_arrays_are_read_only(self, rng, tmp_path):
         bank, _ = build_bank([rng.standard_normal((6, 2)), rng.standard_normal((6, 3))])
         write_kernel(tmp_path / "k.kgm", bank[0])
-        write_kernel_csv(tmp_path / "k.csv", bank[1])
         built = {
             "build_bank": bank[0],
             "read_kernel": read_kernel(tmp_path / "k.kgm"),
-            "read_kernel_csv": read_kernel_csv(tmp_path / "k.csv"),
             "evaluate": evaluate(Add(Leaf(0), Leaf(1)), bank),
             "restrict": bank.restrict([4, 1, 2])[0],
             "normalize": normalize(multiply(bank[0], bank[1])),

@@ -27,14 +27,17 @@ from kernelforge import (
     SvmParams,
     best_single_kernel,
     build_bank,
+    build_index,
     evaluate,
     evolve,
     make_splits,
+    parse_expr,
     report_from_json,
     report_to_json,
     run_comparison,
     summarize,
 )
+from kernelforge.gram import SYMMETRY_TOL
 from kernelforge.harness import METHODS, _addition_expr, _select_c, fit_expr, write_comparison_outputs
 from kernelforge.synthetic import xor_bank, xor_views
 
@@ -257,8 +260,8 @@ class TestRunComparison:
         assert len(leaves) == len(bank) * protocol.repeats
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
-        # bank restriction and the class-pair blocks keep the check of the matrix they are cut from,
-        # and a bare leaf is the restricted bank's own block, so it is not scanned again
+        # the bank was checked where it entered; every kernel a comparison evaluates from it,
+        # and the restrictions and class-pair blocks cut from those, is derived and not scanned
         import kernelforge.gp as gp_mod
         import kernelforge.harness as harness_mod
 
@@ -276,7 +279,20 @@ class TestRunComparison:
         assert len(pair_problems) == 3 * len(evaluations) > 0  # three classes
         leaves = [expr for expr, _ in evaluations if isinstance(expr, Leaf)]
         assert 0 < len(leaves) < len(evaluations)
-        assert len(symmetry_passes) == len(evaluations) - len(leaves)
+        assert symmetry_passes == []
+
+    def test_kernels_near_the_symmetry_tolerance_combine(self):
+        # each kernel enters 0.9 SYMMETRY_TOL from symmetric; the sums and products made of
+        # them are further off, and are derived, so they are not held to the entry tolerance
+        built, labels = xor_bank(n_per_class=12, seed=2)
+        near = [k.values + np.triu(np.full(k.values.shape, 0.9 * SYMMETRY_TOL), 1) for k in built.kernels]
+        bank = KernelBank(tuple(GramMatrix(v, name) for v, name in zip(near, built.names)), built.names)
+        report, _ = run_comparison(bank, labels, small_protocol(), small_gp(max_generations=2), SvmParams())
+        assert set(report.mean) == set(METHODS)
+        for text in ("(+ K1 K2)", "(+ (* K1 K2) K1)"):
+            v = evaluate(parse_expr(text), bank).values
+            assert np.max(np.abs(v - v.T)) > SYMMETRY_TOL
+            assert build_index(parse_expr(text), bank, range(bank.size)).size == bank.size
 
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):

@@ -13,12 +13,10 @@ from kernelforge.kernel_io import (
     load_feature_csv,
     load_labels_csv,
     read_kernel,
-    read_kernel_csv,
     read_manifest,
     save_feature_csv,
     save_labels_csv,
     write_kernel,
-    write_kernel_csv,
     write_manifest,
 )
 
@@ -158,23 +156,6 @@ class TestKernelBinaryProperties:
         path.write_bytes(kgm_bytes(values, "k"))
         with pytest.raises(ShapeError, match="asymmetric"):
             read_kernel(path)
-
-
-class TestKernelCsv:
-    def test_round_trip(self, rng, tmp_path):
-        g = GramMatrix(random_psd(5, rng))
-        path = tmp_path / "k.csv"
-        write_kernel_csv(path, g)
-        back = read_kernel_csv(path, name="restored")
-        assert back.source_tag == "restored"
-        assert np.allclose(back.values, g.values, atol=1e-15)
-
-    @pytest.mark.parametrize("text", ["1.0,0.5\n0.5\n", "1.0,x\nx,1.0\n"], ids=["ragged", "not_a_number"])
-    def test_malformed_csv_is_data_error(self, tmp_path, text):
-        path = tmp_path / "k.csv"
-        path.write_text(text)
-        with pytest.raises(DataError, match="k.csv"):
-            read_kernel_csv(path)
 
 
 class TestFeatureCsv:
