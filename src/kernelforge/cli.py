@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 KF_LOG=debug|info|warning|error sets the level of the ``kernelforge`` logger
 (default warning; any other value exits 2); at info, gram, evolve and compare
-log one line per phase to stderr.  Every command is
+log one line per phase to stderr, and at debug the search also logs one line per
+generation and per repeat.  Every command is
 deterministic given the same config and seed; timestamps appear only in
 run-directory names, never inside output files.
 """
@@ -203,17 +204,18 @@ def cmd_inspect(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
     expr = parse_expr(text.strip())
-
-    def render(node, indent: str) -> list[str]:
-        if isinstance(node, Leaf):
-            return [f"{indent}K{node.index + 1}"]
-        symbol = "+" if type(node).__name__ == "Add" else "*"
-        return [f"{indent}({symbol})", *render(node.left, indent + "  "), *render(node.right, indent + "  ")]
-
-    print("\n".join(render(expr, "")))
+    print("\n".join(_render(expr, "")))
     print(f"depth={depth(expr)} nodes={node_count(expr)}")
     print(f"canonical: {canonical_string(expr)}")
     return 0
+
+
+def _render(node, indent: str) -> list[str]:
+    """One line per node, children indented two spaces under their operator."""
+    if isinstance(node, Leaf):
+        return [f"{indent}K{node.index + 1}"]
+    symbol = "+" if type(node).__name__ == "Add" else "*"
+    return [f"{indent}({symbol})", *_render(node.left, indent + "  "), *_render(node.right, indent + "  ")]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,12 @@ A chromosome is a binary tree whose leaves reference base kernels by index and
 whose internal nodes are entrywise + or *.  Trees print as prefix strings with
 1-based kernel names, e.g. ``(+ (* K1 K1) K5)``; the canonical form orders the
 children of the commutative operators lexicographically.
+
+Every recursion here is a module-level function that takes what it reads as
+arguments.  A nested function that calls itself holds itself through its
+closure cell, so each call would leave a reference cycle that keeps everything
+the closure captured (for ``evaluate``, the whole kernel bank) alive until
+Python's cyclic collector happens to run; a dropped bank is freed at once.
 """
 
 from __future__ import annotations
@@ -53,15 +59,15 @@ def node_count(expr: KernelExpr) -> int:
 def iter_nodes(expr: KernelExpr) -> list[tuple[KernelExpr, int]]:
     """Preorder (node, depth-of-node) pairs; the node's preorder index is the list position."""
     out: list[tuple[KernelExpr, int]] = []
-
-    def walk(node: KernelExpr, d: int) -> None:
-        out.append((node, d))
-        if not isinstance(node, Leaf):
-            walk(node.left, d + 1)
-            walk(node.right, d + 1)
-
-    walk(expr, 1)
+    _walk(expr, 1, out)
     return out
+
+
+def _walk(node: KernelExpr, d: int, out: list) -> None:
+    out.append((node, d))
+    if not isinstance(node, Leaf):
+        _walk(node.left, d + 1, out)
+        _walk(node.right, d + 1, out)
 
 
 def subtree_at(expr: KernelExpr, pos: int) -> KernelExpr:
@@ -73,24 +79,21 @@ def subtree_at(expr: KernelExpr, pos: int) -> KernelExpr:
 
 def replace_at(expr: KernelExpr, pos: int, replacement: KernelExpr) -> KernelExpr:
     """Copy of expr with the subtree at preorder position pos swapped out."""
-    counter = [0]
-
-    def rebuild(node: KernelExpr) -> KernelExpr:
-        here = counter[0]
-        counter[0] += 1
-        if here == pos:
-            # advance the counter past the replaced subtree
-            counter[0] += node_count(node) - 1
-            return replacement
-        if isinstance(node, Leaf):
-            return node
-        left = rebuild(node.left)
-        right = rebuild(node.right)
-        return type(node)(left, right)
-
     if not 0 <= pos < node_count(expr):
         raise IndexError(f"node position {pos} out of range")
-    return rebuild(expr)
+    return _rebuild(expr, 0, pos, replacement)[0]
+
+
+def _rebuild(node: KernelExpr, here: int, pos: int, replacement: KernelExpr) -> tuple[KernelExpr, int]:
+    """(copy of node, which sits at preorder position here, with the subtree at pos
+    swapped out; the preorder position just past node)."""
+    if here == pos:
+        return replacement, here + node_count(node)
+    if isinstance(node, Leaf):
+        return node, here + 1
+    left, nxt = _rebuild(node.left, here + 1, pos, replacement)
+    right, nxt = _rebuild(node.right, nxt, pos, replacement)
+    return type(node)(left, right), nxt
 
 
 def canonical_string(expr: KernelExpr) -> str:
@@ -133,35 +136,36 @@ def parse_expr(text: str) -> KernelExpr:
     tokens = _tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
-
-    def parse(at: int) -> tuple[KernelExpr, int]:
-        if at >= len(tokens):
-            raise ExprSyntaxError("unexpected end of expression", len(text))
-        tok, pos = tokens[at]
-        if tok.startswith("K"):
-            index = int(tok[1:]) - 1
-            if index < 0:
-                raise ExprSyntaxError("kernel names are 1-based", pos)
-            return Leaf(index), at + 1
-        if tok != "(":
-            raise ExprSyntaxError(f"expected '(' or kernel name, got {tok!r}", pos)
-        if at + 1 >= len(tokens):
-            raise ExprSyntaxError("missing operator after '('", pos)
-        op, op_pos = tokens[at + 1]
-        if op not in "+*":
-            raise ExprSyntaxError(f"expected '+' or '*', got {op!r}", op_pos)
-        left, nxt = parse(at + 2)
-        right, nxt = parse(nxt)
-        if nxt >= len(tokens) or tokens[nxt][0] != ")":
-            where = tokens[nxt][1] if nxt < len(tokens) else len(text)
-            raise ExprSyntaxError("expected ')'", where)
-        node = Add(left, right) if op == "+" else Mul(left, right)
-        return node, nxt + 1
-
-    expr, end = parse(0)
+    expr, end = _parse(tokens, 0, len(text))
     if end != len(tokens):
         raise ExprSyntaxError("trailing input after expression", tokens[end][1])
     return expr
+
+
+def _parse(tokens: list[tuple[str, int]], at: int, end: int) -> tuple[KernelExpr, int]:
+    """(the expression starting at token at, the token index after it); end is the text length."""
+    if at >= len(tokens):
+        raise ExprSyntaxError("unexpected end of expression", end)
+    tok, pos = tokens[at]
+    if tok.startswith("K"):
+        index = int(tok[1:]) - 1
+        if index < 0:
+            raise ExprSyntaxError("kernel names are 1-based", pos)
+        return Leaf(index), at + 1
+    if tok != "(":
+        raise ExprSyntaxError(f"expected '(' or kernel name, got {tok!r}", pos)
+    if at + 1 >= len(tokens):
+        raise ExprSyntaxError("missing operator after '('", pos)
+    op, op_pos = tokens[at + 1]
+    if op not in "+*":
+        raise ExprSyntaxError(f"expected '+' or '*', got {op!r}", op_pos)
+    left, nxt = _parse(tokens, at + 2, end)
+    right, nxt = _parse(tokens, nxt, end)
+    if nxt >= len(tokens) or tokens[nxt][0] != ")":
+        where = tokens[nxt][1] if nxt < len(tokens) else end
+        raise ExprSyntaxError("expected ')'", where)
+    node = Add(left, right) if op == "+" else Mul(left, right)
+    return node, nxt + 1
 
 
 def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
@@ -171,17 +175,18 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     are read-only); an overflow or invalid operation in the fold raises DataError.
     A bare leaf is the bank's own array under the canonical tag.
     """
-
-    def fold(node: KernelExpr) -> np.ndarray:  # the arrays the fold made are the writable ones
-        if isinstance(node, Leaf):
-            if not 0 <= node.index < len(bank):
-                raise DataError(f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels")
-            return bank.kernels[node.index].values
-        op = np.add if isinstance(node, Add) else np.multiply
-        a, b = fold(node.left), fold(node.right)
-        return op(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)
-
     tag = canonical_string(expr)
     with _stays_finite(tag):
-        values = fold(expr)
+        values = _fold(expr, bank)
     return GramMatrix._checked(values, tag)
+
+
+def _fold(node: KernelExpr, bank: KernelBank) -> np.ndarray:
+    """The node's kernel array; the arrays the fold made are the writable ones."""
+    if isinstance(node, Leaf):
+        if not 0 <= node.index < len(bank):
+            raise DataError(f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels")
+        return bank.kernels[node.index].values
+    op = np.add if isinstance(node, Add) else np.multiply
+    a, b = _fold(node.left, bank), _fold(node.right, bank)
+    return op(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)

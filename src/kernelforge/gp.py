@@ -17,6 +17,7 @@ the winner on train+validation and scoring it on test is ``harness.fit_expr``.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ from .gram import KernelBank
 from .rng import derive_seed, derived_rng
 from .svm import SvmParams, accuracy, fit_predict
 
+log = logging.getLogger(__name__)
 FITNESS_MODES = ("validation", "k_fold", "leave_one_out")
 IMPROVEMENT_TOL = 1e-6
 
@@ -320,6 +322,7 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
         order = sorted(range(len(population)), key=_fitter_first(fits, sizes))
         top = order[0]
         history.append((gen, fits[top], float(np.mean(fits))))
+        log.debug("generation %d: best %.4f, mean %.4f, %d memo entries", *history[-1], len(score._memo))
         best_strings.append(canonical_string(population[top]))
         stagnant = 0 if fits[top] > best_fit + IMPROVEMENT_TOL else stagnant + 1
         if fits[top] > best_fit or (fits[top] == best_fit and sizes[top] < node_count(best_expr)):

@@ -31,6 +31,7 @@ from .errors import DataError, ParameterError, ShapeError
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
 _ASYMMETRY_STRIP = 64  # rows per strip of the m x m loops here, whose one temporary is B x m
+_STRICT_LOWER = np.tri(_ASYMMETRY_STRIP, k=-1, dtype=bool)  # the part of a strip's diagonal block below it
 
 
 def validate_features(features) -> np.ndarray:
@@ -232,7 +233,12 @@ def multiply(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 def normalize(g: GramMatrix) -> GramMatrix:
     """Rescale to unit diagonal: G[i,j] / (sqrt(G[i,i]) * sqrt(G[j,j])), computed
-    strip by strip in the one new array (the products, then the quotients)."""
+    strip by strip in the one new array (the products, then the quotients).
+
+    Only the upper triangle is computed; each strip is then mirrored below the
+    diagonal, so the result is exactly symmetric even where G is not quite.  On a
+    symmetric G this gives the same bits as computing every entry.
+    """
     d = np.diag(g.values)
     if np.any(d <= 0):
         raise DataError("cannot normalize a kernel with a nonpositive diagonal entry")
@@ -240,8 +246,14 @@ def normalize(g: GramMatrix) -> GramMatrix:
     v = np.empty_like(g.values)
     with _stays_finite(f"normalized kernel {g.source_tag!r}"):
         for r in range(0, g.size, _ASYMMETRY_STRIP):
-            rows = np.multiply.outer(s[r : r + _ASYMMETRY_STRIP], s, out=v[r : r + _ASYMMETRY_STRIP])
-            np.divide(g.values[r : r + _ASYMMETRY_STRIP], rows, out=rows)
+            e = min(r + _ASYMMETRY_STRIP, g.size)
+            rows = np.multiply.outer(s[r:e], s[r:], out=v[r:e, r:])
+            np.divide(g.values[r:e, r:], rows, out=rows)
+            v[e:, r:e] = v[r:e, e:].T
+            # within the diagonal block a transposed assignment would swap the
+            # two triangles, so only its strict lower triangle is written
+            block = v[r:e, r:e]
+            np.copyto(block, block.T, where=_STRICT_LOWER[: e - r, : e - r])
     np.fill_diagonal(v, 1.0)
     return GramMatrix._checked(v, g.source_tag)
 

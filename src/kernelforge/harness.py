@@ -16,6 +16,7 @@ across repeats.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from pathlib import Path
@@ -30,6 +31,7 @@ from .kernel_io import parse_json
 from .rng import derive_seed
 from .svm import MulticlassModel, SvmParams, accuracy, decision, fit_predict
 
+log = logging.getLogger(__name__)
 REPORT_SCHEMA = "kf-report-1"
 METHODS = ("addition", "best_single", "evolved")
 C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -231,6 +233,11 @@ def run_comparison(
                 per_method[method].append(acc)
                 for pair, value in _pair_accuracies(model, kernel, labels, split).items():
                     pair_series[method].setdefault(pair, []).append(value)
+            log.debug(
+                "repeat %d: test accuracy addition %.4f, best single K%d %.4f, evolved %s %.4f",
+                r, per_method["addition"][-1], idx + 1, per_method["best_single"][-1],
+                best_exprs[-1], per_method["evolved"][-1],
+            )
         except NumericalError as exc:
             raise ComparisonError(f"repeat {r} failed: {exc}") from exc
         except KernelForgeError as exc:  # keeps its class, and so its CLI exit code

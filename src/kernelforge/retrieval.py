@@ -40,7 +40,11 @@ class SimilarityIndex:
 
 
 def build_index(expr: KernelExpr, bank: KernelBank, item_ids) -> SimilarityIndex:
-    """Evaluate the expression over the bank and normalize to unit diagonal."""
+    """Evaluate the expression over the bank and normalize to unit diagonal.
+
+    ``normalize`` mirrors its upper triangle, so the matrix is exactly symmetric
+    and loads back through ``read_kernel``'s check even when the bank's kernels
+    were only within ``SYMMETRY_TOL`` and their products further off."""
     matrix = normalize(evaluate(expr, bank))
     return SimilarityIndex(matrix, tuple(str(v) for v in item_ids), expr)
 

@@ -702,6 +702,28 @@ class TestLogLevel:
         phases = ["loaded", "wrote"] + ["loaded", "search", "wrote"] * 2
         assert [line.split()[0] for line in lines] == ([] if value is None else phases)
 
+    def test_debug_logs_each_generation_and_repeat(self, xor_workspace, monkeypatch, caplog, kf_logger):
+        cfg, runs = xor_workspace / "run.cfg", xor_workspace / "runs"
+        common = ["--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", runs]
+        assert run_cli(["gram", "--config", cfg]) == 0
+        monkeypatch.delenv("KF_LOG", raising=False)
+        assert run_cli(["compare", *common, "--set", "run_dir=quiet"]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.DEBUG]
+        monkeypatch.setenv("KF_LOG", "debug")
+        assert run_cli(["compare", *common, "--set", "run_dir=debug"]) == 0
+        gens = [r.getMessage() for r in caplog.records if r.name == "kernelforge.gp"]
+        repeats = [r.getMessage() for r in caplog.records if r.name == "kernelforge.harness"]
+        report = json.loads((runs / "debug" / "report.json").read_text())
+        rows = [row for series in report["generations"] for row in series]
+        assert [line.split(":")[0] for line in gens] == [f"generation {int(g)}" for g, _, _ in rows]
+        assert all(line.endswith("memo entries") for line in gens)
+        assert [line.split(":")[0] for line in repeats] == ["repeat 0", "repeat 1"]
+        # the log lines change no output file
+        quiet = sorted(p.relative_to(runs / "quiet") for p in (runs / "quiet").rglob("*.*"))
+        assert len(quiet) == 7
+        for rel in quiet:
+            assert (runs / "quiet" / rel).read_bytes() == (runs / "debug" / rel).read_bytes()
+
     @pytest.mark.parametrize("value", ["basic_format", "verbose"])
     def test_unknown_value_exits_2(self, tmp_path, capsys, monkeypatch, kf_logger, value):
         monkeypatch.setenv("KF_LOG", value)

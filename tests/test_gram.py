@@ -27,7 +27,7 @@ from kernelforge import (
     parse_expr,
     submatrix,
 )
-from kernelforge.gram import _exact_median, _max_asymmetry
+from kernelforge.gram import SYMMETRY_TOL, _exact_median, _max_asymmetry
 from kernelforge.kernel_io import read_kernel, write_kernel
 
 from oracles import random_psd
@@ -280,6 +280,22 @@ class TestNormalize:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(DataError):
             normalize(gm([[0.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [1, 5, 64, 150])  # 150: two full strips and a part
+    def test_mirrors_the_upper_triangle(self, rng, m):
+        def formula(v):  # every entry by the rule, the diagonal set to 1
+            s = np.sqrt(np.diag(v))
+            out = v / np.multiply.outer(s, s)
+            np.fill_diagonal(out, 1.0)
+            return out
+
+        v = random_psd(m, rng, normalized=False)
+        assert np.array_equal(normalize(gm(v)).values, formula(v))  # symmetric: the same bits
+        near = v + np.triu(np.full((m, m), 0.9 * SYMMETRY_TOL), 1)
+        got = normalize(gm(near)).values
+        assert np.array_equal(got, got.T)
+        upper = np.triu(np.ones((m, m), dtype=bool))
+        assert np.array_equal(got[upper], formula(near)[upper])
 
 
 class TestCheckPsd:

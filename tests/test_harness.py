@@ -30,13 +30,16 @@ from kernelforge import (
     build_index,
     evaluate,
     evolve,
+    load_index,
     make_splits,
     parse_expr,
     report_from_json,
     report_to_json,
     run_comparison,
+    save_index,
     summarize,
 )
+from kernelforge.cli import main as cli_main
 from kernelforge.gram import SYMMETRY_TOL
 from kernelforge.harness import METHODS, _addition_expr, _select_c, fit_expr, write_comparison_outputs
 from kernelforge.synthetic import xor_bank, xor_views
@@ -179,6 +182,14 @@ class TestFitAndScore:
             split.fit_idx = np.arange(3)
 
 
+def near_symmetric_bank():
+    """xor_bank's kernels, each raised 0.9 SYMMETRY_TOL above its diagonal: just inside
+    the entry check, while their sums and products are further off."""
+    built, labels = xor_bank(n_per_class=12, seed=2)
+    near = [k.values + np.triu(np.full(k.values.shape, 0.9 * SYMMETRY_TOL), 1) for k in built.kernels]
+    return KernelBank(tuple(GramMatrix(v, name) for v, name in zip(near, built.names)), built.names), labels
+
+
 def small_protocol(repeats=2, seed=21, **kw):
     return ProtocolConfig(per_class_train=8, per_class_val=3, repeats=repeats, seed=seed, **kw)
 
@@ -284,15 +295,25 @@ class TestRunComparison:
     def test_kernels_near_the_symmetry_tolerance_combine(self):
         # each kernel enters 0.9 SYMMETRY_TOL from symmetric; the sums and products made of
         # them are further off, and are derived, so they are not held to the entry tolerance
-        built, labels = xor_bank(n_per_class=12, seed=2)
-        near = [k.values + np.triu(np.full(k.values.shape, 0.9 * SYMMETRY_TOL), 1) for k in built.kernels]
-        bank = KernelBank(tuple(GramMatrix(v, name) for v, name in zip(near, built.names)), built.names)
+        bank, labels = near_symmetric_bank()
         report, _ = run_comparison(bank, labels, small_protocol(), small_gp(max_generations=2), SvmParams())
         assert set(report.mean) == set(METHODS)
         for text in ("(+ K1 K2)", "(+ (* K1 K2) K1)"):
             v = evaluate(parse_expr(text), bank).values
             assert np.max(np.abs(v - v.T)) > SYMMETRY_TOL
             assert build_index(parse_expr(text), bank, range(bank.size)).size == bank.size
+
+    @pytest.mark.parametrize("text", ["(* K1 K2)", "(+ (* K1 K2) K1)"])
+    def test_an_index_over_kernels_near_the_symmetry_tolerance_loads_back(self, text, tmp_path, capsys):
+        # the normalized matrix mirrors its upper triangle, so it passes the loader's check
+        bank, _ = near_symmetric_bank()
+        index = build_index(parse_expr(text), bank, [f"item{i}" for i in range(bank.size)])
+        path = tmp_path / "index.kgm"
+        save_index(path, index)
+        assert np.array_equal(load_index(path).matrix.values, index.matrix.values)
+        assert np.array_equal(index.matrix.values, index.matrix.values.T)
+        assert cli_main(["retrieve", "--index", str(path), "--item", "item0", "--k", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):
