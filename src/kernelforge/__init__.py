@@ -9,7 +9,6 @@ turns any combination into a top-k similarity index.
 """
 
 from .errors import (
-    ComparisonError,
     ConfigError,
     DataError,
     ExprSyntaxError,

@@ -26,9 +26,9 @@ from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
-from .gp import SplitFitness, evolve, write_evolution_log
+from .gp import SplitFitness, evolve
 from .gram import KernelBank, build_bank
-from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, write_comparison_outputs
+from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, write_comparison_outputs, write_evolution_log
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
 
@@ -87,10 +87,7 @@ def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
         require_paths([*config.kernels, config.labels])
         kernels = [kernel_io.read_kernel(p) for p in config.kernels]
         names = [k.source_tag or p.stem for k, p in zip(kernels, config.kernels)]
-        labels = kernel_io.load_labels_csv(config.labels)
-        if labels.shape[0] != kernels[0].size:
-            raise DataError(f"{labels.shape[0]} labels for kernels of size {kernels[0].size}")
-        return KernelBank(tuple(kernels), tuple(names)), labels
+        return KernelBank(tuple(kernels), tuple(names)), kernel_io.load_labels_csv(config.labels)
     raise ConfigError("set data.manifest or data.kernels to locate the kernel bank")
 
 
@@ -155,7 +152,7 @@ def cmd_evolve(args) -> int:
         "generations": [[g, b, m] for g, b, m in result.per_generation],
         "config": config.echo(),
     }
-    (rundir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (rundir / "result.json").write_text(kernel_io.dump_json(doc), encoding="utf-8")
     save_multiclass(rundir / "model.json", model)
     log.info("wrote outputs to %s", rundir)
     print(f"best expression: {best_text}")
@@ -261,7 +258,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except DataError as exc:
         return _fail(exc, 3)
-    except (KernelForgeError, np.linalg.LinAlgError) as exc:
+    except KernelForgeError as exc:
         return _fail(exc, 4)
 
 

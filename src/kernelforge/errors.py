@@ -31,7 +31,3 @@ class NumericalError(KernelForgeError, RuntimeError):
 
 class ConfigError(KernelForgeError, ValueError):
     """Run configuration is missing, malformed, or refers to absent files."""
-
-
-class ComparisonError(NumericalError):
-    """A comparison repeat failed; the message carries the repeat index and cause."""

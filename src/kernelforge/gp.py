@@ -1,7 +1,7 @@
 """Evolution loop: chromosomes are kernel expressions, fitness is SVM accuracy.
 
-The population is evolved by tournament selection, subtree crossover and
-mutation under a depth cap, with elitism and generational replacement.
+The population is evolved by tournament selection, one-child subtree crossover
+and mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
 Fitness reads only the train x train and validation x train entries, so it
@@ -12,7 +12,8 @@ over ``svm.fit_predict``; validation is the single pair (train, validation).
 harness's best-leaf and C selection score through it.
 Per-chromosome RNG streams are derived from (seed, generation, slot), so a run
 is reproducible from its seed.  The search never sees the test set: retraining
-the winner on train+validation and scoring it on test is ``harness.fit_expr``.
+the winner on train+validation and scoring it on test is ``harness.fit_expr``;
+the harness also writes the files, and gp opens none.
 """
 
 from __future__ import annotations
@@ -129,25 +130,16 @@ def _random_tree(n: int, lo: int, hi: int, rng: np.random.Generator) -> KernelEx
     return _grow(n, target, True, rng, 1)
 
 
-def crossover(
-    a: KernelExpr, b: KernelExpr, rng: np.random.Generator, max_depth: int
-) -> tuple[KernelExpr, KernelExpr]:
-    """Swap one uniformly chosen subtree of each parent.
+def crossover(a: KernelExpr, b: KernelExpr, rng: np.random.Generator, max_depth: int) -> KernelExpr:
+    """Parent a with one uniformly chosen subtree replaced by one of parent b.
 
-    A child that would exceed max_depth is replaced by its own unmodified
-    parent, so the output is always depth-legal.
+    Both positions are drawn from rng, a's first.  A child that would exceed
+    max_depth is replaced by a unmodified, so the output is always depth-legal.
     """
     pos_a = int(rng.integers(0, node_count(a)))
     pos_b = int(rng.integers(0, node_count(b)))
-    sub_a = subtree_at(a, pos_a)
-    sub_b = subtree_at(b, pos_b)
-    child_a = replace_at(a, pos_a, sub_b)
-    child_b = replace_at(b, pos_b, sub_a)
-    if depth(child_a) > max_depth:
-        child_a = a
-    if depth(child_b) > max_depth:
-        child_b = b
-    return child_a, child_b
+    child = replace_at(a, pos_a, subtree_at(b, pos_b))
+    return a if depth(child) > max_depth else child
 
 
 def mutate(expr: KernelExpr, rng: np.random.Generator, params: GpParams, n: int) -> KernelExpr:
@@ -249,10 +241,14 @@ def fitness(
 class SplitFitness:
     """``fitness`` on one split, memoised by (canonical expression, SVM params,
     mode, n_folds).  Commutative reorderings share a canonical string, and so
-    the fitness seed, so sharing their entry changes no result."""
+    the fitness seed, so sharing their entry changes no result.  The one check
+    that labels match the bank: one per item, or ShapeError.  Splits are drawn from
+    the labels first, so a short vector can fail there as a class too small (DataError)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split
+        if len(self.labels) != bank.size:
+            raise ShapeError(f"{len(self.labels)} labels for a bank of {bank.size} items")
         self._memo: dict[tuple, float] = {}
 
     def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:
@@ -312,7 +308,7 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
                 p2 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
                 child = p1
                 if rng.random() < params.crossover_rate:
-                    child = crossover(p1, p2, rng, params.max_depth)[0]
+                    child = crossover(p1, p2, rng, params.max_depth)
                 if rng.random() < params.mutation_rate:
                     child = mutate(child, rng, params, n)
                 next_pop.append(child)
@@ -336,12 +332,3 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
         per_generation=history,
         generation_best_exprs=best_strings,
     )
-
-
-def write_evolution_log(path, result: EvolutionResult) -> None:
-    """One CSV row per generation: generation, best, mean, best expression."""
-    lines = ["generation,best_fitness,mean_fitness,best_expr"]
-    for (gen, best, mean), text in zip(result.per_generation, result.generation_best_exprs):
-        lines.append(f"{gen},{best!r},{mean!r},{text}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -10,12 +10,13 @@ train on train+validation and score once on test, so the three columns are
 like-for-like.  All training goes through ``svm.fit_predict``.  The CLI's
 ``evolve`` is repeat 0: the first split, ``repeat_gp_params(..., 0)`` and
 ``fit_expr``.  Reports aggregate mean and sample (n-1) standard deviation
-across repeats.
+across repeats.  A failing repeat raises its cause's error class (and so its
+CLI exit code), naming the repeat.  Every output file of a search, evolution
+logs included, is written here.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -23,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ComparisonError, DataError, KernelForgeError, NumericalError, ParameterError
+from .errors import DataError, KernelForgeError, ParameterError
 from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
-from .gp import EvolutionResult, GpParams, SplitFitness, evolve, write_evolution_log
+from .gp import EvolutionResult, GpParams, SplitFitness, evolve
 from .gram import GramMatrix, KernelBank, submatrix
-from .kernel_io import parse_json
+from .kernel_io import dump_json, parse_json
 from .rng import derive_seed
 from .svm import MulticlassModel, SvmParams, accuracy, decision, fit_predict
 
@@ -203,8 +204,8 @@ def run_comparison(
     """Run all repeats of the three-way comparison.
 
     Returns the report plus the per-repeat evolution results (for logging).
-    Any repeat failing hard aborts with the repeat index and cause: a
-    numerical failure as ComparisonError, any other error in its own class.
+    Any repeat failing hard aborts with the error of its cause, in the
+    cause's class, its message prefixed with ``repeat <r> failed: ``.
     """
     labels = np.asarray(labels)
     splits = make_splits(labels, protocol.per_class_train, protocol.per_class_val, protocol.repeats, protocol.seed)
@@ -238,8 +239,6 @@ def run_comparison(
                 r, per_method["addition"][-1], idx + 1, per_method["best_single"][-1],
                 best_exprs[-1], per_method["evolved"][-1],
             )
-        except NumericalError as exc:
-            raise ComparisonError(f"repeat {r} failed: {exc}") from exc
         except KernelForgeError as exc:  # keeps its class, and so its CLI exit code
             exc.args = (f"repeat {r} failed: {exc}",)
             raise
@@ -260,7 +259,7 @@ def run_comparison(
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    return dump_json(asdict(report))
 
 
 _REPORT_DOC = {
@@ -296,6 +295,14 @@ def summarize(report: ComparisonReport) -> str:
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_evolution_log(path, result: EvolutionResult) -> None:
+    """One CSV row per generation: generation, best, mean, best expression."""
+    lines = ["generation,best_fitness,mean_fitness,best_expr"]
+    for (gen, best, mean), text in zip(result.per_generation, result.generation_best_exprs):
+        lines.append(f"{gen},{best!r},{mean!r},{text}")
+    _write_lines(Path(path), lines)
 
 
 def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionResult], outdir) -> str:

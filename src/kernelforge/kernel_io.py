@@ -61,6 +61,11 @@ def parse_json(text, template, where: str):
     return doc
 
 
+def dump_json(doc) -> str:
+    """The layout of every JSON file the package writes: two-space indent, sorted keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_kernel(path, gram: GramMatrix) -> None:
     path = Path(path)
     name = gram.source_tag.encode("utf-8")
@@ -154,7 +159,7 @@ def write_manifest(path, m: int, kernel_entries: list[dict], labels_file: str) -
         "kernels": kernel_entries,
         "labels_file": labels_file,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(doc), encoding="utf-8")
 
 
 _MANIFEST_DOC = {

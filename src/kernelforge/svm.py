@@ -19,7 +19,6 @@ keep that check.  ``predict`` reads the held x fit block ``fit_predict`` cuts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
 from .gram import GramMatrix, submatrix
-from .kernel_io import check_json, parse_json
+from .kernel_io import check_json, dump_json, parse_json
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -367,9 +366,7 @@ def multiclass_from_dict(doc: dict) -> MulticlassModel:
 
 
 def save_multiclass(path, model: MulticlassModel) -> None:
-    Path(path).write_text(
-        json.dumps(multiclass_to_dict(model), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(dump_json(multiclass_to_dict(model)), encoding="utf-8")
 
 
 def load_multiclass(path) -> MulticlassModel:

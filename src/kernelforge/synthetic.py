@@ -28,49 +28,39 @@ def cluster_points(assignments, n_clusters: int, noise: float, rng, radius: floa
     return centers[assignments] + noise * rng.standard_normal((assignments.size, 2))
 
 
+def _cell_views(cells_by_class, n_clusters: int, n_per_class: int, noise: float, rng):
+    """Two views and the labels: point p of class c lies in cell (u, v) =
+    cells_by_class[c][p % len(cells)], around cluster u in view 1 and v in view 2."""
+    cells = [cells[p % len(cells)] for cells in cells_by_class for p in range(n_per_class)]
+    views = [cluster_points([cell[k] for cell in cells], n_clusters, noise, rng) for k in (0, 1)]
+    return views, np.repeat(np.arange(len(cells_by_class)), n_per_class)
+
+
 def xor_views(
     n_per_class: int = 60, n_classes: int = 3, noise: float = 0.05, seed: int = 0
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Two views with class = (u + v) mod n_classes over the cluster ids."""
-    rng = derived_rng(seed, "xor")
-    u_all, v_all, labels = [], [], []
-    for c in range(n_classes):
-        cells = [(u, (c - u) % n_classes) for u in range(n_classes)]
-        for p in range(n_per_class):
-            u, v = cells[p % len(cells)]
-            u_all.append(u)
-            v_all.append(v)
-            labels.append(c)
-    view1 = cluster_points(u_all, n_classes, noise, rng)
-    view2 = cluster_points(v_all, n_classes, noise, rng)
-    return [view1, view2], np.asarray(labels, dtype=int)
+    cells = [[(u, (c - u) % n_classes) for u in range(n_classes)] for c in range(n_classes)]
+    return _cell_views(cells, n_classes, n_per_class, noise, derived_rng(seed, "xor"))
 
 
 def or_views(n_per_class: int = 24, noise: float = 0.05, seed: int = 0) -> tuple[list[np.ndarray], np.ndarray]:
     """Two binary views with class = u or v (additively separable)."""
-    rng = derived_rng(seed, "or")
-    cells_by_class = {0: [(0, 0)], 1: [(0, 1), (1, 0), (1, 1)]}
-    u_all, v_all, labels = [], [], []
-    for c, cells in cells_by_class.items():
-        for p in range(n_per_class):
-            u, v = cells[p % len(cells)]
-            u_all.append(u)
-            v_all.append(v)
-            labels.append(c)
-    view1 = cluster_points(u_all, 2, noise, rng)
-    view2 = cluster_points(v_all, 2, noise, rng)
-    return [view1, view2], np.asarray(labels, dtype=int)
+    cells = [[(0, 0)], [(0, 1), (1, 0), (1, 1)]]
+    return _cell_views(cells, 2, n_per_class, noise, derived_rng(seed, "or"))
+
+
+def _bank(views_and_labels) -> tuple[KernelBank, np.ndarray]:
+    views, labels = views_and_labels
+    bank, _ = build_bank(views, names=["view1", "view2"])
+    return bank, labels
 
 
 def xor_bank(
     n_per_class: int = 60, n_classes: int = 3, noise: float = 0.05, seed: int = 0
 ) -> tuple[KernelBank, np.ndarray]:
-    views, labels = xor_views(n_per_class, n_classes, noise, seed)
-    bank, _ = build_bank(views, names=["view1", "view2"])
-    return bank, labels
+    return _bank(xor_views(n_per_class, n_classes, noise, seed))
 
 
 def or_bank(n_per_class: int = 24, noise: float = 0.05, seed: int = 0) -> tuple[KernelBank, np.ndarray]:
-    views, labels = or_views(n_per_class, noise, seed)
-    bank, _ = build_bank(views, names=["view1", "view2"])
-    return bank, labels
+    return _bank(or_views(n_per_class, noise, seed))

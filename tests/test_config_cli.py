@@ -479,6 +479,21 @@ class TestCompareCommand:
         assert all(len(v) == 2 for v in report["methods"].values())
         assert report["config"]["seed"] == 11
 
+    @pytest.mark.filterwarnings("ignore:fitness of")
+    def test_unconverged_final_model_exits_4(self, xor_workspace, capsys):
+        # the cause's class, as from evolve, with the repeat named in the message
+        cfg = xor_workspace / "run.cfg"
+        run_cli(["gram", "--config", cfg])
+        code = run_cli(
+            ["compare", "--config", cfg, "--set", "data.manifest=kernels/manifest.json",
+             "--set", "svm.max_passes=0", "--set", "gp.max_generations=1", "--output", "runs"]
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError" and err["exit_code"] == 4
+        assert err["message"].startswith("repeat 0 failed:")
+        assert not (xor_workspace / "runs").exists()
+
     def test_structured_error_json(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("seed = 1\ndata.manifest = missing.json\n")
@@ -663,6 +678,22 @@ def test_data_error_in_a_run_exits_3_from_both_commands(xor_workspace, capsys, m
     assert run_cli([command, "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and err["message"].endswith("degenerate split")
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_labels_that_do_not_match_the_kernels_exit_3(xor_workspace, capsys, command):
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    capsys.readouterr()
+    kernels = xor_workspace / "kernels"
+    short = xor_workspace / "short.csv"
+    short.write_text("".join((kernels / "labels.csv").read_text().splitlines(keepends=True)[3:]))
+    files = json.dumps([str(kernels / "k_view1.kgm"), str(kernels / "k_view2.kgm")])
+    args = ["--set", f"data.kernels={files}", "--set", f"data.labels={short}", "--output", "runs"]
+    assert run_cli([command, "--config", cfg, *args]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 3 and err["message"].endswith("33 labels for a bank of 36 items")
+    assert not (xor_workspace / "runs").exists()
 
 
 @pytest.mark.parametrize("case", MALFORMED_BANK_FILES)

@@ -30,7 +30,7 @@ from kernelforge import (
     train_multiclass,
 )
 from kernelforge.gp import _random_tree
-from kernelforge.harness import make_splits
+from kernelforge.harness import make_splits, write_evolution_log
 from kernelforge.rng import derive_seed, derived_rng
 from kernelforge.synthetic import or_bank, xor_bank
 
@@ -80,16 +80,14 @@ class TestRandomTree:
 
 class TestCrossover:
     def test_single_leaf_parents_swap(self, rng):
-        a, b = crossover(Leaf(1), Leaf(4), rng, max_depth=6)
-        assert (a, b) == (Leaf(4), Leaf(1))
+        assert crossover(Leaf(1), Leaf(4), rng, max_depth=6) == Leaf(4)
 
     def test_depth_guard_returns_parent(self):
         deep = Add(Add(Add(Leaf(0), Leaf(1)), Leaf(0)), Leaf(1))  # depth 4
         # max_depth 4 means grafting deep anywhere below the root busts the cap
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            c1, c2 = crossover(deep, deep, rng, max_depth=4)
-            assert depth(c1) <= 4 and depth(c2) <= 4
+            assert depth(crossover(deep, deep, rng, max_depth=4)) <= 4
 
     def test_seed_determinism(self):
         a = Add(Leaf(0), Mul(Leaf(1), Leaf(2)))
@@ -151,7 +149,7 @@ def test_variation_fuzz_keeps_invariants():
             tree = _random_tree(4, *params.init_depth_range, rng)
         elif op == 1:
             a, b = rng.integers(0, len(pool), size=2)
-            tree = crossover(pool[a], pool[b], rng, params.max_depth)[step % 2]
+            tree = crossover(pool[a], pool[b], rng, params.max_depth)
         else:
             tree = mutate(pool[int(rng.integers(0, len(pool)))], rng, params, n=4)
         assert depth(tree) <= params.max_depth
@@ -518,7 +516,7 @@ class TestEvolutionLog:
         split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
         result = evolve(SplitFitness(bank, labels, split), quick_params(max_generations=3), SvmParams())
         path = tmp_path / "log.csv"
-        gp_mod.write_evolution_log(path, result)
+        write_evolution_log(path, result)
         lines = path.read_text().splitlines()
         assert lines[0] == "generation,best_fitness,mean_fitness,best_expr"
         assert len(lines) == 1 + len(result.per_generation)

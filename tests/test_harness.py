@@ -10,7 +10,6 @@ import kernelforge.harness as harness_mod
 import kernelforge.svm as svm_mod
 from kernelforge import (
     Add,
-    ComparisonError,
     ComparisonReport,
     DataError,
     DatasetSplit,
@@ -318,7 +317,7 @@ class TestRunComparison:
     @pytest.mark.filterwarnings("ignore:fitness of")
     def test_unconverged_final_model_fails_the_repeat(self):
         bank, labels = xor_bank(n_per_class=12, seed=2)
-        with pytest.raises(ComparisonError, match="repeat 0 failed: .*did not converge"):
+        with pytest.raises(NumericalError, match="repeat 0 failed: .*did not converge"):
             run_comparison(
                 bank, labels, small_protocol(), small_gp(max_generations=1), SvmParams(max_passes=0)
             )
@@ -344,6 +343,32 @@ class TestRunComparison:
         protocol = small_protocol(repeats=1, seed=7, grid_search_c=True)
         report, _ = run_comparison(bank, labels, protocol, small_gp(max_generations=2), SvmParams())
         assert all(len(report.methods[m]) == 1 for m in METHODS)
+
+
+class TestLabelsMatchTheBank:
+    """One label per item of the bank, checked where a split's fitness is set up.
+    Three labels short still leaves every class more than 8 points, so the
+    splits are drawn and the check is what fails; 9 extra labels used to index
+    past the bank (a bare IndexError)."""
+
+    CASES = {"short": lambda labels: labels[3:], "long": lambda labels: np.concatenate([labels, labels[:9]])}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_comparison_rejects_a_mismatch(self, case):
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        labels = self.CASES[case](labels)
+        message = f"repeat 0 failed: {labels.size} labels for a bank of 36 items"
+        with pytest.raises(ShapeError) as info:
+            run_comparison(bank, labels, small_protocol(), small_gp(), SvmParams())
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_evolve_rejects_a_mismatch(self, case):
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        labels = self.CASES[case](labels)
+        split = make_splits(labels, 8, 3, 1, seed=21)[0]
+        with pytest.raises(ShapeError, match=f"^{labels.size} labels for a bank of 36 items$"):
+            evolve(SplitFitness(bank, labels, split), small_gp(), SvmParams())
 
 
 class TestSelectC:

@@ -69,7 +69,7 @@ def variation():
     rng, params = np.random.default_rng(4), GpParams(max_depth=5)
     a, b = parse_expr("(+ (* K1 K2) K3)"), parse_expr("(* (+ K2 K2) (* K1 K3))")
     for _ in range(20):
-        a, b = crossover(a, b, rng, params.max_depth)
+        a, b = crossover(a, b, rng, params.max_depth), crossover(b, a, rng, params.max_depth)
         a = mutate(a, rng, params, 3)
     return a, b
 
