@@ -3,14 +3,17 @@
 The solver never sees feature vectors: it consumes kernel blocks only, which
 keeps kernel construction and classification strictly separated.  Pair updates
 follow Platt's analytic two-variable solve; the second index of each working
-pair is drawn from a seeded random permutation.  The loop runs on Python
-floats, since at p of about 20 numpy's per-call overhead on scalars dominates
-it; only the gradient update stays vectorised.  Its iterates are bitwise those
-of the numpy formulation (``numpy_platt_smo`` in the tests' oracles), so reruns
-are byte-identical, given a fixed BLAS thread count (the bits of a large kernel
-depend on it).  ``fit_predict`` is the one
-train-then-predict path of the package: fitness folds, C selection and final
-scoring all go through it, and it refuses a model that stopped at max_passes.
+pair is drawn from a seeded random permutation.  The loop, pair step inlined,
+runs on Python floats, since at p of about 20 per-call overhead outweighs a
+step's arithmetic.  Permutations are drawn a block at a time (the rows of
+``Generator.permuted`` are successive ``permutation`` draws), and the rng is
+rewound past the unused rows on exit, so it ends where one draw per violator
+leaves it.  Iterates and end state are bitwise those of the numpy formulation
+(``numpy_platt_smo`` in the tests' oracles), so reruns are byte-identical,
+given a fixed BLAS thread count (the bits of a large kernel depend on it).
+``fit_predict`` is the one train-then-predict path of the package: fitness
+folds, C selection and final scoring all go through it, and it refuses a model
+that stopped at max_passes.
 
 A GramMatrix was checked where it entered the package, so it is trusted here; a
 raw array becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
@@ -31,6 +34,7 @@ from .kernel_io import check_json, dump_json, parse_json
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
+_PERM_BLOCK = 64  # partner permutations drawn from rng at a time
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,9 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     violator is paired with partners from a seeded random permutation until a
     pair makes progress.  Returns a best-effort model flagged converged=False
     if violators survive max_passes sweeps.
+
+    ``rng`` must be a ``numpy.random.Generator``.  Permutations are drawn from
+    it _PERM_BLOCK at a time, and it is rewound past the unused ones on exit.
     """
     k = (train_gram if isinstance(train_gram, GramMatrix) else GramMatrix(train_gram)).values
     y = np.asarray(labels, dtype=float).ravel()
@@ -115,66 +122,19 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         raise DataError("training labels contain a single class")
     if rng is None:
         rng = np.random.default_rng(0)
+    elif not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
     c, tol, eps = params.c, params.kkt_tol, params.eps
-    # scalars are read as Python floats (see the module docstring); cols[j] is column j of k
-    yl, kl, cols = y.tolist(), k.tolist(), np.ascontiguousarray(k.T)
+    # scalars are read as Python floats (see the module docstring); cols[j] is column j
+    # of k, so k[i, j] is cols[j][i] (rows of a raw kernel may differ from its columns)
+    yl, cols = y.tolist(), k.T.tolist()
     alpha = [0.0] * p
-    g = np.zeros(p)  # decision values without bias: K @ (alpha * y)
+    g = [0.0] * p  # decision values without bias: K @ (alpha * y)
     b = 0.0
-
-    def take_step(i: int, j: int, gi: float) -> bool:
-        nonlocal b, g
-        if i == j:
-            return False
-        ai, aj = alpha[i], alpha[j]
-        yi, yj = yl[i], yl[j]
-        s = yi * yj
-        if s < 0:
-            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
-        else:
-            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        if lo >= hi:
-            return False
-        gj = g.item(j)
-        ei = gi + b - yi
-        ej = gj + b - yj
-        kii, kjj, kij = kl[i][i], kl[j][j], kl[i][j]
-        eta = kii + kjj - 2.0 * kij
-        if eta > 0:
-            aj_new = aj + yj * (ei - ej) / eta
-            aj_new = min(hi, max(lo, aj_new))
-        else:
-            # flat pair direction: compare the objective at both clip ends
-            fi = yi * (gi - yi) - ai * kii - s * aj * kij
-            fj = yj * (gj - yj) - s * ai * kij - aj * kjj
-            li = ai + s * (aj - lo)
-            hi_i = ai + s * (aj - hi)
-            obj_lo = li * fi + lo * fj + 0.5 * li * li * kii + 0.5 * lo * lo * kjj + s * lo * li * kij
-            obj_hi = (
-                hi_i * fi + hi * fj + 0.5 * hi_i * hi_i * kii + 0.5 * hi * hi * kjj + s * hi * hi_i * kij
-            )
-            if obj_lo < obj_hi - eps:
-                aj_new = lo
-            elif obj_hi < obj_lo - eps:
-                aj_new = hi
-            else:
-                return False
-        if abs(aj_new - aj) < eps * (aj_new + aj + eps):
-            return False
-        ai_new = min(c, max(0.0, ai + s * (aj - aj_new)))
-        di, dj = ai_new - ai, aj_new - aj
-        b1 = b - ei - di * yi * kii - dj * yj * kij
-        b2 = b - ej - di * yi * kij - dj * yj * kjj
-        if eps < ai_new < c - eps:
-            b = b1
-        elif eps < aj_new < c - eps:
-            b = b2
-        else:
-            b = 0.5 * (b1 + b2)
-        alpha[i], alpha[j] = ai_new, aj_new
-        g += di * yi * cols[i] + dj * yj * cols[j]
-        return True
+    # each row of Generator.permuted is the next rng.permutation(p) draw, bit for bit
+    rows = np.broadcast_to(np.arange(p), (_PERM_BLOCK, p))
+    perms, used, state = [], 0, None
 
     passes = 0
     examine_all = True
@@ -186,19 +146,76 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
             candidates = [i for i, a in enumerate(alpha) if eps < a < c - eps]
         changed = 0
         for i in candidates:
-            gi, yi, ai = g.item(i), yl[i], alpha[i]
-            ri = yi * (gi + b - yi)
-            if (ri < -tol and ai < c - eps) or (ri > tol and ai > eps):
-                for j in rng.permutation(p).tolist():
-                    if take_step(i, j, gi):
-                        changed += 1
-                        break
+            gi, yi, ai = g[i], yl[i], alpha[i]
+            ei = gi + b - yi
+            ri = yi * ei
+            if not ((ri < -tol and ai < c - eps) or (ri > tol and ai > eps)):
+                continue
+            if used == len(perms):
+                state = rng.bit_generator.state
+                perms, used = rng.permuted(rows, axis=1).tolist(), 0
+            used += 1
+            ci = cols[i]
+            for j in perms[used - 1]:  # Platt's pair step for (i, j)
+                if i == j:
+                    continue
+                aj, yj = alpha[j], yl[j]
+                s = yi * yj
+                if s < 0:
+                    lo, hi = aj - ai, c + aj - ai
+                else:
+                    lo, hi = ai + aj - c, ai + aj
+                lo = lo if lo > 0.0 else 0.0  # max(0.0, lo) and min(c, hi), without the call
+                hi = hi if hi < c else c
+                if lo >= hi:
+                    continue
+                gj, cj = g[j], cols[j]
+                ej = gj + b - yj
+                kii, kjj, kij = ci[i], cj[j], cj[i]
+                eta = kii + kjj - 2.0 * kij
+                if eta > 0:
+                    aj_new = aj + yj * (ei - ej) / eta
+                    aj_new = aj_new if aj_new > lo else lo
+                    aj_new = aj_new if aj_new < hi else hi
+                else:
+                    # flat pair direction: compare the objective at both clip ends
+                    fi = yi * (gi - yi) - ai * kii - s * aj * kij
+                    fj = yj * (gj - yj) - s * ai * kij - aj * kjj
+                    li = ai + s * (aj - lo)
+                    hi_i = ai + s * (aj - hi)
+                    obj_lo = li * fi + lo * fj + 0.5 * li * li * kii + 0.5 * lo * lo * kjj + s * lo * li * kij
+                    obj_hi = (
+                        hi_i * fi + hi * fj + 0.5 * hi_i * hi_i * kii + 0.5 * hi * hi * kjj + s * hi * hi_i * kij
+                    )
+                    if obj_lo < obj_hi - eps:
+                        aj_new = lo
+                    elif obj_hi < obj_lo - eps:
+                        aj_new = hi
+                    else:
+                        continue
+                if abs(aj_new - aj) < eps * (aj_new + aj + eps):
+                    continue
+                ai_new = min(c, max(0.0, ai + s * (aj - aj_new)))
+                di, dj = ai_new - ai, aj_new - aj
+                b1 = b - ei - di * yi * kii - dj * yj * kij
+                b2 = b - ej - di * yi * kij - dj * yj * kjj
+                if eps < ai_new < c - eps:
+                    b = b1
+                elif eps < aj_new < c - eps:
+                    b = b2
+                else:
+                    b = 0.5 * (b1 + b2)
+                alpha[i], alpha[j] = ai_new, aj_new
+                u, v = di * yi, dj * yj
+                g = [gt + (u * x + v * z) for gt, x, z in zip(g, ci, cj)]
+                changed += 1
+                break
         passes += 1
         if examine_all:
             if changed == 0:
-                a = np.array(alpha)
-                b = _final_bias(a, g, y, c, eps)
-                if _violators(a, g, b, y, c, tol, eps).size == 0:
+                a, gv = np.array(alpha), np.array(g)
+                b = _final_bias(a, gv, y, c, eps)
+                if _violators(a, gv, b, y, c, tol, eps).size == 0:
                     converged = True
                     break
                 # the refreshed bias exposed stragglers; keep sweeping
@@ -207,7 +224,10 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         elif changed == 0:
             examine_all = True
 
-    alpha = np.array(alpha)
+    if used < len(perms):  # redraw only the rows used, so rng ends as per-violator draws leave it
+        rng.bit_generator.state = state
+        rng.permuted(rows[:used], axis=1)
+    alpha, g = np.array(alpha), np.array(g)
     if not converged:
         b = _final_bias(alpha, g, y, c, eps)
         converged = _violators(alpha, g, b, y, c, tol, eps).size == 0

@@ -27,6 +27,7 @@ from kernelforge.gram import SYMMETRY_TOL, build_bank
 from kernelforge.harness import C_GRID, make_splits
 from kernelforge.rng import derived_rng
 from kernelforge.svm import (
+    _PERM_BLOCK,
     MulticlassModel,
     SvmModel,
     _violators,
@@ -124,6 +125,11 @@ class TestTrainBinary:
         assert symmetry_passes == []  # the block keeps the check of the matrix it was cut from
         assert np.array_equal(checked.alpha, raw.alpha) and checked.bias == raw.bias
         assert checked.converged == raw.converged
+
+    def test_rng_must_be_a_generator(self):
+        # a legacy RandomState draws permutations but has no Generator.permuted
+        with pytest.raises(ParameterError, match="numpy.random.Generator"):
+            train_binary(TWO_POINT_K, TWO_POINT_Y, SvmParams(), np.random.RandomState(0))
 
     def test_zero_passes_flags_non_converged(self):
         model = train_binary(TWO_POINT_K, TWO_POINT_Y, SvmParams(max_passes=0))
@@ -402,6 +408,29 @@ class TestNumpyReference:
         assert mine.integers(2**63) == ref.integers(2**63)
 
 
+class TestPartnerBlocks:
+    """The numpy stream property train_binary's block draws rest on: the rows of
+    Generator.permuted are successive Generator.permutation draws, and after a
+    rewind, redrawing the rows used leaves rng where those draws leave it."""
+
+    @pytest.mark.parametrize("used", [1, 37, _PERM_BLOCK], ids=["one-row", "partial", "full"])
+    def test_block_rows_are_successive_permutations(self, used):
+        for p in range(2, 81):
+            blocks, draws = np.random.default_rng([p, used]), np.random.default_rng([p, used])
+            rows = np.broadcast_to(np.arange(p), (_PERM_BLOCK, p))
+            state = blocks.bit_generator.state
+            block = blocks.permuted(rows, axis=1)
+            expected = np.array([draws.permutation(p) for _ in range(_PERM_BLOCK)])
+            assert np.array_equal(block, expected), p
+            assert blocks.bit_generator.state == draws.bit_generator.state, p
+            blocks.bit_generator.state = state
+            assert np.array_equal(blocks.permuted(rows[:used], axis=1), expected[:used]), p
+            draws = np.random.default_rng([p, used])
+            for _ in range(used):
+                draws.permutation(p)
+            assert blocks.bit_generator.state == draws.bit_generator.state, p
+
+
 class TestOracleAtRunSizes:
     """SMO against the interior-point oracle on the class-pair problems a run
     solves: pools of 10, 20 and 40 per class give p = 20, 40 and 80."""
@@ -443,9 +472,15 @@ class TestOracleAtRunSizes:
                     for (a, b), pos, model in zip(multi.pairs, multi.pair_positions, multi.models):
                         k = gram.values[np.ix_(fit[pos], fit[pos])]
                         y = model.train_labels
-                        raw = train_binary(k, y, params, derived_rng(0, "pair", a, b))
+                        mine, ref = derived_rng(0, "pair", a, b), derived_rng(0, "pair", a, b)
+                        raw = train_binary(k, y, params, mine)
                         assert np.array_equal(raw.alpha, model.alpha) and raw.bias == model.bias
                         assert raw.converged == model.converged
+                        # bit for bit the numpy formulation, over many partner blocks per problem
+                        alpha, bias, converged = numpy_platt_smo(k, y, c, params.kkt_tol, params.max_passes, params.eps, ref)
+                        assert raw.alpha.tobytes() == alpha.tobytes(), (text, c, pool)
+                        assert np.float64(raw.bias).tobytes() == np.float64(bias).tobytes(), (text, c, pool)
+                        assert raw.converged == converged and mine.bit_generator.state == ref.bit_generator.state
                         g = k @ (model.alpha * y)
                         violators = _violators(model.alpha, g, model.bias, y, c, params.kkt_tol, params.eps)
                         solved += 1
