@@ -27,7 +27,7 @@ from .config import RunConfig, build_run_config, load_config_file, parse_overrid
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
 from .gp import SplitFitness, evolve
-from .gram import KernelBank, build_bank
+from .gram import KernelBank, build_bank, require_psd
 from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, write_comparison_outputs, write_evolution_log
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
@@ -77,18 +77,25 @@ def _run_dir(config: RunConfig) -> Path:
 
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
+    """The bank and labels from data.manifest or data.kernels; each kernel file
+    must hold a PSD kernel (``require_psd``), and what is derived from them is then PSD too."""
     if config.manifest is not None:
         require_paths([config.manifest])
-        bank, labels, _ = kernel_io.load_bank_from_manifest(config.manifest)
-        return bank, labels
-    if config.kernels:
+        bank, labels, doc = kernel_io.load_bank_from_manifest(config.manifest)
+        files = [config.manifest.parent / entry["file"] for entry in doc["kernels"]]
+    elif config.kernels:
         if config.labels is None:
             raise ConfigError("data.kernels input needs data.labels")
-        require_paths([*config.kernels, config.labels])
-        kernels = [kernel_io.read_kernel(p) for p in config.kernels]
-        names = [k.source_tag or p.stem for k, p in zip(kernels, config.kernels)]
-        return KernelBank(tuple(kernels), tuple(names)), kernel_io.load_labels_csv(config.labels)
-    raise ConfigError("set data.manifest or data.kernels to locate the kernel bank")
+        files = config.kernels
+        require_paths([*files, config.labels])
+        kernels = [kernel_io.read_kernel(p) for p in files]
+        names = [k.source_tag or p.stem for k, p in zip(kernels, files)]
+        bank, labels = KernelBank(tuple(kernels), tuple(names)), kernel_io.load_labels_csv(config.labels)
+    else:
+        raise ConfigError("set data.manifest or data.kernels to locate the kernel bank")
+    for kernel, path in zip(bank.kernels, files):
+        require_psd(kernel, f"kernel file {path}")
+    return bank, labels
 
 
 def cmd_gram(args) -> int:

@@ -176,9 +176,13 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     A bare leaf is the bank's own array under the canonical tag.
     """
     tag = canonical_string(expr)
+    return GramMatrix._checked(_folded(expr, bank, tag), tag)
+
+
+def _folded(expr: KernelExpr, bank: KernelBank, tag: str) -> np.ndarray:
+    """``evaluate``'s array, unwrapped: writable exactly when the fold made it."""
     with _stays_finite(tag):
-        values = _fold(expr, bank)
-    return GramMatrix._checked(values, tag)
+        return _fold(expr, bank)
 
 
 def _fold(node: KernelExpr, bank: KernelBank) -> np.ndarray:

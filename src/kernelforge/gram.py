@@ -232,37 +232,61 @@ def multiply(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 
 def normalize(g: GramMatrix) -> GramMatrix:
-    """Rescale to unit diagonal: G[i,j] / (sqrt(G[i,i]) * sqrt(G[j,j])), computed
-    strip by strip in the one new array (the products, then the quotients).
+    """Rescale to unit diagonal: G[i,j] / (sqrt(G[i,i]) * sqrt(G[j,j])), in one new array.
 
     Only the upper triangle is computed; each strip is then mirrored below the
     diagonal, so the result is exactly symmetric even where G is not quite.  On a
     symmetric G this gives the same bits as computing every entry.
     """
-    d = np.diag(g.values)
+    return _normalized(g.values, np.empty_like(g.values), g.source_tag)
+
+
+def _normalized(values: np.ndarray, out: np.ndarray, tag: str) -> GramMatrix:
+    """``normalize`` of ``values`` written into ``out``, which may be ``values`` itself.
+
+    Strip by strip: the products of the square roots go to one strip-sized
+    scratch, the quotients to ``out``'s upper triangle, which is then mirrored.  In
+    place this is safe, since a strip reads only the upper triangle of rows not
+    yet written.
+    """
+    d = np.diag(values)
     if np.any(d <= 0):
         raise DataError("cannot normalize a kernel with a nonpositive diagonal entry")
     s = np.sqrt(d)
-    v = np.empty_like(g.values)
-    with _stays_finite(f"normalized kernel {g.source_tag!r}"):
-        for r in range(0, g.size, _ASYMMETRY_STRIP):
-            e = min(r + _ASYMMETRY_STRIP, g.size)
-            rows = np.multiply.outer(s[r:e], s[r:], out=v[r:e, r:])
-            np.divide(g.values[r:e, r:], rows, out=rows)
-            v[e:, r:e] = v[r:e, e:].T
+    m = len(values)
+    scale = np.empty((min(_ASYMMETRY_STRIP, m), m))
+    with _stays_finite(f"normalized kernel {tag!r}"):
+        for r in range(0, m, _ASYMMETRY_STRIP):
+            e = min(r + _ASYMMETRY_STRIP, m)
+            rows = np.multiply.outer(s[r:e], s[r:], out=scale[: e - r, : m - r])
+            np.divide(values[r:e, r:], rows, out=out[r:e, r:])
+            out[e:, r:e] = out[r:e, e:].T
             # within the diagonal block a transposed assignment would swap the
             # two triangles, so only its strict lower triangle is written
-            block = v[r:e, r:e]
+            block = out[r:e, r:e]
             np.copyto(block, block.T, where=_STRICT_LOWER[: e - r, : e - r])
-    np.fill_diagonal(v, 1.0)
-    return GramMatrix._checked(v, g.source_tag)
+    np.fill_diagonal(out, 1.0)
+    return GramMatrix._checked(out, tag)
 
 
 def check_psd(g, tol: float = PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol; a raw array is checked as a GramMatrix first."""
     v = (g if isinstance(g, GramMatrix) else GramMatrix(g)).values
-    w = np.linalg.eigvalsh(0.5 * (v + v.T))
-    return bool(w[0] >= -tol)
+    return _smallest_eigenvalue(v) >= -tol
+
+
+def require_psd(g: GramMatrix, what: str) -> None:
+    """``check_psd`` at ``PSD_TOL`` times the largest diagonal entry, since an
+    eigensolver's rounding grows with the kernel's scale; a kernel that fails is a
+    DataError naming ``what`` and its smallest eigenvalue."""
+    floor = -PSD_TOL * float(g.values.diagonal().max())
+    low = _smallest_eigenvalue(g.values)
+    if not low >= floor:
+        raise DataError(f"{what} is not positive semidefinite: smallest eigenvalue {low:.6g} is below {floor:.6g}")
+
+
+def _smallest_eigenvalue(v: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (v + v.T))[0])
 
 
 def submatrix(g: GramMatrix, row_idx, col_idx) -> np.ndarray:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .expr import KernelExpr, canonical_string, evaluate, parse_expr
-from .gram import GramMatrix, KernelBank, normalize
+from .expr import KernelExpr, _folded, canonical_string, parse_expr
+from .gram import GramMatrix, KernelBank, _normalized
 from .kernel_io import read_kernel, write_kernel
 
 ORDERS = ("similarity", "paper-min")
@@ -40,37 +40,65 @@ class SimilarityIndex:
 
 
 def build_index(expr: KernelExpr, bank: KernelBank, item_ids) -> SimilarityIndex:
-    """Evaluate the expression over the bank and normalize to unit diagonal.
+    """Evaluate the expression over the bank and normalize to unit diagonal, in
+    the one m x m array the fold made (a bare leaf, the bank's own array, is copied).
 
-    ``normalize`` mirrors its upper triangle, so the matrix is exactly symmetric
-    and loads back through ``read_kernel``'s check even when the bank's kernels
-    were only within ``SYMMETRY_TOL`` and their products further off."""
-    matrix = normalize(evaluate(expr, bank))
-    return SimilarityIndex(matrix, tuple(str(v) for v in item_ids), expr)
+    ``normalize``'s strips mirror the upper triangle, so the matrix is exactly
+    symmetric and loads back through ``read_kernel``'s check even when the bank's
+    kernels were only within ``SYMMETRY_TOL`` and their products further off."""
+    tag = canonical_string(expr)
+    values = _folded(expr, bank, tag)
+    if not values.flags.writeable:
+        values = values.copy()
+    return SimilarityIndex(_normalized(values, values, tag), tuple(str(v) for v in item_ids), expr)
 
 
 def query(index: SimilarityIndex, i: int, k: int, order: str = "similarity") -> list[tuple[int, float]]:
     """Top-k items for item i (never i itself), as (item index, score) pairs.
 
     order="similarity" ranks by descending score, order="paper-min" by
-    ascending score; ties break toward the smaller item index either way.
+    ascending score; ties break toward the smaller item index either way.  The
+    scores are the row's own floats, so a -0.0 stays -0.0.  i and k are Python or
+    numpy integers; a bool, a float or anything else is a ParameterError.
+
+    One query costs one copy of the row, as sort keys, partitioned in place at
+    k, then one pass over the row for the candidates: every item whose key is
+    at most the (k+1)-th smallest, ties at that cut included.  Only those are
+    stable-sorted, so the answer equals a full sort's bit for bit.
     """
-    m = index.size
+    values = index.matrix.values
+    m = len(values)
+    _require_integer(i, "item index")
+    _require_integer(k, "k")
     if not 0 <= i < m:
         raise ParameterError(f"item index {i} out of range for {m} items")
     if not 1 <= k <= m - 1:
         raise ParameterError(f"k must lie in [1, {m - 1}], got {k}")
     if order not in ORDERS:
         raise ParameterError(f"order must be one of {ORDERS}, got {order!r}")
-    row = index.matrix.values[i]
-    keys = -row if order == "similarity" else row
+    row = values[i]
+    descending = order == "similarity"
+    keys = np.negative(row) if descending else row.copy()
     # The k best items other than i lie among the k + 1 smallest keys; keeping
-    # every key <= the (k+1)-th smallest keeps all ties at that boundary.
-    cut = np.partition(keys, k)[k]
-    candidates = np.flatnonzero(keys <= cut)
-    ranked = candidates[np.argsort(keys[candidates], kind="stable")]
-    ranked = ranked[ranked != i][:k]
-    return list(zip(ranked.tolist(), row[ranked].tolist()))
+    # every key <= the (k+1)-th smallest keeps all ties at that boundary.  The
+    # partition reorders the keys, so the pass reads the row: negation is exact,
+    # so -row <= cut is row >= -cut.
+    keys.partition(k)
+    cut = keys.item(k)
+    hits = (row >= -cut if descending else row <= cut).nonzero()[0]
+    scores = row[hits]
+    ranked = (-scores if descending else scores).argsort(kind="stable")
+    items, scores = hits[ranked].tolist(), scores[ranked].tolist()
+    if i in items:
+        at = items.index(i)
+        del items[at], scores[at]
+    return list(zip(items[:k], scores[:k]))
+
+
+def _require_integer(v, what: str) -> None:
+    """ParameterError unless v is a Python or numpy integer; a bool is not one."""
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {v!r}")
 
 
 def save_index(path, index: SimilarityIndex) -> None:

@@ -1,4 +1,5 @@
 import os
+import platform
 
 import hypothesis
 import numpy as np
@@ -11,10 +12,15 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def pytest_report_header(config):
-    """The BLAS thread setting the pinned-bytes tests ran under: the bits of a
-    large ``x @ x.T`` depend on how many threads BLAS splits it over."""
+    """What the pinned bits depend on: the numpy release (its random streams and
+    kernels; the pins were taken on numpy 2.4.6), the Python release, and the BLAS
+    thread setting, since a large ``x @ x.T``'s bits depend on how many threads
+    BLAS splits it over."""
     blas = " ".join(f"{var}={os.environ.get(var, '(unset)')}" for var in BLAS_THREAD_VARS)
-    return f"blas threads: {blas}; os.cpu_count()={os.cpu_count()}"
+    return [
+        f"numpy {np.__version__}; python {platform.python_version()}",
+        f"blas threads: {blas}; os.cpu_count()={os.cpu_count()}",
+    ]
 
 
 @pytest.fixture

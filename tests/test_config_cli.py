@@ -696,6 +696,47 @@ def test_labels_that_do_not_match_the_kernels_exit_3(xor_workspace, capsys, comm
     assert not (xor_workspace / "runs").exists()
 
 
+def _with_smallest_eigenvalue(path: Path, low: float) -> None:
+    """Rewrite the kernel file at ``path`` with its smallest eigenvalue moved to ``low``."""
+    kernel = read_kernel(path)
+    w, x = np.linalg.eigh(kernel.values)
+    shifted = kernel.values + (low - w[0]) * np.outer(x[:, 0], x[:, 0])  # exactly symmetric
+    write_kernel(path, GramMatrix(shifted, kernel.source_tag))
+
+
+def _bank_route_args(workspace: Path, route: str) -> list[str]:
+    kernels = workspace / "kernels"
+    if route == "manifest":
+        return ["--set", "data.manifest=kernels/manifest.json"]
+    files = json.dumps([str(kernels / "k_view1.kgm"), str(kernels / "k_view2.kgm")])
+    return ["--set", f"data.kernels={files}", "--set", f"data.labels={kernels / 'labels.csv'}"]
+
+
+@pytest.mark.parametrize("route", ["manifest", "kernels"])
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_kernel_file_that_is_not_psd_exits_3(xor_workspace, capsys, command, route):
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    _with_smallest_eigenvalue(xor_workspace / "kernels" / "k_view2.kgm", -0.5)
+    capsys.readouterr()
+    assert run_cli([command, "--config", cfg, *_bank_route_args(xor_workspace, route), "--output", "runs"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError"
+    assert "k_view2.kgm is not positive semidefinite: smallest eigenvalue -0.5 " in err["message"]
+    assert not (xor_workspace / "runs").exists()
+
+
+@pytest.mark.parametrize("route", ["manifest", "kernels"])
+def test_kernel_file_a_rounding_error_from_psd_is_accepted(xor_workspace, capsys, route):
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    path = xor_workspace / "kernels" / "k_view1.kgm"
+    _with_smallest_eigenvalue(path, -1e-13)
+    assert np.linalg.eigvalsh(read_kernel(path).values)[0] == pytest.approx(-1e-13, abs=2e-14)
+    args = [*_bank_route_args(xor_workspace, route), "--set", "run_dir=evo", "--output", "runs"]
+    assert run_cli(["evolve", "--config", cfg, *args]) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", MALFORMED_BANK_FILES)
 def test_malformed_bank_file_exits_3(xor_workspace, capsys, case):
     edit, named = MALFORMED_BANK_FILES[case]

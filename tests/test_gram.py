@@ -27,7 +27,7 @@ from kernelforge import (
     parse_expr,
     submatrix,
 )
-from kernelforge.gram import SYMMETRY_TOL, _exact_median, _max_asymmetry
+from kernelforge.gram import SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
 from kernelforge.kernel_io import read_kernel, write_kernel
 
 from oracles import random_psd
@@ -305,6 +305,16 @@ class TestCheckPsd:
     def test_indefinite_two_by_two(self):
         # eigenvalues 3 and -1
         assert not check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_require_psd_tolerance_scales_with_the_largest_diagonal_entry(self, scale):
+        # eigenvalues of [[1, b], [b, 1]] are 1 + b and 1 - b
+        within = gm(scale * np.array([[1.0, 1.0 + 5e-9], [1.0 + 5e-9, 1.0]]))
+        beyond = gm(scale * np.array([[1.0, 1.0 + 2e-8], [1.0 + 2e-8, 1.0]]))
+        require_psd(within, "within")
+        with pytest.raises(DataError, match=r"^beyond is not positive semidefinite: smallest eigenvalue -2e-0[68] "):
+            require_psd(beyond, "beyond")
+        assert check_psd(within) == (scale == 1.0)  # check_psd's own tol stays absolute
 
     def test_raw_input_is_checked_in_one_pass(self, rng, symmetry_passes):
         v = random_psd(4, rng)

@@ -64,6 +64,15 @@ class TestBuildIndex:
         index = build_index(Leaf(0), bank_of([np.eye(4)]), ids_for(4))
         assert np.array_equal(index.matrix.values, np.eye(4))
 
+    def test_bare_leaf_is_normalized_in_a_copy(self, rng):
+        # the index is normalized in place, but a bare leaf's array is the bank's own
+        bank = bank_of([3.0 * random_psd(6, rng)])  # diagonal 3, so normalizing changes it
+        before = bank[0].values.copy()
+        index = build_index(Leaf(0), bank, ids_for(6))
+        assert np.array_equal(bank[0].values, before) and not bank[0].values.flags.writeable
+        assert np.array_equal(index.matrix.values, normalize(bank[0]).values)
+        assert not np.array_equal(index.matrix.values, before)
+
     def test_id_count_must_match(self, rng):
         bank = bank_of([random_psd(4, rng)])
         with pytest.raises(DataError):
@@ -119,6 +128,20 @@ class TestQuery:
         with pytest.raises(ParameterError):
             query(index, 0, 1, order="sideways")
 
+    @pytest.mark.parametrize(
+        "i,k",
+        [(1.5, 2), (0, 2.5), (0, True), (True, 2)],
+        ids=["float item", "float k", "bool k", "bool item"],
+    )
+    def test_non_integer_item_or_k_rejected(self, i, k):
+        index = SimilarityIndex(GramMatrix(np.eye(4)), ids_for(4), Leaf(0))
+        with pytest.raises(ParameterError, match="must be an integer"):
+            query(index, i, k)
+
+    def test_numpy_integers_accepted(self):
+        index = index_from_row([1.0, 0.9, 0.2, 0.7])
+        assert query(index, np.int64(0), np.int32(2)) == query(index, 0, 2) == [(1, 0.9), (3, 0.7)]
+
 
 def sorted_ranking(row, i, k, order):
     """The ranking by a full Python sort, ties to the smaller index."""
@@ -152,6 +175,32 @@ class TestTopK:
                 for k in range(1, m):
                     expected = sorted_ranking(index.matrix.values[i], i, k, order)
                     assert repr(query(index, i, k, order)) == repr(expected)
+
+    @pytest.mark.parametrize("m", [180, 990])
+    @pytest.mark.parametrize("k", [1, 10, "m - 1"])
+    @pytest.mark.parametrize("order", ["similarity", "paper-min"])
+    @pytest.mark.parametrize("own", ["at the cut", "best", "worst"])
+    def test_matches_full_sort_at_benchmark_sizes(self, m, k, order, own):
+        # numpy picks its partition strategy by size, so the small rows above do
+        # not reach the paths a query over the benchmark's indexes takes
+        k = m - 1 if k == "m - 1" else k
+        rng = np.random.default_rng([m, k, len(order), len(own)])
+        # +-0.0 everywhere but four 0.5s and four -0.5s, so k = 1 cuts a tie of four
+        # and the larger k cut inside the tie of zeros of either sign
+        row = rng.choice([0.0, -0.0], size=m)
+        row[rng.choice(m, size=8, replace=False)] = [0.5] * 4 + [-0.5] * 4
+        i = m // 3
+        if own == "at the cut":  # the k-th best of the others, so i ties with the last answer
+            row[i] = sorted_ranking(row, i, k, order)[-1][1]
+        else:
+            row[i] = 3.0 if own == "best" else -3.0
+        values = np.full((m, m), 0.25)
+        values[i, :] = row
+        values[:, i] = row
+        index = SimilarityIndex(GramMatrix(values), ids_for(m), Leaf(0))
+        expected = sorted_ranking(index.matrix.values[i], i, k, order)
+        assert repr(query(index, i, k, order)) == repr(expected)
+        assert "-0.0" in repr(expected) or k == 1
 
 
 class TestPersistence:
