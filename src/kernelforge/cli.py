@@ -1,6 +1,7 @@
 """Command-line entry point: gram, evolve, compare, retrieve, inspect.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+``evolve`` is ``harness.run_repeat`` at r = 0: ``compare``'s first repeat by construction.
 KF_LOG=debug|info|warning|error sets the level of the ``kernelforge`` logger
 (default warning; any other value exits 2); at info, gram, evolve and compare
 log one line per phase to stderr, and at debug the search also logs one line per
@@ -26,9 +27,8 @@ from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
-from .gp import SplitFitness, evolve
 from .gram import KernelBank, build_bank, require_psd
-from .harness import fit_expr, make_splits, repeat_gp_params, run_comparison, write_comparison_outputs, write_evolution_log
+from .harness import run_comparison, run_repeat, write_comparison_outputs, write_evolution_log
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
 
@@ -140,11 +140,7 @@ def cmd_evolve(args) -> int:
     rundir = _run_dir(config)
     bank, labels = _load_bank(config)
     log.info("loaded %d kernels of %d items", len(bank), bank.size)
-    protocol = config.protocol
-    split = make_splits(labels, protocol.per_class_train, protocol.per_class_val, 1, protocol.seed)[0]
-    score = SplitFitness(bank, labels, split)
-    result = evolve(score, repeat_gp_params(config.gp, protocol, 0), config.svm)
-    test_acc, model, _ = fit_expr(result.best_expr, score, config.svm, protocol.grid_search_c)
+    _, result, (test_acc, model, _) = run_repeat(bank, labels, config.protocol, config.gp, config.svm, 0)
     best_text = canonical_string(result.best_expr)
     log.info("search finished after %d generations: %s", len(result.per_generation), best_text)
 

@@ -6,13 +6,13 @@ Every repeat draws its own train/validation/test split and one
 selection all score through.  The three candidates are expressions (the
 ``Add`` chain of every leaf, the best leaf and the evolved winner), and each
 goes through ``fit_expr``: optionally choose C by validation fitness, then
-train on train+validation and score once on test, so the three columns are
-like-for-like.  All training goes through ``svm.fit_predict``.  The CLI's
-``evolve`` is repeat 0: the first split, ``repeat_gp_params(..., 0)`` and
-``fit_expr``.  Reports aggregate mean and sample (n-1) standard deviation
-across repeats.  A failing repeat raises its cause's error class (and so its
-CLI exit code), naming the repeat.  Every output file of a search, evolution
-logs included, is written here.
+train on train+validation through ``svm.fit_predict`` and score once on test,
+per class pair too.  ``run_repeat`` is repeat r up to its evolved fit;
+``run_comparison`` loops over it and fits the baselines on the same memo, and
+the CLI's ``evolve`` is ``run_repeat`` at r = 0.  Reports aggregate mean and
+sample (n-1) standard deviation across repeats.  A failing repeat raises its
+cause's error class (and so its CLI exit code), naming the repeat.  Every
+output file of a search, evolution logs included, is written here.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 from .errors import DataError, KernelForgeError, ParameterError
 from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve
-from .gram import GramMatrix, KernelBank, submatrix
+from .gram import KernelBank
 from .kernel_io import dump_json, parse_json
 from .rng import derive_seed
-from .svm import MulticlassModel, SvmParams, accuracy, decision, fit_predict
+from .svm import MulticlassModel, SvmParams, accuracy, fit_predict
 
 log = logging.getLogger(__name__)
 REPORT_SCHEMA = "kf-report-1"
@@ -73,48 +73,45 @@ class ProtocolConfig:
     seed: int = 0
     grid_search_c: bool = False
 
-
-def repeat_gp_params(gp_params: GpParams, protocol: ProtocolConfig, r: int) -> GpParams:
-    """gp_params on repeat r's own rng stream; the CLI's ``evolve`` is repeat 0."""
-    return replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r))
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ParameterError("repeats must be >= 1")
+        if self.per_class_val < 1:
+            raise ParameterError("per_class_val must be >= 1")
+        if self.per_class_val >= self.per_class_train:
+            raise ParameterError("per_class_val must leave at least one training point per class")
 
 
 def make_splits(labels, per_class_train: int, per_class_val: int, repeats: int, seed: int) -> list[DatasetSplit]:
-    """Stratified splits: per class, sample per_class_train points as the
-    training pool, hold per_class_val of them out for validation, and leave
-    the remainder of the class as test."""
+    """The first ``repeats`` splits of ``make_split`` under master seed ``seed``."""
+    protocol = ProtocolConfig(per_class_train, per_class_val, repeats, seed)
+    return [make_split(labels, protocol, r) for r in range(repeats)]
+
+
+def make_split(labels, protocol: ProtocolConfig, r: int) -> DatasetSplit:
+    """Repeat r's stratified split, drawn from its own stream: per class, sample
+    per_class_train points as the training pool, hold per_class_val of them out
+    for validation, and leave the remainder of the class as test."""
     labels = np.asarray(labels)
-    if repeats < 1:
-        raise ParameterError("repeats must be >= 1")
-    if per_class_val < 1:
-        raise ParameterError("per_class_val must be >= 1")
-    if per_class_val >= per_class_train:
-        raise ParameterError("per_class_val must leave at least one training point per class")
     classes = sorted(int(v) for v in set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("need at least 2 classes")
     for c in classes:
         count = int(np.sum(labels == c))
-        if count <= per_class_train:
-            raise DataError(f"class {c} has {count} points; needs more than {per_class_train}")
+        if count <= protocol.per_class_train:
+            raise DataError(f"class {c} has {count} points; needs more than {protocol.per_class_train}")
 
-    splits = []
-    for r in range(repeats):
-        rng = np.random.default_rng(derive_seed(seed, "split", r))
-        train, val, test = [], [], []
-        for c in classes:
-            perm = rng.permutation(np.flatnonzero(labels == c))
-            pool = perm[:per_class_train]
-            val.extend(pool[:per_class_val])
-            train.extend(pool[per_class_val:])
-            test.extend(perm[per_class_train:])
-        splits.append(
-            DatasetSplit(
-                tuple(sorted(train)), tuple(sorted(val)), tuple(sorted(test)),
-                seed=derive_seed(seed, "repeat", r),
-            )
-        )
-    return splits
+    rng = np.random.default_rng(derive_seed(protocol.seed, "split", r))
+    train, val, test = [], [], []
+    for c in classes:
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        pool = perm[: protocol.per_class_train]
+        val.extend(pool[: protocol.per_class_val])
+        train.extend(pool[protocol.per_class_val :])
+        test.extend(perm[protocol.per_class_train :])
+    return DatasetSplit(
+        tuple(sorted(train)), tuple(sorted(val)), tuple(sorted(test)), seed=derive_seed(protocol.seed, "repeat", r)
+    )
 
 
 def _addition_expr(n: int) -> KernelExpr:
@@ -161,36 +158,45 @@ def _select_c(expr: KernelExpr, score: SplitFitness, svm_params: SvmParams) -> S
 
 def fit_expr(
     expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, grid_search_c: bool
-) -> tuple[float, MulticlassModel, GramMatrix]:
+) -> tuple[float, MulticlassModel, dict[str, float]]:
     """Choose C on score's split if grid_search_c, then train the evaluated
     expression on train+validation and score it once on test.
 
-    Returns (test accuracy, model, kernel).  Test points cannot reach the fit,
-    since DatasetSplit rejects overlapping index sets.  A model that stops at
-    max_passes raises NumericalError instead of reporting an accuracy.
+    Returns (test accuracy, model, pair accuracies), the last keyed "a|b" as in
+    ``_pair_accuracies``.  Test points cannot reach the fit, since DatasetSplit
+    rejects overlapping index sets.  A model that stops at max_passes raises
+    NumericalError instead of reporting an accuracy.
     """
     if grid_search_c:
         svm_params = _select_c(expr, score, svm_params)
     kernel = evaluate(expr, score.bank)
     test_idx = np.asarray(score.split.test_idx, dtype=int)
     seed = derive_seed(score.split.seed, "final", kernel.source_tag)
-    pred, model = fit_predict(kernel, score.labels, score.split.fit_idx, test_idx, svm_params, seed)
-    return accuracy(pred, score.labels[test_idx]), model, kernel
+    pred, model, decisions = fit_predict(kernel, score.labels, score.split.fit_idx, test_idx, svm_params, seed)
+    test_labels = score.labels[test_idx]
+    return accuracy(pred, test_labels), model, _pair_accuracies(model, decisions, test_labels)
 
 
-def _pair_accuracies(model: MulticlassModel, kernel: GramMatrix, labels, split: DatasetSplit) -> dict[str, float]:
-    """Accuracy of each pair's binary decision on the test points of its two classes."""
+def _pair_accuracies(model: MulticlassModel, decisions: np.ndarray, test_labels: np.ndarray) -> dict[str, float]:
+    """Accuracy of each pair's binary decision (its column of ``decisions``, the
+    test x pairs matrix ``fit_predict`` voted with) on the test points of its two classes."""
     out = {}
-    test_idx = np.asarray(split.test_idx, dtype=int)
-    rows, test_labels = submatrix(kernel, test_idx, split.fit_idx), labels[test_idx]
-    for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
-        sel = np.flatnonzero(np.isin(test_labels, (a, b)))
-        if sel.size == 0:
-            continue
-        f = decision(mdl, rows[np.ix_(sel, pos)])
-        pred = np.where(f > 0, b, a)
-        out[f"{a}|{b}"] = accuracy(pred, test_labels[sel])
+    for (a, b), f in zip(model.pairs, decisions.T):
+        sel = np.isin(test_labels, (a, b))
+        if sel.any():
+            out[f"{a}|{b}"] = accuracy(np.where(f[sel] > 0, b, a), test_labels[sel])
     return out
+
+
+def run_repeat(
+    bank: KernelBank, labels, protocol: ProtocolConfig, gp_params: GpParams, svm_params: SvmParams, r: int
+) -> tuple[SplitFitness, EvolutionResult, tuple[float, MulticlassModel, dict[str, float]]]:
+    """Draw repeat r's split, evolve on repeat r's own GP stream (it checks the split and
+    the GP settings before any fitness work) and fit the winner: (the split's fitness
+    memo, the evolution result, the winner's ``fit_expr`` result)."""
+    score = SplitFitness(bank, labels, make_split(labels, protocol, r))
+    result = evolve(score, replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r)), svm_params)
+    return score, result, fit_expr(result.best_expr, score, svm_params, protocol.grid_search_c)
 
 
 def run_comparison(
@@ -207,55 +213,37 @@ def run_comparison(
     Any repeat failing hard aborts with the error of its cause, in the
     cause's class, its message prefixed with ``repeat <r> failed: ``.
     """
-    labels = np.asarray(labels)
-    splits = make_splits(labels, protocol.per_class_train, protocol.per_class_val, protocol.repeats, protocol.seed)
-
-    per_method: dict[str, list[float]] = {m: [] for m in METHODS}
-    pair_series: dict[str, dict[str, list[float]]] = {m: {} for m in METHODS}
-    best_exprs: list[str] = []
-    best_indices: list[int] = []
-    generations: list[list[list[float]]] = []
-    evolution_results: list[EvolutionResult] = []
-
-    for r, split in enumerate(splits):
+    report = ComparisonReport(
+        methods={m: [] for m in METHODS}, mean={}, std={}, best_exprs=[], best_single_indices=[],
+        generations=[], binary_problems={m: {} for m in METHODS}, config=dict(config_echo or {}),
+    )
+    results: list[EvolutionResult] = []
+    for r in range(protocol.repeats):
         try:
-            score = SplitFitness(bank, labels, split)
-            # evolve first: it checks the split and the GP settings before any fitness work
-            result = evolve(score, repeat_gp_params(gp_params, protocol, r), svm_params)
-            evolution_results.append(result)
-            best_exprs.append(canonical_string(result.best_expr))
-            generations.append([[g, b, m] for g, b, m in result.per_generation])
+            score, result, evolved = run_repeat(bank, labels, protocol, gp_params, svm_params, r)
+            results.append(result)
+            report.best_exprs.append(canonical_string(result.best_expr))
+            report.generations.append([[g, b, m] for g, b, m in result.per_generation])
             idx, _ = _best_leaf(score, svm_params)
-            best_indices.append(idx)
+            report.best_single_indices.append(idx)
 
-            candidates = zip(METHODS, (_addition_expr(len(bank)), Leaf(idx), result.best_expr))
-            for method, expr in candidates:
-                acc, model, kernel = fit_expr(expr, score, svm_params, protocol.grid_search_c)
-                per_method[method].append(acc)
-                for pair, value in _pair_accuracies(model, kernel, labels, split).items():
-                    pair_series[method].setdefault(pair, []).append(value)
+            baselines = (_addition_expr(len(bank)), Leaf(idx))
+            fits = [fit_expr(e, score, svm_params, protocol.grid_search_c) for e in baselines] + [evolved]
+            for method, (acc, _, pairs) in zip(METHODS, fits):
+                report.methods[method].append(acc)
+                for pair, value in pairs.items():
+                    report.binary_problems[method].setdefault(pair, []).append(value)
             log.debug(
                 "repeat %d: test accuracy addition %.4f, best single K%d %.4f, evolved %s %.4f",
-                r, per_method["addition"][-1], idx + 1, per_method["best_single"][-1],
-                best_exprs[-1], per_method["evolved"][-1],
+                r, fits[0][0], idx + 1, fits[1][0], report.best_exprs[-1], fits[2][0],
             )
         except KernelForgeError as exc:  # keeps its class, and so its CLI exit code
             exc.args = (f"repeat {r} failed: {exc}",)
             raise
 
-    mean = {m: _aggregate(per_method[m])[0] for m in METHODS}
-    std = {m: _aggregate(per_method[m])[1] for m in METHODS}
-    report = ComparisonReport(
-        methods=per_method,
-        mean=mean,
-        std=std,
-        best_exprs=best_exprs,
-        best_single_indices=best_indices,
-        generations=generations,
-        binary_problems=pair_series,
-        config=dict(config_echo or {}),
-    )
-    return report, evolution_results
+    for m in METHODS:
+        report.mean[m], report.std[m] = _aggregate(report.methods[m])
+    return report, results
 
 
 def report_to_json(report: ComparisonReport) -> str:

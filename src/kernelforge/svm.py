@@ -17,7 +17,8 @@ that stopped at max_passes.
 
 A GramMatrix was checked where it entered the package, so it is trusted here; a
 raw array becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
-keep that check.  ``predict`` reads the held x fit block ``fit_predict`` cuts.
+keep that check.  ``fit_predict`` cuts the held x fit block once, and hands back
+the pair decisions its vote read, so no caller decides a pair twice.
 """
 
 from __future__ import annotations
@@ -284,23 +285,23 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     return MulticlassModel(classes, pairs, models, positions, params)
 
 
-def predict(model: MulticlassModel, rows) -> np.ndarray:
-    """Majority vote over pair decisions on a held x fit kernel block, whose
-    columns are the model's training points in training order.
-
-    Vote ties are broken by the larger sum of |decision| over the pairs that
-    voted for the tied class, then by the smaller class id.
-    """
+def _pair_decisions(model: MulticlassModel, rows) -> np.ndarray:
+    """Held x pairs: column t is model.pairs[t]'s decision on each row of the block."""
     q = np.asarray(rows, dtype=float)
     if q.ndim != 2:
         raise ShapeError(f"expected 2-d kernel rows, got shape {q.shape}")
+    f = np.empty((q.shape[0], len(model.pairs)))
+    for t, (mdl, pos) in enumerate(zip(model.models, model.pair_positions)):
+        f[:, t] = decision(mdl, q[:, pos])
+    return f
 
+
+def _vote(model: MulticlassModel, decisions: np.ndarray) -> np.ndarray:
     n_cls = len(model.class_labels)
     col_of = {c: i for i, c in enumerate(model.class_labels)}
-    votes = np.zeros((q.shape[0], n_cls))
-    margins = np.zeros((q.shape[0], n_cls))
-    for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
-        f = decision(mdl, q[:, pos])
+    votes = np.zeros((decisions.shape[0], n_cls))
+    margins = np.zeros((decisions.shape[0], n_cls))
+    for (a, b), f in zip(model.pairs, decisions.T):
         win_b = f > 0
         ia, ib = col_of[a], col_of[b]
         votes[win_b, ib] += 1
@@ -313,13 +314,24 @@ def predict(model: MulticlassModel, rows) -> np.ndarray:
     return np.asarray(model.class_labels, dtype=int)[top]
 
 
-def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> tuple[np.ndarray, MulticlassModel]:
-    """Train on the fit_idx points and predict the held_idx rows: (predictions, model).
-    Raises NumericalError if any pair model stopped at max_passes."""
+def predict(model: MulticlassModel, rows) -> np.ndarray:
+    """Majority vote over pair decisions on a held x fit kernel block, whose columns are
+    the model's training points in training order.  Vote ties are broken by the larger
+    sum of |decision| over the pairs that voted for the tied class, then by the smaller class id."""
+    return _vote(model, _pair_decisions(model, rows))
+
+
+def fit_predict(
+    gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int
+) -> tuple[np.ndarray, MulticlassModel, np.ndarray]:
+    """Train on the fit_idx points and predict the held_idx rows: (predictions, model,
+    decisions), decisions being the held x pairs matrix of pair decisions the vote read
+    (column t is model.pairs[t]'s).  Raises NumericalError if any pair model stopped at max_passes."""
     model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
     if not model.converged:
         raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
-    return predict(model, submatrix(gram, held_idx, fit_idx)), model
+    decisions = _pair_decisions(model, submatrix(gram, held_idx, fit_idx))
+    return _vote(model, decisions), model, decisions
 
 
 def accuracy(predicted, actual) -> float:

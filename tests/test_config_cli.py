@@ -512,7 +512,7 @@ class TestOutputNamesAFile:
         assert run_cli(["gram", "--config", cfg]) == 0
         capsys.readouterr()
         (xor_workspace / "afile").write_text("kept\n")
-        for name in ("build_bank", "evolve", "run_comparison"):
+        for name in ("build_bank", "run_repeat", "run_comparison"):
             monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} called"))
         args = [] if command == "gram" else ["--set", "data.manifest=kernels/manifest.json"]
         assert run_cli([command, "--config", cfg, *args, "--output", "afile"]) == 2
@@ -664,17 +664,16 @@ def test_unreadable_input_exits_with_one_line_json_error(xor_workspace, capsys, 
     assert err["error"] == error and err["exit_code"] == code and named in err["message"]
 
 
-@pytest.mark.parametrize(
-    "command,target", [("evolve", "kernelforge.cli.evolve"), ("compare", "kernelforge.harness.evolve")]
-)
-def test_data_error_in_a_run_exits_3_from_both_commands(xor_workspace, capsys, monkeypatch, command, target):
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_data_error_in_a_run_exits_3_from_both_commands(xor_workspace, capsys, monkeypatch, command):
+    # both commands reach the search through harness.run_repeat
     def evolve(*args):
         raise DataError("degenerate split")
 
     cfg = xor_workspace / "run.cfg"
     run_cli(["gram", "--config", cfg])
     capsys.readouterr()
-    monkeypatch.setattr(target, evolve)
+    monkeypatch.setattr("kernelforge.harness.evolve", evolve)
     assert run_cli([command, "--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and err["message"].endswith("degenerate split")

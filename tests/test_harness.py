@@ -24,9 +24,11 @@ from kernelforge import (
     ShapeError,
     SplitFitness,
     SvmParams,
+    accuracy,
     best_single_kernel,
     build_bank,
     build_index,
+    decision,
     evaluate,
     evolve,
     load_index,
@@ -36,6 +38,7 @@ from kernelforge import (
     report_to_json,
     run_comparison,
     save_index,
+    submatrix,
     summarize,
 )
 from kernelforge.cli import main as cli_main
@@ -89,6 +92,16 @@ class TestMakeSplits:
         labels = np.repeat([0, 1], 20)
         with pytest.raises(ParameterError):
             make_splits(labels, per_class_train=5, per_class_val=5, repeats=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"repeats": 0}, {"per_class_val": 0}, {"per_class_train": 5, "per_class_val": 5}],
+        ids=["no-repeats", "no-validation", "no-training"],
+    )
+    def test_protocol_checks_its_sizes(self, sizes):
+        # checked where the protocol is made, so compare rejects them before it loads the bank
+        with pytest.raises(ParameterError):
+            ProtocolConfig(**sizes)
 
     def test_split_rejects_overlap(self):
         with pytest.raises(DataError):
@@ -156,12 +169,12 @@ class TestFitAndScore:
         rows, real = [], harness_mod.fit_predict
 
         def fit_predict(kernel, labels, fit_idx, held_idx, *args):
-            rows.append((fit_idx.tolist(), held_idx.tolist()))
+            rows.append((kernel, fit_idx.tolist(), held_idx.tolist()))
             return real(kernel, labels, fit_idx, held_idx, *args)
 
         monkeypatch.setattr(harness_mod, "fit_predict", fit_predict)
-        acc, _, kernel = fit_expr(result.best_expr, score, SvmParams(), grid_search_c=False)
-        [(fit_rows, held_rows)] = rows
+        acc, _, _ = fit_expr(result.best_expr, score, SvmParams(), grid_search_c=False)
+        [(kernel, fit_rows, held_rows)] = rows
         assert fit_rows == [*split.train_idx, *split.val_idx] == split.fit_idx.tolist()
         assert held_rows == list(split.test_idx)
         assert not set(fit_rows) & set(split.test_idx)
@@ -197,6 +210,40 @@ def small_gp(**kw):
     defaults = dict(population_size=14, max_generations=5, stagnation_limit=3)
     defaults.update(kw)
     return GpParams(**defaults)
+
+
+def cut_and_decide(model, kernel, labels, split):
+    """Each pair's test accuracy as run_comparison once computed it: cut the test x fit
+    block again, and decide each pair anew on the test rows of its two classes."""
+    out = {}
+    test_idx = np.asarray(split.test_idx, dtype=int)
+    rows, test_labels = submatrix(kernel, test_idx, split.fit_idx), labels[test_idx]
+    for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
+        sel = np.flatnonzero(np.isin(test_labels, (a, b)))
+        if sel.size == 0:
+            continue
+        f = decision(mdl, rows[np.ix_(sel, pos)])
+        out[f"{a}|{b}"] = accuracy(np.where(f > 0, b, a), test_labels[sel])
+    return out
+
+
+class TestPairAccuracies:
+    """binary_problems reads each pair's column of the decisions the final fit voted
+    with; at run size (m = 180, pools of 15/5) it equals the cut-and-decide reference."""
+
+    @pytest.mark.parametrize("grid_search_c", [False, True])
+    def test_binary_problems_equal_the_cut_and_decide_reference(self, grid_search_c):
+        bank, labels = xor_bank(n_per_class=60, seed=1)
+        protocol = ProtocolConfig(15, 5, repeats=2, seed=3, grid_search_c=grid_search_c)
+        report, results = run_comparison(bank, labels, protocol, small_gp(), SvmParams())
+        for r, split in enumerate(make_splits(labels, 15, 5, protocol.repeats, protocol.seed)):
+            score = SplitFitness(bank, labels, split)
+            exprs = (_addition_expr(len(bank)), Leaf(report.best_single_indices[r]), results[r].best_expr)
+            for method, expr in zip(METHODS, exprs):
+                _, model, _ = fit_expr(expr, score, SvmParams(), grid_search_c)
+                reference = cut_and_decide(model, evaluate(expr, bank), labels, split)
+                assert {pair: series[r] for pair, series in report.binary_problems[method].items()} == reference
+                assert len(reference) == 3  # three classes, each with test points
 
 
 class TestRunComparison:

@@ -42,3 +42,26 @@ def test_an_unused_import_is_found():
         "'tau'\nx: 'PI' = sys.argv\n"
     )
     assert unused_imports(source) == ["os (line 2)", "tau (line 3)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement of the source names, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names |= {base} if node.module else {base + alias.name for alias in node.names}
+    return names
+
+
+def test_cli_reaches_the_search_only_through_harness():
+    # `evolve` is harness.run_repeat at repeat 0, so the CLI needs nothing from gp itself
+    modules = imported_modules((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert ".harness" in modules and not modules & {".gp", "kernelforge.gp"}
+
+
+def test_an_import_from_gp_is_found():
+    source = "from . import gp\nfrom .gp import evolve\nimport kernelforge.gp\nfrom .harness import run_repeat\n"
+    assert imported_modules(source) == {".gp", "kernelforge.gp", ".harness"}

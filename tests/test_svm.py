@@ -372,23 +372,43 @@ def run_shaped_bank(noise_views):
     return build_bank(views)[0], labels
 
 
+def assert_matches_the_numpy_loop(k, y, params, seed):
+    """train_binary against oracles.numpy_platt_smo: alphas, bias and flag bit for bit,
+    and both rngs left in the same state."""
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = train_binary(k, y, params, mine)
+    alpha, bias, converged = numpy_platt_smo(k, y, params.c, params.kkt_tol, params.max_passes, params.eps, ref)
+    assert model.alpha.tobytes() == alpha.tobytes()  # the sign of a zero too
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+    assert model.converged == converged
+    assert mine.integers(2**63) == ref.integers(2**63)
+    return model
+
+
 class TestNumpyReference:
     """train_binary runs Platt's loop on Python floats; its iterates are the
-    numpy formulation's (oracles.numpy_platt_smo) bit for bit."""
+    numpy formulation's (oracles.numpy_platt_smo) bit for bit, on PSD blocks and
+    on the indefinite ones whose pair directions can curve the wrong way (eta < 0)."""
 
     @settings(max_examples=150)
     @given(
         p=st.integers(2, 30),
         duplicates=st.integers(0, 5),
+        indefinite=st.booleans(),
         asymmetry=st.sampled_from([0.0, 0.5 * SYMMETRY_TOL]),
         normalized=st.booleans(),
         log_c=st.floats(-2.0, 4.0),
         max_passes=st.sampled_from([0, 1, 2, 500]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_numpy_loop_bitwise(self, p, duplicates, asymmetry, normalized, log_c, max_passes, seed):
+    def test_matches_the_numpy_loop_bitwise(
+        self, p, duplicates, indefinite, asymmetry, normalized, log_c, max_passes, seed
+    ):
         draw = np.random.default_rng(seed)
         k = random_psd(p, draw, normalized)
+        if indefinite:  # a symmetric block with negative eigenvalues, where many pairs have eta < 0
+            g = draw.standard_normal((p, p))
+            k = 0.5 * (g + g.T)
         for _ in range(duplicates):  # a repeated point makes a flat pair direction, eta = 0
             a, b = draw.integers(0, p, size=2)
             k[b, :] = k[a, :]
@@ -398,14 +418,15 @@ class TestNumpyReference:
         k = k + np.triu(draw.uniform(-asymmetry, asymmetry, (p, p)), 1)
         y = np.where(draw.random(p) < 0.5, -1.0, 1.0)
         y[0] = -y[1]
-        params = SvmParams(c=10.0**log_c, max_passes=max_passes)
-        mine, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        model = train_binary(k, y, params, mine)
-        alpha, bias, converged = numpy_platt_smo(k, y, params.c, params.kkt_tol, max_passes, params.eps, ref)
-        assert model.alpha.tobytes() == alpha.tobytes()  # the sign of a zero too
-        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
-        assert model.converged == converged
-        assert mine.integers(2**63) == ref.integers(2**63)
+        assert_matches_the_numpy_loop(k, y, SvmParams(c=10.0**log_c, max_passes=max_passes), seed + 1)
+
+    def test_negative_eta_steps_to_a_clip_end(self):
+        # eta = 1 + 1 - 2 * 2 = -2: the dual is convex along the pair's direction, so only
+        # the eta <= 0 branch, which compares the objective at both clip ends, can move it;
+        # the dual grows without bound there, so both alphas reach C
+        k, y = np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([-1.0, 1.0])
+        model = assert_matches_the_numpy_loop(k, y, SvmParams(c=3.0), seed=5)
+        assert model.alpha.tolist() == [3.0, 3.0] and model.converged
 
 
 class TestPartnerBlocks:
@@ -501,10 +522,14 @@ class TestFitPredict:
     def test_equals_train_then_predict(self, rng):
         k, labels = three_class_clusters(rng)
         fit, held = np.arange(0, labels.size, 2), np.arange(1, labels.size, 2)
-        pred, model = fit_predict(GramMatrix(k, "K1"), labels, fit, held, SvmParams(), seed=4)
+        pred, model, decisions = fit_predict(GramMatrix(k, "K1"), labels, fit, held, SvmParams(), seed=4)
         reference = train_multiclass(k, labels, fit, SvmParams(), seed=4)
         assert np.array_equal(pred, predict(reference, k[np.ix_(held, fit)]))
         assert all(np.array_equal(a.alpha, b.alpha) for a, b in zip(model.models, reference.models))
+        # one column per pair, in model.pairs order: the decision the vote read
+        q = k[np.ix_(held, fit)]
+        expected = [decision(mdl, q[:, pos]) for mdl, pos in zip(reference.models, reference.pair_positions)]
+        assert decisions.tobytes() == np.stack(expected, axis=1).tobytes()
 
     def test_block_prediction_equals_full_rows_and_training_indices(self, rng):
         # predict reads the held x fit block; the oracle maps columns through the training indices
