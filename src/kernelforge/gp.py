@@ -4,16 +4,18 @@ The population is evolved by tournament selection, one-child subtree crossover
 and mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
-Fitness reads only the train x train and validation x train entries, so it
-folds the chromosome over the bank restricted to the training and validation
-items.  Every mode is a list of (fit, held) position pairs scored by one loop
-over ``svm.fit_predict``; validation is the single pair (train, validation).
-``SplitFitness`` is the one memo of fitness on a split; ``evolve`` and the
-harness's best-leaf and C selection score through it.
-Per-chromosome RNG streams are derived from (seed, generation, slot), so a run
-is reproducible from its seed.  The search never sees the test set: retraining
-the winner on train+validation and scoring it on test is ``harness.fit_expr``;
-the harness also writes the files, and gp opens none.
+Fitness reads only the train x train and validation x train entries, so
+``SplitFitness`` cuts the split's fit block, every base kernel restricted to
+the training and validation items, once, and ``fitness`` folds each
+chromosome over that block.  Every mode is a list of (fit, held) position
+pairs scored by one loop over ``svm.fit_predict``; validation is the single
+pair (train, validation).  ``SplitFitness`` is the one memo of fitness on a
+split; ``evolve`` and the harness's best-leaf and C selection score through it.
+Per-chromosome RNG streams are derived from (seed, generation, slot), the seed
+an argument of ``evolve``, so a run is reproducible from its seed.  The search
+never sees the test set: retraining the winner on train+validation and scoring
+it on test is ``harness.fit_expr``; the harness also writes the files, and gp
+opens none.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class GpParams:
     init_depth_range: tuple[int, int] = (2, 4)
     stagnation_limit: int = 5
     elitism: int = 1
-    rng_seed: int = 0
     fitness_mode: str = "validation"
     n_folds: int = 5
     seed_leaves: bool = True
@@ -205,28 +206,19 @@ def _folds(mode: str, train: np.ndarray, val: np.ndarray, n_folds: int, seed: in
 
 
 def fitness(
-    expr: KernelExpr,
-    bank: KernelBank,
-    labels,
-    split,
-    svm_params: SvmParams,
-    mode: str = "validation",
-    n_folds: int = 5,
+    expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5
 ) -> float:
     """Accuracy of an SVM using the chromosome's kernel (higher is better).
 
-    validation: train on split.train_idx, score on split.val_idx.
-    leave_one_out / k_fold: cross-validated accuracy over split.train_idx.
-    The expression is folded over the bank restricted to train_idx ++ val_idx.
+    validation: train on the split's training items, score on its validation items.
+    leave_one_out / k_fold: cross-validated accuracy over the training items.
+    The expression is folded over score's fit block; nothing is cut here.
     SVM failures (non-convergence, degenerate folds, nothing held out) score 0
     with a warning instead of raising, so evolution keeps moving.
     """
-    fit_idx = split.fit_idx
-    kernel = evaluate(expr, bank.restrict(fit_idx))
-    labels = np.asarray(labels)[fit_idx]
+    kernel, labels, split = evaluate(expr, score.fit_bank), score.fit_labels, score.split
     t = len(split.train_idx)
-    train, val = np.arange(t), np.arange(t, fit_idx.size)
-    folds = _folds(mode, train, val, n_folds, split.seed)
+    folds = _folds(mode, np.arange(t), np.arange(t, labels.size), n_folds, split.seed)
     seed = derive_seed(split.seed, canonical_string(expr))
     try:
         if not folds:
@@ -241,24 +233,27 @@ def fitness(
 class SplitFitness:
     """``fitness`` on one split, memoised by (canonical expression, SVM params,
     mode, n_folds).  Commutative reorderings share a canonical string, and so
-    the fitness seed, so sharing their entry changes no result.  The one check
-    that labels match the bank: one per item, or ShapeError.  Splits are drawn from
-    the labels first, so a short vector can fail there as a class too small (DataError)."""
+    the fitness seed, so sharing their entry changes no result.  The split's fit
+    block, ``fit_bank`` (the bank restricted to ``split.fit_idx``) and
+    ``fit_labels``, is cut once, here.  The one check that labels match the bank:
+    one per item, or ShapeError.  Splits are drawn from the labels first, so a
+    short vector can fail there as a class too small (DataError)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split
         if len(self.labels) != bank.size:
             raise ShapeError(f"{len(self.labels)} labels for a bank of {bank.size} items")
+        self.fit_bank, self.fit_labels = bank.restrict(split.fit_idx), self.labels[split.fit_idx]
         self._memo: dict[tuple, float] = {}
 
     def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:
         key = (canonical_string(expr), svm_params, mode, n_folds)
-        if key not in self._memo:
-            self._memo[key] = fitness(expr, self.bank, self.labels, self.split, svm_params, mode, n_folds)
+        if key not in self._memo:  # by global name, so a wrapper bound to gp.fitness sees every evaluation
+            self._memo[key] = fitness(expr, self, svm_params, mode, n_folds)
         return self._memo[key]
 
 
-def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
+def _initial_population(params: GpParams, n: int, seed: int) -> list[KernelExpr]:
     population: list[KernelExpr] = []
     if params.seed_leaves:
         population.extend(Leaf(i) for i in range(n))
@@ -269,21 +264,23 @@ def _initial_population(params: GpParams, n: int) -> list[KernelExpr]:
             raise ParameterError(f"seed expression {text!r} references kernel K{bad[0] + 1}; bank has {n}")
         population.append(tree)
     while len(population) < params.population_size:
-        rng = derived_rng(params.rng_seed, "init", len(population))
+        rng = derived_rng(seed, "init", len(population))
         population.append(_random_tree(n, *params.init_depth_range, rng))
     return population[: params.population_size]
 
 
-def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> EvolutionResult:
+def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams, seed: int = 0) -> EvolutionResult:
     """Run the generational loop on score's split; return the fittest chromosome found.
 
-    Every generation, the initial one included, is scored once and ranked
-    fitter-first: its head is the generation's best and its first ``elitism``
-    slots pass to the next generation unchanged, so with elitism the best
-    fitness never decreases.  Variation starts at generation 1.  The
-    loop stops at max_generations, or earlier once the best fitness has not
-    improved by more than 1e-6 for stagnation_limit generations.  Only the
-    training and validation points are used; split.test_idx is never read.
+    The initial trees and every child draw their streams from ``seed``
+    (``run_repeat`` passes repeat r's GP seed).  Every generation, the initial
+    one included, is scored once and ranked fitter-first: its head is the
+    generation's best and its first ``elitism`` slots pass to the next
+    generation unchanged, so with elitism the best fitness never decreases.
+    Variation starts at generation 1.  The loop stops at max_generations, or
+    earlier once the best fitness has not improved by more than 1e-6 for
+    stagnation_limit generations.  Only the training and validation points
+    are used; split.test_idx is never read.
     The split and the fitness mode's folds are checked before any fitness work.
     """
     labels, split = score.labels, score.split
@@ -296,14 +293,14 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams) -> Evol
     _folds(params.fitness_mode, np.arange(len(split.train_idx)), None, params.n_folds, split.seed)
 
     mode, folds = params.fitness_mode, params.n_folds
-    population = _initial_population(params, n)
+    population = _initial_population(params, n, seed)
     best_expr, best_fit, stagnant = None, -np.inf, 0
     history, best_strings = [], []
     for gen in range(params.max_generations + 1):
         if gen:
             next_pop = [population[i] for i in order[: params.elitism]]
             for slot in range(params.population_size - params.elitism):
-                rng = derived_rng(params.rng_seed, "gen", gen, slot)
+                rng = derived_rng(seed, "gen", gen, slot)
                 p1 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
                 p2 = population[tournament_select(fits, params.tournament_size, rng, sizes)]
                 child = p1

@@ -83,6 +83,8 @@ class GramMatrix:
         A non-finite entry makes the asymmetry NaN or inf, so the one pass checks finiteness too."""
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ShapeError(f"gram matrix must be square, got shape {values.shape}")
+        if values.size == 0:
+            raise ShapeError("gram matrix must hold at least one item")
         with np.errstate(invalid="ignore", over="ignore"):
             worst = _max_asymmetry(values)
         if not worst <= SYMMETRY_TOL:

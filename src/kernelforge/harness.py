@@ -191,11 +191,11 @@ def _pair_accuracies(model: MulticlassModel, decisions: np.ndarray, test_labels:
 def run_repeat(
     bank: KernelBank, labels, protocol: ProtocolConfig, gp_params: GpParams, svm_params: SvmParams, r: int
 ) -> tuple[SplitFitness, EvolutionResult, tuple[float, MulticlassModel, dict[str, float]]]:
-    """Draw repeat r's split, evolve on repeat r's own GP stream (it checks the split and
-    the GP settings before any fitness work) and fit the winner: (the split's fitness
-    memo, the evolution result, the winner's ``fit_expr`` result)."""
+    """Draw repeat r's split, hand ``evolve`` repeat r's GP seed, ``derive_seed(protocol.seed,
+    "gp", r)`` (it checks the split and the GP settings before any fitness work), and fit
+    the winner: (the split's fitness memo, the evolution result, the winner's ``fit_expr`` result)."""
     score = SplitFitness(bank, labels, make_split(labels, protocol, r))
-    result = evolve(score, replace(gp_params, rng_seed=derive_seed(protocol.seed, "gp", r)), svm_params)
+    result = evolve(score, gp_params, svm_params, derive_seed(protocol.seed, "gp", r))
     return score, result, fit_expr(result.best_expr, score, svm_params, protocol.grid_search_c)
 
 

@@ -135,11 +135,14 @@ def save_feature_csv(path, features, labels, header: list[str] | None = None) ->
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """One integer class label per line."""
+    """One integer class label per line; a line of more than one column raises DataError."""
     try:
-        raw = np.loadtxt(path, dtype=float, ndmin=1)
+        table = np.loadtxt(path, dtype=float, ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: could not read labels: {exc}") from exc
+    if table.shape[1] != 1:
+        raise DataError(f"{path}: need one label per line, got {table.shape[1]} columns")
+    raw = table[:, 0]
     if not np.all(np.abs(raw) < 2.0**63) or np.any(raw != np.round(raw)):
         raise DataError(f"{path}: labels must be integers that fit int64")
     return raw.astype(int)

@@ -67,9 +67,9 @@ def fitness_calls(monkeypatch):
 
     calls, real = [], gp_mod.fitness
 
-    def fitness(expr, bank, labels, split, svm_params, mode="validation", n_folds=5):
-        calls.append((canonical_string(expr), split.seed, svm_params, mode, n_folds))
-        return real(expr, bank, labels, split, svm_params, mode, n_folds)
+    def fitness(expr, score, svm_params, mode="validation", n_folds=5):
+        calls.append((canonical_string(expr), score.split.seed, svm_params, mode, n_folds))
+        return real(expr, score, svm_params, mode, n_folds)
 
     monkeypatch.setattr(gp_mod, "fitness", fitness)
     return calls

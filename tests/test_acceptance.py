@@ -208,11 +208,12 @@ def test_06_evolve_matches_exhaustive_enumeration():
             bank, _ = build_bank(views)
             split = make_splits(labels, 8, 3, 1, seed=100 + trial)[0]
 
+            score = SplitFitness(bank, labels, split)
             by_canon: dict[str, float] = {}
             for tree in trees:
                 canon = canonical_string(tree)
                 if canon not in by_canon:
-                    by_canon[canon] = fitness(tree, bank, labels, split, svm_params)
+                    by_canon[canon] = fitness(tree, score, svm_params)
             optimum = max(by_canon.values())
 
             result = evolve(SplitFitness(bank, labels, split), gp_params, svm_params)

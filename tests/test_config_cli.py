@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -31,7 +32,7 @@ from kernelforge.cli import main
 from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import SYMMETRY_TOL, GramMatrix, KernelBank
 from kernelforge.harness import _select_c
-from kernelforge.kernel_io import load_bank_from_manifest, read_kernel, save_feature_csv, write_kernel
+from kernelforge.kernel_io import MAGIC, load_bank_from_manifest, read_kernel, save_feature_csv, write_kernel
 from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
 
@@ -179,9 +180,6 @@ class TestConfigKeys:
     def test_init_depth_bound_alone_is_config_error(self, tmp_path, key):
         with pytest.raises(ConfigError, match="must be set together"):
             build_run_config({"seed": 5, key: 3}, tmp_path)
-
-    def test_gp_rng_seed_is_left_to_each_repeat(self, tmp_path):
-        assert build_run_config({"seed": 5}, tmp_path).gp.rng_seed == GpParams().rng_seed
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -734,6 +732,36 @@ def test_kernel_file_a_rounding_error_from_psd_is_accepted(xor_workspace, capsys
     assert np.linalg.eigvalsh(read_kernel(path).values)[0] == pytest.approx(-1e-13, abs=2e-14)
     args = [*_bank_route_args(xor_workspace, route), "--set", "run_dir=evo", "--output", "runs"]
     assert run_cli(["evolve", "--config", cfg, *args]) == 0, capsys.readouterr().err
+
+
+def _two_column_labels(kernels: Path) -> None:
+    path = kernels / "labels.csv"
+    path.write_text("".join(f"{label} {label}\n" for label in path.read_text().split()))
+
+
+def _empty_kernel(kernels: Path) -> None:
+    (kernels / "k_view2.kgm").write_bytes(MAGIC + struct.pack("<II", 0, 0))  # m = 0, no name
+
+
+# (edit of the kernels directory gram wrote, error class, text the message holds)
+MALFORMED_BANK_INPUTS = {
+    "labels_in_two_columns": (_two_column_labels, "DataError", "labels.csv: need one label per line, got 2 columns"),
+    "kernel_of_no_items": (_empty_kernel, "ShapeError", "gram matrix must hold at least one item"),
+}
+
+
+@pytest.mark.parametrize("route", ["manifest", "kernels"])
+@pytest.mark.parametrize("case", MALFORMED_BANK_INPUTS)
+def test_malformed_bank_input_exits_3_on_both_routes(xor_workspace, capsys, case, route):
+    edit, error, message = MALFORMED_BANK_INPUTS[case]
+    cfg = xor_workspace / "run.cfg"
+    run_cli(["gram", "--config", cfg])
+    edit(xor_workspace / "kernels")
+    capsys.readouterr()
+    assert run_cli(["evolve", "--config", cfg, *_bank_route_args(xor_workspace, route), "--output", "runs"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and err["exit_code"] == 3 and message in err["message"]
+    assert not (xor_workspace / "runs").exists()
 
 
 @pytest.mark.parametrize("case", MALFORMED_BANK_FILES)

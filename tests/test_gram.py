@@ -491,6 +491,10 @@ class TestTypes:
         with pytest.raises(DataError):
             gm([[1.0, np.inf], [np.inf, 1.0]])
 
+    def test_gram_requires_an_item(self):
+        with pytest.raises(ShapeError, match="at least one item"):
+            gm(np.empty((0, 0)))
+
     def test_gram_values_read_only(self):
         g = gm(np.eye(2))
         with pytest.raises(ValueError):

@@ -43,7 +43,8 @@ from kernelforge import (
 )
 from kernelforge.cli import main as cli_main
 from kernelforge.gram import SYMMETRY_TOL
-from kernelforge.harness import METHODS, _addition_expr, _select_c, fit_expr, write_comparison_outputs
+from kernelforge.harness import METHODS, _addition_expr, _select_c, fit_expr, run_repeat, write_comparison_outputs
+from kernelforge.rng import derive_seed
 from kernelforge.synthetic import xor_bank, xor_views
 
 from jsondocs import corrupted
@@ -163,9 +164,9 @@ class TestFitAndScore:
     def test_final_test_accuracy_uses_held_out_points(self, monkeypatch):
         bank, labels = xor_bank(n_per_class=12, seed=5)
         split = make_splits(labels, per_class_train=8, per_class_val=3, repeats=1, seed=9)[0]
-        params = GpParams(population_size=12, max_generations=8, rng_seed=3, stagnation_limit=3)
+        params = GpParams(population_size=12, max_generations=8, stagnation_limit=3)
         score = SplitFitness(bank, labels, split)
-        result = evolve(score, params, SvmParams())
+        result = evolve(score, params, SvmParams(), seed=3)
         rows, real = [], harness_mod.fit_predict
 
         def fit_predict(kernel, labels, fit_idx, held_idx, *args):
@@ -390,6 +391,38 @@ class TestRunComparison:
         protocol = small_protocol(repeats=1, seed=7, grid_search_c=True)
         report, _ = run_comparison(bank, labels, protocol, small_gp(max_generations=2), SvmParams())
         assert all(len(report.methods[m]) == 1 for m in METHODS)
+
+
+class TestRunRepeat:
+    def test_each_split_fitness_cuts_its_fit_block_once(self, monkeypatch, fitness_calls):
+        cuts, real = [], KernelBank.restrict
+
+        def restrict(bank, idx):
+            cuts.append(list(idx))
+            return real(bank, idx)
+
+        monkeypatch.setattr(KernelBank, "restrict", restrict)
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        protocol = small_protocol(grid_search_c=True)
+        score, _, _ = run_repeat(bank, labels, protocol, small_gp(), SvmParams(), 1)
+        assert cuts == [score.split.fit_idx.tolist()]
+        assert len(fitness_calls) > 10  # every evaluation of the search and of C selection
+        run_comparison(bank, labels, protocol, small_gp(), SvmParams())
+        assert len(cuts) == 1 + protocol.repeats
+
+    def test_evolve_gets_the_repeats_gp_seed(self, monkeypatch):
+        seen, real = [], harness_mod.evolve
+
+        def evolve(score, params, svm_params, seed=0):
+            seen.append((params, seed))
+            return real(score, params, svm_params, seed)
+
+        monkeypatch.setattr(harness_mod, "evolve", evolve)
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        protocol, gp_params = small_protocol(seed=21), small_gp(max_generations=1)
+        for r in (0, 2):
+            run_repeat(bank, labels, protocol, gp_params, SvmParams(), r)
+        assert seen == [(gp_params, derive_seed(21, "gp", 0)), (gp_params, derive_seed(21, "gp", 2))]
 
 
 class TestLabelsMatchTheBank:

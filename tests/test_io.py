@@ -197,6 +197,13 @@ class TestLabelsCsv:
         save_labels_csv(path, labels)
         assert np.array_equal(load_labels_csv(path), labels)
 
+    @pytest.mark.parametrize("text", ["0 1\n", "0 1\n1 0\n2 2\n"])
+    def test_more_than_one_column_is_data_error(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="labels.csv: need one label per line, got 2 columns"):
+            load_labels_csv(path)
+
 
 def manifests():
     entry = st.fixed_dictionaries(

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import kernelforge.gp as gp_mod
-from kernelforge import DatasetSplit, GpParams, GramMatrix, KernelBank, Leaf, ProtocolConfig, SvmParams, run_comparison
+from kernelforge import (
+    DatasetSplit,
+    GpParams,
+    GramMatrix,
+    KernelBank,
+    Leaf,
+    ProtocolConfig,
+    SplitFitness,
+    SvmParams,
+    run_comparison,
+)
 from kernelforge.synthetic import xor_bank
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,7 +58,7 @@ def test_probes_see_each_training_under_its_fitness_call(tracer):
     probe = tracer.Tracer(tracer.PROBED, timed=False)
     probe.install()
     try:
-        assert gp_mod.fitness(Leaf(0), bank, np.repeat([0, 1], 3), split, SvmParams()) == 1.0
+        assert gp_mod.fitness(Leaf(0), SplitFitness(bank, np.repeat([0, 1], 3), split), SvmParams()) == 1.0
     finally:
         probe.uninstall()
     assert probe.absent == []
