@@ -27,7 +27,7 @@ from . import kernel_io
 from .config import RunConfig, build_run_config, load_config_file, parse_overrides, require_paths
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
-from .gram import KernelBank, build_bank, require_psd
+from .gram import KernelBank, build_bank
 from .harness import run_comparison, run_repeat, write_comparison_outputs, write_evolution_log
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
@@ -77,25 +77,16 @@ def _run_dir(config: RunConfig) -> Path:
 
 
 def _load_bank(config: RunConfig) -> tuple[KernelBank, np.ndarray]:
-    """The bank and labels from data.manifest or data.kernels; each kernel file
-    must hold a PSD kernel (``require_psd``), and what is derived from them is then PSD too."""
+    """The bank and labels from data.manifest or data.kernels, read and checked by ``kernel_io.load_bank``."""
     if config.manifest is not None:
         require_paths([config.manifest])
-        bank, labels, doc = kernel_io.load_bank_from_manifest(config.manifest)
-        files = [config.manifest.parent / entry["file"] for entry in doc["kernels"]]
-    elif config.kernels:
-        if config.labels is None:
-            raise ConfigError("data.kernels input needs data.labels")
-        files = config.kernels
-        require_paths([*files, config.labels])
-        kernels = [kernel_io.read_kernel(p) for p in files]
-        names = [k.source_tag or p.stem for k, p in zip(kernels, files)]
-        bank, labels = KernelBank(tuple(kernels), tuple(names)), kernel_io.load_labels_csv(config.labels)
-    else:
+        return kernel_io.load_bank_from_manifest(config.manifest)[:2]
+    if not config.kernels:
         raise ConfigError("set data.manifest or data.kernels to locate the kernel bank")
-    for kernel, path in zip(bank.kernels, files):
-        require_psd(kernel, f"kernel file {path}")
-    return bank, labels
+    if config.labels is None:
+        raise ConfigError("data.kernels input needs data.labels")
+    require_paths([*config.kernels, config.labels])
+    return kernel_io.load_bank(config.kernels, config.labels)
 
 
 def cmd_gram(args) -> int:
@@ -199,11 +190,8 @@ def cmd_retrieve(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = Path(args.expr_file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read expression file {path}: {exc}") from exc
-    expr = parse_expr(text.strip())
+    with kernel_io.reading(path, "expression file"):
+        expr = parse_expr(path.read_text(encoding="utf-8").strip())
     print("\n".join(_render(expr, "")))
     print(f"depth={depth(expr)} nodes={node_count(expr)}")
     print(f"canonical: {canonical_string(expr)}")

@@ -111,8 +111,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 def load_config_file(path) -> dict[str, object]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

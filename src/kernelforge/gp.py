@@ -235,9 +235,9 @@ class SplitFitness:
     mode, n_folds).  Commutative reorderings share a canonical string, and so
     the fitness seed, so sharing their entry changes no result.  The split's fit
     block, ``fit_bank`` (the bank restricted to ``split.fit_idx``) and
-    ``fit_labels``, is cut once, here.  The one check that labels match the bank:
-    one per item, or ShapeError.  Splits are drawn from the labels first, so a
-    short vector can fail there as a class too small (DataError)."""
+    ``fit_labels``, is cut once, here.  Labels must match the bank, one per item, or
+    ShapeError (``kernel_io.load_bank`` checks a bank read from files first).  Splits
+    are drawn from the labels first, so a short vector can fail there as a class too small (DataError)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split

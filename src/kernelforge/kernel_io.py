@@ -1,5 +1,5 @@
-"""File formats: binary kernel files (``read_kernel`` is the one file entry point for
-kernels), feature CSV, run manifests, and the shape check JSON documents pass first.
+"""File formats (kernel binaries, which only ``read_kernel`` reads; feature and label CSVs; manifests), the
+bank loader, ``reading``, where input files' errors are typed and named, and the shape check of JSON documents.
 
 Binary kernel layout (little-endian throughout):
     magic "KGM1" | u32 m | m*m float64 entries, row-major | u32 name length | name utf-8
@@ -11,12 +11,13 @@ import json
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .gram import GramMatrix, KernelBank, validate_features
+from .errors import DataError, ShapeError
+from .gram import GramMatrix, KernelBank, require_psd, validate_features
 
 MAGIC = b"KGM1"
 MANIFEST_SCHEMA = "kf-manifest-1"
@@ -75,51 +76,56 @@ def write_kernel(path, gram: GramMatrix) -> None:
         fh.write(struct.pack("<I", len(name)) + name)
 
 
+@contextmanager
+def reading(path, what: str):
+    """The one place an input file's errors are typed and named: a DataError raised inside keeps its
+    class, with ``{path}: `` before its message; an OSError or ValueError is a DataError naming both."""
+    try:
+        yield
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not valid UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read {what}: {exc}") from exc
+
+
 def read_kernel(path) -> GramMatrix:
     """The kernel in a binary kernel file, read straight into the kept array and checked there."""
     path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(8)
-            if head[:4] != MAGIC:
-                raise DataError(f"{path}: not a kernel file (bad magic {head[:4]!r})")
-            if len(head) < 8:
-                raise DataError(f"{path}: truncated kernel file")
-            (m,) = struct.unpack_from("<I", head, 4)
-            body = 8 + 8 * m * m
-            if os.fstat(fh.fileno()).st_size < body + 4:  # before m x m floats are allocated
-                raise DataError(f"{path}: truncated kernel file")
-            values = np.empty((m, m), "<f8")
-            got = fh.readinto(values)
-            tail = fh.read()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read kernel file: {exc}") from exc
-    if got != values.nbytes or len(tail) < 4:  # the file shrank after the size check
-        raise DataError(f"{path}: truncated kernel file")
-    (name_len,) = struct.unpack_from("<I", tail)
-    if len(tail) != 4 + name_len:
-        raise DataError(f"{path}: {body + len(tail)} bytes, but the header promises {body + 4 + name_len}")
-    try:
-        name = tail[4:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: kernel name is not valid UTF-8: {exc}") from exc
-    return GramMatrix._adopt(values, name)
+    with reading(path, "kernel file"), open(path, "rb") as fh:
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise DataError(f"not a kernel file (bad magic {head[:4]!r})")
+        if len(head) < 8:
+            raise DataError("truncated kernel file")
+        (m,) = struct.unpack_from("<I", head, 4)
+        body = 8 + 8 * m * m
+        if os.fstat(fh.fileno()).st_size < body + 4:  # before m x m floats are allocated
+            raise DataError("truncated kernel file")
+        values = np.empty((m, m), "<f8")
+        got = fh.readinto(values)
+        tail = fh.read()
+        if got != values.nbytes or len(tail) < 4:  # the file shrank after the size check
+            raise DataError("truncated kernel file")
+        (name_len,) = struct.unpack_from("<I", tail)
+        if len(tail) != 4 + name_len:
+            raise DataError(f"{body + len(tail)} bytes, but the header promises {body + 4 + name_len}")
+        return GramMatrix._adopt(values, tail[4:].decode("utf-8"))
 
 
 def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Feature CSV: one row per item, last column = integer class label."""
-    path = Path(path)
-    try:
+    with reading(path, "feature CSV"):
         table = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-        raise DataError(f"{path}: could not read feature CSV: {exc}") from exc
-    if table.shape[1] < 2:
-        raise DataError(f"{path}: need at least one feature column plus a label column")
-    features = table[:, :-1]
-    raw_labels = table[:, -1]
-    if not np.all(np.isfinite(raw_labels)) or np.any(raw_labels != np.round(raw_labels)):
-        raise DataError(f"{path}: last column must hold integer class labels")
-    validate_features(features)
+        if table.shape[1] < 2:
+            raise DataError("need at least one feature column plus a label column")
+        features = table[:, :-1]
+        raw_labels = table[:, -1]
+        if not np.all(np.isfinite(raw_labels)) or np.any(raw_labels != np.round(raw_labels)):
+            raise DataError("last column must hold integer class labels")
+        validate_features(features)
     return features, raw_labels.astype(int)
 
 
@@ -136,15 +142,13 @@ def save_feature_csv(path, features, labels, header: list[str] | None = None) ->
 
 def load_labels_csv(path) -> np.ndarray:
     """One integer class label per line; a line of more than one column raises DataError."""
-    try:
+    with reading(path, "labels file"):
         table = np.loadtxt(path, dtype=float, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: could not read labels: {exc}") from exc
-    if table.shape[1] != 1:
-        raise DataError(f"{path}: need one label per line, got {table.shape[1]} columns")
-    raw = table[:, 0]
-    if not np.all(np.abs(raw) < 2.0**63) or np.any(raw != np.round(raw)):
-        raise DataError(f"{path}: labels must be integers that fit int64")
+        if table.shape[1] != 1:
+            raise DataError(f"need one label per line, got {table.shape[1]} columns")
+        raw = table[:, 0]
+        if not np.all(np.abs(raw) < 2.0**63) or np.any(raw != np.round(raw)):
+            raise DataError("labels must be integers that fit int64")
     return raw.astype(int)
 
 
@@ -176,26 +180,35 @@ _MANIFEST_DOC = {
 def read_manifest(path) -> dict:
     """The manifest document; anything but UTF JSON of write_manifest's shape raises DataError."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read manifest: {exc}") from exc
-    return parse_json(raw, _MANIFEST_DOC, str(path))
+    with reading(path, "manifest"):
+        return parse_json(path.read_bytes(), _MANIFEST_DOC, path.name)
+
+
+def load_bank(files, labels_path, names=None, m=None) -> tuple[KernelBank, np.ndarray]:
+    """The bank of the kernel files and its labels, each error naming its file: every kernel holds m items
+    (default: the first file's) and is PSD, so all derived ones are too, and the labels number m."""
+    files, kernels = [Path(p) for p in files], []
+    for path in files:
+        kernel = read_kernel(path)
+        m = kernel.size if m is None else m
+        if kernel.size != m:
+            raise ShapeError(f"{path}: {kernel.size} items, but the bank holds {m}")
+        require_psd(kernel, f"kernel file {path}")
+        kernels.append(kernel)
+    if names is None:
+        names = [k.source_tag or p.stem for k, p in zip(kernels, files)]
+    bank = KernelBank(tuple(kernels), tuple(names))
+    labels = load_labels_csv(labels_path)
+    if labels.shape[0] != bank.size:
+        raise ShapeError(f"{labels_path}: {labels.shape[0]} labels for a bank of {bank.size} items")
+    return bank, labels
 
 
 def load_bank_from_manifest(path) -> tuple[KernelBank, np.ndarray, dict]:
-    """Read the manifest plus every kernel and the label file it points at."""
+    """Read the manifest, then the bank and labels it points at (``load_bank`` at the manifest's m)."""
     path = Path(path)
     doc = read_manifest(path)
-    base = path.parent
-    kernels, names = [], []
-    for entry in doc["kernels"]:
-        k = read_kernel(base / entry["file"])
-        if k.size != doc["m"]:
-            raise DataError(f"{entry['file']}: size {k.size} disagrees with manifest m={doc['m']}")
-        kernels.append(k)
-        names.append(entry["name"])
-    labels = load_labels_csv(base / doc["labels_file"])
-    if labels.shape[0] != doc["m"]:
-        raise DataError(f"{doc['labels_file']}: {labels.shape[0]} labels for m={doc['m']} items")
-    return KernelBank(tuple(kernels), tuple(names)), labels, doc
+    files = [path.parent / entry["file"] for entry in doc["kernels"]]
+    names = [entry["name"] for entry in doc["kernels"]]
+    bank, labels = load_bank(files, path.parent / doc["labels_file"], names, doc["m"])
+    return bank, labels, doc

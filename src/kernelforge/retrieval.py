@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .expr import KernelExpr, _folded, canonical_string, parse_expr
 from .gram import GramMatrix, KernelBank, _normalized
-from .kernel_io import read_kernel, write_kernel
+from .kernel_io import read_kernel, reading, write_kernel
 
 ORDERS = ("similarity", "paper-min")
 
@@ -119,9 +119,9 @@ def save_index(path, index: SimilarityIndex) -> None:
 def load_index(path) -> SimilarityIndex:
     path = Path(path)
     matrix = read_kernel(path)
+    with reading(path, "index"):
+        expr = parse_expr(matrix.source_tag)
     sidecar = path.with_name(path.name + ".ids")
-    if not sidecar.exists():
-        raise DataError(f"missing item-id sidecar {sidecar}")
-    ids = [line for line in sidecar.read_text(encoding="utf-8").splitlines() if line]
-    expr = parse_expr(matrix.source_tag)
-    return SimilarityIndex(matrix, tuple(ids), expr)
+    with reading(sidecar, "item-id sidecar"):
+        ids = [line for line in sidecar.read_text(encoding="utf-8").splitlines() if line]
+        return SimilarityIndex(matrix, tuple(ids), expr)

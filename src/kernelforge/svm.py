@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
 from .gram import GramMatrix, submatrix
-from .kernel_io import check_json, dump_json, parse_json
+from .kernel_io import check_json, dump_json, parse_json, reading
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -402,4 +402,5 @@ def save_multiclass(path, model: MulticlassModel) -> None:
 
 
 def load_multiclass(path) -> MulticlassModel:
-    return multiclass_from_dict(parse_json(Path(path).read_bytes(), dict, str(path)))
+    with reading(path, "model"):
+        return multiclass_from_dict(parse_json(Path(path).read_bytes(), dict, "model"))

@@ -638,6 +638,12 @@ def _not_utf8_config(ws):
     return ["gram", "--config", path]
 
 
+def _feature_csv_with_nan(ws):
+    text = (ws / "view1.csv").read_text()
+    (ws / "nan.csv").write_text("nan" + text[text.index(","):])  # the first feature of the first row
+    return ["gram", "--config", ws / "run.cfg", "--set", 'data.features=["nan.csv"]']
+
+
 # case -> (arguments, given the workspace; exit code; error class; what the message names)
 UNREADABLE_INPUTS = {
     "config_is_a_directory": (lambda ws: ["gram", "--config", ws / "adir"], 2, "ConfigError", "adir"),
@@ -645,6 +651,7 @@ UNREADABLE_INPUTS = {
     "feature_csv_is_a_directory": (
         lambda ws: ["gram", "--config", ws / "run.cfg", "--set", 'data.features=["adir"]'], 3, "DataError", "adir"
     ),
+    "feature_csv_with_nan": (_feature_csv_with_nan, 3, "DataError", "nan.csv: feature matrix contains non-finite"),
     "manifest_is_a_directory": (
         lambda ws: ["evolve", "--config", ws / "run.cfg", "--set", "data.manifest=adir"], 3, "DataError", "adir"
     ),
@@ -743,10 +750,29 @@ def _empty_kernel(kernels: Path) -> None:
     (kernels / "k_view2.kgm").write_bytes(MAGIC + struct.pack("<II", 0, 0))  # m = 0, no name
 
 
+def _asymmetric_kernel(kernels: Path) -> None:
+    values = read_kernel(kernels / "k_view2.kgm").values.copy()
+    values[0, 1] += 0.5
+    blob = MAGIC + struct.pack("<I", len(values)) + values.astype("<f8").tobytes() + struct.pack("<I", 0)
+    (kernels / "k_view2.kgm").write_bytes(blob)
+
+
+def _kernel_of_35_items(kernels: Path) -> None:
+    write_kernel(kernels / "k_view2.kgm", GramMatrix(np.eye(35), "view2"))
+
+
+def _short_labels(kernels: Path) -> None:
+    path = kernels / "labels.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[3:]))
+
+
 # (edit of the kernels directory gram wrote, error class, text the message holds)
 MALFORMED_BANK_INPUTS = {
     "labels_in_two_columns": (_two_column_labels, "DataError", "labels.csv: need one label per line, got 2 columns"),
-    "kernel_of_no_items": (_empty_kernel, "ShapeError", "gram matrix must hold at least one item"),
+    "kernel_of_no_items": (_empty_kernel, "ShapeError", "k_view2.kgm: gram matrix must hold at least one item"),
+    "asymmetric_kernel": (_asymmetric_kernel, "ShapeError", "k_view2.kgm: gram matrix asymmetric beyond"),
+    "kernels_of_two_sizes": (_kernel_of_35_items, "ShapeError", "k_view2.kgm: 35 items, but the bank holds 36"),
+    "labels_too_few": (_short_labels, "ShapeError", "labels.csv: 33 labels for a bank of 36 items"),
 }
 
 
@@ -887,6 +913,18 @@ class TestRetrieveCommand:
         index_file.write_bytes(index_file.read_bytes()[:-1] + b"\xff")
         assert run_cli(["retrieve", "--index", index_file, "--item", "img0", "--k", "1"]) == 3
         assert "UTF-8" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"img0\nimg\xff\n", "item-id sidecar is not valid UTF-8"), (b"img0\nimg1\n", "2 item ids for a 4x4 matrix")],
+        ids=["not_utf8", "too_few_ids"],
+    )
+    def test_bad_sidecar_is_data_error_naming_it(self, index_file, capsys, content, message):
+        sidecar = index_file.with_name("index.kgm.ids")
+        sidecar.write_bytes(content)
+        assert run_cli(["retrieve", "--index", index_file, "--item", "img0", "--k", "1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and err["message"].startswith(f"{sidecar}: {message}")
 
 
 class TestInspectCommand:

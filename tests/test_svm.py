@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from itertools import combinations
 
@@ -654,9 +655,10 @@ class TestModelDocument:
         with pytest.raises(DataError):
             load_multiclass(path)
 
-    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe\x00", b"[]"])
+    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe\x00", b"[]", None])
     def test_undecodable_file_is_data_error(self, tmp_path, text):
         path = tmp_path / "model.json"
-        path.write_bytes(text)
-        with pytest.raises(DataError):
+        if text is not None:  # None: no file at all
+            path.write_bytes(text)
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
             load_multiclass(path)
