@@ -11,6 +11,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -117,7 +118,8 @@ def read_kernel(path) -> GramMatrix:
 
 def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Feature CSV: one row per item, last column = integer class label."""
-    with reading(path, "feature CSV"):
+    with reading(path, "feature CSV"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the checks name the file
         table = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
         if table.shape[1] < 2:
             raise DataError("need at least one feature column plus a label column")
@@ -142,7 +144,8 @@ def save_feature_csv(path, features, labels, header: list[str] | None = None) ->
 
 def load_labels_csv(path) -> np.ndarray:
     """One integer class label per line; a line of more than one column raises DataError."""
-    with reading(path, "labels file"):
+    with reading(path, "labels file"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the checks name the file
         table = np.loadtxt(path, dtype=float, ndmin=2)
         if table.shape[1] != 1:
             raise DataError(f"need one label per line, got {table.shape[1]} columns")
@@ -178,10 +181,13 @@ _MANIFEST_DOC = {
 
 
 def read_manifest(path) -> dict:
-    """The manifest document; anything but UTF JSON of write_manifest's shape raises DataError."""
+    """The manifest document; anything but UTF JSON of write_manifest's shape, with at least one kernel, raises DataError."""
     path = Path(path)
     with reading(path, "manifest"):
-        return parse_json(path.read_bytes(), _MANIFEST_DOC, path.name)
+        doc = parse_json(path.read_bytes(), _MANIFEST_DOC, path.name)
+        if not doc["kernels"]:
+            raise DataError(f"{path.name}.kernels: need at least one kernel")
+    return doc
 
 
 def load_bank(files, labels_path, names=None, m=None) -> tuple[KernelBank, np.ndarray]:

@@ -15,10 +15,12 @@ given a fixed BLAS thread count (the bits of a large kernel depend on it).
 folds, C selection and final scoring all go through it, and it refuses a model
 that stopped at max_passes.
 
-A GramMatrix was checked where it entered the package, so it is trusted here; a
-raw array becomes one at entry.  The class-pair blocks, cut with ``GramMatrix.restrict``,
-keep that check.  ``fit_predict`` cuts the held x fit block once, and hands back
-the pair decisions its vote read, so no caller decides a pair twice.
+The entry points (``train_binary``, ``train_multiclass``, ``decision``, ``predict``,
+``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix, which
+was checked where it entered the package.  Blocks cut from a checked fit block (the
+class-pair blocks) are trusted, wrapped unscanned, and each pair decides on its own
+columns without ``decision``'s re-check.  ``fit_predict`` cuts the held x fit block
+once, and hands back the pair decisions its vote read, so no caller decides a pair twice.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     p = y.shape[0]
     if k.shape != (p, p):
         raise ShapeError(f"kernel shape {k.shape} does not match {p} labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    n_pos = np.count_nonzero(y == 1.0)
+    if n_pos + np.count_nonzero(y == -1.0) != p:
         raise DataError("binary labels must be -1/+1")
-    if np.all(y == y[0]):
+    if n_pos in (0, p):
         raise DataError("training labels contain a single class")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -127,6 +130,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         raise ParameterError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
     c, tol, eps = params.c, params.kkt_tol, params.eps
+    c_eps, neg_tol = c - eps, -tol  # hoisted: the loop clips with conditional expressions, calling no builtin
     # scalars are read as Python floats (see the module docstring); cols[j] is column j
     # of k, so k[i, j] is cols[j][i] (rows of a raw kernel may differ from its columns)
     yl, cols = y.tolist(), k.T.tolist()
@@ -135,7 +139,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     b = 0.0
     # each row of Generator.permuted is the next rng.permutation(p) draw, bit for bit
     rows = np.broadcast_to(np.arange(p), (_PERM_BLOCK, p))
-    perms, used, state = [], 0, None
+    perms, used, state = [], _PERM_BLOCK, None  # used: rows of perms taken
 
     passes = 0
     examine_all = True
@@ -144,19 +148,20 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         if examine_all:
             candidates = range(p)
         else:
-            candidates = [i for i, a in enumerate(alpha) if eps < a < c - eps]
+            candidates = [i for i, a in enumerate(alpha) if eps < a < c_eps]
         changed = 0
         for i in candidates:
             gi, yi, ai = g[i], yl[i], alpha[i]
             ei = gi + b - yi
             ri = yi * ei
-            if not ((ri < -tol and ai < c - eps) or (ri > tol and ai > eps)):
+            if not ((ri < neg_tol and ai < c_eps) or (ri > tol and ai > eps)):
                 continue
-            if used == len(perms):
+            if used == _PERM_BLOCK:
                 state = rng.bit_generator.state
                 perms, used = rng.permuted(rows, axis=1).tolist(), 0
             used += 1
             ci = cols[i]
+            kii = ci[i]
             for j in perms[used - 1]:  # Platt's pair step for (i, j)
                 if i == j:
                     continue
@@ -166,13 +171,13 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
                     lo, hi = aj - ai, c + aj - ai
                 else:
                     lo, hi = ai + aj - c, ai + aj
-                lo = lo if lo > 0.0 else 0.0  # max(0.0, lo) and min(c, hi), without the call
+                lo = lo if lo > 0.0 else 0.0  # max(0.0, lo) and min(c, hi), bit for bit
                 hi = hi if hi < c else c
                 if lo >= hi:
                     continue
                 gj, cj = g[j], cols[j]
                 ej = gj + b - yj
-                kii, kjj, kij = ci[i], cj[j], cj[i]
+                kjj, kij = cj[j], cj[i]
                 eta = kii + kjj - 2.0 * kij
                 if eta > 0:
                     aj_new = aj + yj * (ei - ej) / eta
@@ -194,20 +199,19 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
                         aj_new = hi
                     else:
                         continue
-                if abs(aj_new - aj) < eps * (aj_new + aj + eps):
+                dj, lim = aj_new - aj, eps * (aj_new + aj + eps)
+                if -lim < dj < lim:  # abs(dj) < lim
                     continue
-                ai_new = min(c, max(0.0, ai + s * (aj - aj_new)))
-                di, dj = ai_new - ai, aj_new - aj
-                b1 = b - ei - di * yi * kii - dj * yj * kij
-                b2 = b - ej - di * yi * kij - dj * yj * kjj
-                if eps < ai_new < c - eps:
-                    b = b1
-                elif eps < aj_new < c - eps:
-                    b = b2
+                ai_new = ai + s * (aj - aj_new)  # then min(c, max(0.0, ai_new)), as for lo and hi
+                ai_new = (ai_new if ai_new < c else c) if ai_new > 0.0 else 0.0
+                u, v = (ai_new - ai) * yi, dj * yj  # di * yi * k parses as u * k
+                if eps < ai_new < c_eps:
+                    b = b - ei - u * kii - v * kij
+                elif eps < aj_new < c_eps:
+                    b = b - ej - u * kij - v * kjj
                 else:
-                    b = 0.5 * (b1 + b2)
+                    b = 0.5 * ((b - ei - u * kii - v * kij) + (b - ej - u * kij - v * kjj))
                 alpha[i], alpha[j] = ai_new, aj_new
-                u, v = di * yi, dj * yj
                 g = [gt + (u * x + v * z) for gt, x, z in zip(g, ci, cj)]
                 changed += 1
                 break
@@ -225,7 +229,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         elif changed == 0:
             examine_all = True
 
-    if used < len(perms):  # redraw only the rows used, so rng ends as per-violator draws leave it
+    if used < _PERM_BLOCK:  # redraw only the rows used, so rng ends as per-violator draws leave it
         rng.bit_generator.state = state
         rng.permuted(rows[:used], axis=1)
     alpha, g = np.array(alpha), np.array(g)
@@ -266,7 +270,7 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
 
     Pair label convention: the smaller class id maps to -1.  Each pair's SMO
     stream is derived from (seed, class pair), so results do not depend on
-    training order.  A raw array is checked once, as a GramMatrix.
+    training order.  The input is checked once; pair blocks cut from the fit block are trusted.
     """
     fit = (gram if isinstance(gram, GramMatrix) else GramMatrix(gram)).restrict(train_idx)
     train_labels = np.asarray(labels)[np.asarray(train_idx, dtype=int)]
@@ -278,7 +282,8 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     for a, b in combinations(classes, 2):
         pos = np.flatnonzero((train_labels == a) | (train_labels == b))
         y = np.where(train_labels[pos] == a, -1.0, 1.0)
-        model = train_binary(fit.restrict(pos), y, params, derived_rng(seed, "pair", a, b))
+        block = GramMatrix._checked(fit.values.take(pos, 0).take(pos, 1), fit.source_tag)
+        model = train_binary(block, y, params, derived_rng(seed, "pair", a, b))
         pairs.append((a, b))
         models.append(model)
         positions.append(pos)
@@ -292,25 +297,26 @@ def _pair_decisions(model: MulticlassModel, rows) -> np.ndarray:
         raise ShapeError(f"expected 2-d kernel rows, got shape {q.shape}")
     f = np.empty((q.shape[0], len(model.pairs)))
     for t, (mdl, pos) in enumerate(zip(model.models, model.pair_positions)):
-        f[:, t] = decision(mdl, q[:, pos])
+        f[:, t] = q[:, pos] @ (mdl.alpha * mdl.train_labels) + mdl.bias  # decision() on its own columns
     return f
 
 
 def _vote(model: MulticlassModel, decisions: np.ndarray) -> np.ndarray:
     n_cls = len(model.class_labels)
     col_of = {c: i for i, c in enumerate(model.class_labels)}
-    votes = np.zeros((decisions.shape[0], n_cls))
-    margins = np.zeros((decisions.shape[0], n_cls))
+    # a row per class; a pair adds 0.0 to the loser's margins, which leaves each (>= +0.0 or NaN) as it was
+    votes = np.zeros((n_cls, decisions.shape[0]))
+    margins = np.zeros((n_cls, decisions.shape[0]))
     for (a, b), f in zip(model.pairs, decisions.T):
-        win_b = f > 0
+        win_b, size = f > 0, np.abs(f)
         ia, ib = col_of[a], col_of[b]
-        votes[win_b, ib] += 1
-        votes[~win_b, ia] += 1
-        margins[win_b, ib] += np.abs(f[win_b])
-        margins[~win_b, ia] += np.abs(f[~win_b])
+        votes[ib] += win_b
+        votes[ia] += ~win_b
+        margins[ib] += np.where(win_b, size, 0.0)
+        margins[ia] += np.where(win_b, 0.0, size)
 
     # margins are >= 0, so -inf rules out every class short of the most votes
-    top = np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf), axis=1)
+    top = np.argmax(np.where(votes == votes.max(axis=0), margins, -np.inf), axis=0)
     return np.asarray(model.class_labels, dtype=int)[top]
 
 

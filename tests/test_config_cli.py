@@ -602,6 +602,10 @@ MALFORMED_BANK_FILES = {
     "labels_file_missing": (lambda d: (d / "labels.csv").unlink(), "labels.csv"),
     "labels_not_numeric": (lambda d: _set_first_label(d / "labels.csv", "zero"), "labels.csv"),
     "labels_infinite": (lambda d: _set_first_label(d / "labels.csv", "inf"), "labels.csv"),
+    "manifest_lists_no_kernel": (
+        lambda d: _edit_json(d / "manifest.json", lambda doc: doc["kernels"].clear()),
+        "manifest.json.kernels: need at least one kernel",
+    ),
 }
 
 
@@ -802,6 +806,16 @@ def test_malformed_bank_file_exits_3(xor_workspace, capsys, case):
     assert err["error"] == "DataError" and named in err["message"]
 
 
+def _run_cli_process(*args, **env):
+    """The CLI in a fresh interpreter, under os.environ updated by env, with the default
+    warning filters, so that numpy's warnings would reach its stderr."""
+    env = dict(os.environ, **env)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "kernelforge.cli", *map(str, args)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def kf_logger():
     """The package logger, whose level main sets from KF_LOG, restored after the test."""
@@ -861,13 +875,28 @@ class TestLogLevel:
         assert err["error"] == "ConfigError" and "KF_LOG" in err["message"] and value in err["message"]
 
     def test_info_lines_reach_stderr(self, xor_workspace):
-        env = dict(os.environ, KF_LOG="info")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-        cmd = [sys.executable, "-m", "kernelforge.cli", "gram", "--config", str(xor_workspace / "run.cfg")]
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        done = _run_cli_process("gram", "--config", xor_workspace / "run.cfg", KF_LOG="info")
         assert done.returncode == 0, done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 2 and all(line.startswith("INFO kernelforge: ") for line in lines)
+
+
+@pytest.mark.parametrize("emptied", ["labels", "features"])
+def test_empty_input_file_leaves_only_the_json_error_on_stderr(xor_workspace, emptied):
+    cfg = xor_workspace / "run.cfg"
+    if emptied == "labels":
+        assert run_cli(["gram", "--config", cfg]) == 0
+        (xor_workspace / "kernels" / "labels.csv").write_text("")
+        args = ["evolve", "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
+        error, message = "ShapeError", "labels.csv: 0 labels for a bank of 36 items"
+    else:
+        (xor_workspace / "view1.csv").write_text("")
+        args, error, message = ["gram"], "DataError", "view1.csv: need at least one feature column"
+    done = _run_cli_process(args[0], "--config", cfg, *args[1:])
+    assert done.returncode == 3, done.stderr
+    assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
+    err = json.loads(done.stderr)
+    assert err["error"] == error and message in err["message"]
 
 
 class TestRetrieveCommand:

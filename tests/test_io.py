@@ -237,7 +237,11 @@ class TestManifest:
     def test_round_trip_property(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("manifest") / "manifest.json"
         write_manifest(path, doc["m"], doc["kernels"], doc["labels_file"])
-        assert read_manifest(path) == doc
+        if doc["kernels"]:
+            assert read_manifest(path) == doc
+        else:  # a manifest that lists no kernel is refused where it is read
+            with pytest.raises(DataError, match="manifest.json.kernels: need at least one kernel"):
+                read_manifest(path)
 
     @given(manifests(), st.data())
     def test_corruption_rejected(self, tmp_path_factory, doc, data):

@@ -32,6 +32,7 @@ from kernelforge.svm import (
     MulticlassModel,
     SvmModel,
     _violators,
+    _vote,
     load_multiclass,
     multiclass_from_dict,
     multiclass_to_dict,
@@ -84,8 +85,14 @@ class TestTrainBinary:
         assert accuracy(pred, y) == 1.0
 
     def test_single_class_rejected(self):
-        with pytest.raises(DataError):
-            train_binary(np.eye(3), np.ones(3), SvmParams())
+        for sign in (1.0, -1.0):
+            with pytest.raises(DataError, match="training labels contain a single class"):
+                train_binary(np.eye(3), sign * np.ones(3), SvmParams())
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan, 1.0000001])
+    def test_label_other_than_plus_minus_one_rejected(self, bad):
+        with pytest.raises(DataError, match="binary labels must be -1/\\+1"):
+            train_binary(np.eye(4), [1.0, -1.0, bad, 1.0], SvmParams())
 
     def test_asymmetric_kernel_rejected(self):
         k = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -316,21 +323,30 @@ class TestMulticlass:
         assert predict(model, np.zeros((1, 6)))[0] == 0
 
 
-def reference_predict(model, q, train_idx):
-    """predict as a loop over rows: most votes, then the largest margin sum
-    among the tied classes, then the first of those in class_labels."""
+def reference_vote(model, decisions):
+    """The vote as a loop over rows of pair decisions: most votes, then the largest
+    margin sum among the tied classes (a NaN sum ranking above every number, as in
+    numpy's argmax), then the first of those in class_labels."""
     out = []
-    for row in q:
+    for row in decisions:
         votes = dict.fromkeys(model.class_labels, 0)
         margins = dict.fromkeys(model.class_labels, 0.0)
-        for (a, b), mdl, pos in zip(model.pairs, model.models, model.pair_positions):
-            f = decision(mdl, row[train_idx[pos]][None, :])[0]
+        for (a, b), f in zip(model.pairs, row):
             winner = b if f > 0 else a
             votes[winner] += 1
             margins[winner] += abs(f)
         tied = [c for c in model.class_labels if votes[c] == max(votes.values())]
-        out.append(next(c for c in tied if margins[c] == max(margins[t] for t in tied)))
+        out.append(max(tied, key=lambda c: (np.isnan(margins[c]), np.nan_to_num(margins[c]))))
     return np.array(out)
+
+
+def reference_predict(model, q, train_idx):
+    """predict as a loop over rows, each pair deciding by ``decision`` on its own points."""
+    decisions = [
+        [decision(mdl, row[train_idx[pos]][None, :])[0] for mdl, pos in zip(model.models, model.pair_positions)]
+        for row in q
+    ]
+    return reference_vote(model, decisions)
 
 
 class TestPredictTies:
@@ -356,6 +372,23 @@ class TestPredictTies:
             f = decision(mdl, q[:, train_idx[pos]])
             votes[np.arange(q.shape[0]), np.where(f > 0, classes.index(b), classes.index(a))] += 1
         assert (np.sum(votes == votes.max(axis=1, keepdims=True), axis=1) > 1).mean() > 0.2
+
+    def test_vote_on_zero_and_nan_decisions_matches_per_row_reference(self, rng):
+        # a decision of 0.0 or -0.0 is a vote for the smaller class with a margin of +0.0,
+        # and a NaN one a vote for the smaller class whose margin sum turns NaN
+        params = SvmParams()
+        classes = [2, 5, 7, 9]
+        pairs = list(combinations(classes, 2))
+        models = [SvmModel(np.ones(2), 0.0, np.array([-1.0, 1.0]), params, True) for _ in pairs]
+        positions = [np.array([2 * n, 2 * n + 1]) for n in range(len(pairs))]
+        model = MulticlassModel(classes, pairs, models, positions, params)
+        decisions = rng.choice([0.0, -0.0, np.nan, 0.5, -0.5, 1.0], size=(4000, len(pairs)))
+        assert np.signbit(decisions[decisions == 0.0]).any() and np.isnan(decisions).any()
+        expected = reference_vote(model, decisions)
+        assert np.array_equal(_vote(model, decisions), expected)
+        assert set(expected) == set(classes)
+        for value in (0.0, -0.0, np.nan):  # each alone: every pair's smaller class wins
+            assert np.array_equal(_vote(model, np.full((1, len(pairs)), value)), reference_vote(model, [[value] * len(pairs)]))
 
     def test_empty_query_gives_empty_prediction(self, rng):
         k, labels = three_class_clusters(rng)
