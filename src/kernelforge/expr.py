@@ -176,21 +176,22 @@ def evaluate(expr: KernelExpr, bank: KernelBank) -> GramMatrix:
     A bare leaf is the bank's own array under the canonical tag.
     """
     tag = canonical_string(expr)
-    return GramMatrix._checked(_folded(expr, bank, tag), tag)
+    return GramMatrix._checked(_folded(expr, [k.values for k in bank.kernels], tag), tag)
 
 
-def _folded(expr: KernelExpr, bank: KernelBank, tag: str) -> np.ndarray:
-    """``evaluate``'s array, unwrapped: writable exactly when the fold made it."""
+def _folded(expr: KernelExpr, arrays, tag: str) -> np.ndarray:
+    """The tree folded over ``arrays``, a bank's read-only kernels or the same block of each (the same
+    block of the whole fold, bit for bit: + and * act entry by entry); writable exactly when the fold made it."""
     with _stays_finite(tag):
-        return _fold(expr, bank)
+        return _fold(expr, arrays)
 
 
-def _fold(node: KernelExpr, bank: KernelBank) -> np.ndarray:
-    """The node's kernel array; the arrays the fold made are the writable ones."""
+def _fold(node: KernelExpr, arrays) -> np.ndarray:
+    """The node's array; the arrays the fold made are the writable ones."""
     if isinstance(node, Leaf):
-        if not 0 <= node.index < len(bank):
-            raise DataError(f"expression leaf K{node.index + 1} outside bank of {len(bank)} kernels")
-        return bank.kernels[node.index].values
+        if not 0 <= node.index < len(arrays):
+            raise DataError(f"expression leaf K{node.index + 1} outside bank of {len(arrays)} kernels")
+        return arrays[node.index]
     op = np.add if isinstance(node, Add) else np.multiply
-    a, b = _fold(node.left, bank), _fold(node.right, bank)
+    a, b = _fold(node.left, arrays), _fold(node.right, arrays)
     return op(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)

@@ -6,10 +6,10 @@ Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional).
 Fitness reads only the train x train and validation x train entries, so
 ``SplitFitness`` cuts the split's fit block, every base kernel restricted to
-the training and validation items, once, and ``fitness`` folds each
-chromosome over that block.  Every mode is a list of (fit, held) position
-pairs scored by one loop over ``svm.fit_predict``; validation is the single
-pair (train, validation).  ``SplitFitness`` is the one memo of fitness on a
+the training and validation items, once (and the final fits' rows), and
+``fitness`` folds each chromosome over that block.  Every mode is a list of
+(fit, held) position pairs scored by one loop over ``svm.fit_predict``;
+validation is the single pair (train, validation).  ``SplitFitness`` is the one memo of fitness on a
 split; ``evolve`` and the harness's best-leaf and C selection score through it.
 Per-chromosome RNG streams are derived from (seed, generation, slot), the seed
 an argument of ``evolve``, so a run is reproducible from its seed.  The search
@@ -41,7 +41,7 @@ from .expr import (
     replace_at,
     subtree_at,
 )
-from .gram import KernelBank
+from .gram import KernelBank, submatrix
 from .rng import derive_seed, derived_rng
 from .svm import SvmParams, accuracy, fit_predict
 
@@ -231,12 +231,13 @@ def fitness(
 
 
 class SplitFitness:
-    """``fitness`` on one split, memoised by (canonical expression, SVM params,
-    mode, n_folds).  Commutative reorderings share a canonical string, and so
-    the fitness seed, so sharing their entry changes no result.  The split's fit
-    block, ``fit_bank`` (the bank restricted to ``split.fit_idx``) and
-    ``fit_labels``, is cut once, here.  Labels must match the bank, one per item, or
-    ShapeError (``kernel_io.load_bank`` checks a bank read from files first).  Splits
+    """``fitness`` on one split, memoised by (canonical expression, SVM params, mode, n_folds).
+    Commutative reorderings share a canonical string, and so the fitness seed, so sharing
+    their entry changes no result.  The split's blocks are cut once, here: the fit block
+    ``fit_bank`` (the bank restricted to ``split.fit_idx``) and ``fit_labels``, and ``final_rows``,
+    each base kernel's (fit, then test) x fit rows, which ``harness.fit_expr`` folds over
+    (read-only, as a fold writes only into arrays it made).  Labels must match the bank, one per
+    item, or ShapeError (``kernel_io.load_bank`` checks a bank read from files first).  Splits
     are drawn from the labels first, so a short vector can fail there as a class too small (DataError)."""
 
     def __init__(self, bank: KernelBank, labels, split):
@@ -244,6 +245,10 @@ class SplitFitness:
         if len(self.labels) != bank.size:
             raise ShapeError(f"{len(self.labels)} labels for a bank of {bank.size} items")
         self.fit_bank, self.fit_labels = bank.restrict(split.fit_idx), self.labels[split.fit_idx]
+        rows = np.concatenate([split.fit_idx, np.asarray(split.test_idx, dtype=int)])  # fit, then test
+        self.final_rows = tuple(submatrix(k, rows, rows[: self.fit_labels.size]) for k in bank.kernels)
+        for block in self.final_rows:
+            block.flags.writeable = False
         self._memo: dict[tuple, float] = {}
 
     def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:

@@ -5,9 +5,12 @@ Every repeat draws its own train/validation/test split and one
 ``gp.SplitFitness``, the memo that best-leaf selection, ``evolve`` and C
 selection all score through.  The three candidates are expressions (the
 ``Add`` chain of every leaf, the best leaf and the evolved winner), and each
-goes through ``fit_expr``: optionally choose C by validation fitness, then
-train on train+validation through ``svm.fit_predict`` and score once on test,
-per class pair too.  ``run_repeat`` is repeat r up to its evolved fit;
+goes through ``fit_expr``: optionally choose C by validation fitness, fold the
+expression over the memo's (fit, then test) x fit rows, train on their fit x fit
+top through ``svm.fit_predict_rows`` and score once on the test rows, per class
+pair too.  No comparison or ``evolve`` builds a combined m x m kernel, so an
+overflow in a test x test entry, which no fit reads, fails nothing.
+``run_repeat`` is repeat r up to its evolved fit;
 ``run_comparison`` loops over it and fits the baselines on the same memo, and
 the CLI's ``evolve`` is ``run_repeat`` at r = 0.  Reports aggregate mean and
 sample (n-1) standard deviation across repeats.  A failing repeat raises its
@@ -25,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, KernelForgeError, ParameterError
-from .expr import Add, KernelExpr, Leaf, canonical_string, evaluate
+from .expr import Add, KernelExpr, Leaf, _folded, canonical_string
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve
-from .gram import KernelBank
+from .gram import GramMatrix, KernelBank
 from .kernel_io import dump_json, parse_json
 from .rng import derive_seed
-from .svm import MulticlassModel, SvmParams, accuracy, fit_predict
+from .svm import MulticlassModel, SvmParams, accuracy, fit_predict_rows
 
 log = logging.getLogger(__name__)
 REPORT_SCHEMA = "kf-report-1"
@@ -159,8 +162,9 @@ def _select_c(expr: KernelExpr, score: SplitFitness, svm_params: SvmParams) -> S
 def fit_expr(
     expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, grid_search_c: bool
 ) -> tuple[float, MulticlassModel, dict[str, float]]:
-    """Choose C on score's split if grid_search_c, then train the evaluated
-    expression on train+validation and score it once on test.
+    """Choose C on score's split if grid_search_c, then fold the expression over
+    score's (fit, then test) x fit rows, train on the top fit x fit block
+    (train+validation) and score once on the test rows below it.
 
     Returns (test accuracy, model, pair accuracies), the last keyed "a|b" as in
     ``_pair_accuracies``.  Test points cannot reach the fit, since DatasetSplit
@@ -169,11 +173,11 @@ def fit_expr(
     """
     if grid_search_c:
         svm_params = _select_c(expr, score, svm_params)
-    kernel = evaluate(expr, score.bank)
-    test_idx = np.asarray(score.split.test_idx, dtype=int)
-    seed = derive_seed(score.split.seed, "final", kernel.source_tag)
-    pred, model, decisions = fit_predict(kernel, score.labels, score.split.fit_idx, test_idx, svm_params, seed)
-    test_labels = score.labels[test_idx]
+    tag, n_fit = canonical_string(expr), score.fit_labels.size
+    rows, seed = _folded(expr, score.final_rows, tag), derive_seed(score.split.seed, "final", tag)
+    fit = GramMatrix._checked(rows[:n_fit], tag)  # rows: fit, then test
+    pred, model, decisions = fit_predict_rows(fit, score.fit_labels, np.arange(n_fit), rows[n_fit:], svm_params, seed)
+    test_labels = score.labels[np.asarray(score.split.test_idx, dtype=int)]
     return accuracy(pred, test_labels), model, _pair_accuracies(model, decisions, test_labels)
 
 

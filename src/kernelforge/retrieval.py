@@ -47,7 +47,7 @@ def build_index(expr: KernelExpr, bank: KernelBank, item_ids) -> SimilarityIndex
     symmetric and loads back through ``read_kernel``'s check even when the bank's
     kernels were only within ``SYMMETRY_TOL`` and their products further off."""
     tag = canonical_string(expr)
-    values = _folded(expr, bank, tag)
+    values = _folded(expr, [k.values for k in bank.kernels], tag)
     if not values.flags.writeable:
         values = values.copy()
     return SimilarityIndex(_normalized(values, values, tag), tuple(str(v) for v in item_ids), expr)

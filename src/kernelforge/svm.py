@@ -3,24 +3,24 @@
 The solver never sees feature vectors: it consumes kernel blocks only, which
 keeps kernel construction and classification strictly separated.  Pair updates
 follow Platt's analytic two-variable solve; the second index of each working
-pair is drawn from a seeded random permutation.  The loop, pair step inlined,
-runs on Python floats, since at p of about 20 per-call overhead outweighs a
-step's arithmetic.  Permutations are drawn a block at a time (the rows of
+pair is drawn from a seeded random permutation.  The loop, pair step inlined, and
+its convergence test run on Python floats, since at p of about 20 per-call overhead
+outweighs a step's arithmetic.  Permutations are drawn a block at a time (the rows of
 ``Generator.permuted`` are successive ``permutation`` draws), and the rng is
 rewound past the unused rows on exit, so it ends where one draw per violator
 leaves it.  Iterates and end state are bitwise those of the numpy formulation
 (``numpy_platt_smo`` in the tests' oracles), so reruns are byte-identical,
 given a fixed BLAS thread count (the bits of a large kernel depend on it).
-``fit_predict`` is the one train-then-predict path of the package: fitness
-folds, C selection and final scoring all go through it, and it refuses a model
-that stopped at max_passes.
+``fit_predict_rows`` is the one train-then-predict path of the package: fitness folds
+and C selection reach it through ``fit_predict``, which cuts the held x fit block, the
+final fits directly; it refuses a model that stopped at max_passes.
 
 The entry points (``train_binary``, ``train_multiclass``, ``decision``, ``predict``,
 ``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix, which
 was checked where it entered the package.  Blocks cut from a checked fit block (the
 class-pair blocks) are trusted, wrapped unscanned, and each pair decides on its own
-columns without ``decision``'s re-check.  ``fit_predict`` cuts the held x fit block
-once, and hands back the pair decisions its vote read, so no caller decides a pair twice.
+columns without ``decision``'s re-check.  The core hands back the pair decisions its
+vote read, so no caller decides a pair twice.
 """
 
 from __future__ import annotations
@@ -79,28 +79,29 @@ def dual_objective(kernel: np.ndarray, labels: np.ndarray, alpha: np.ndarray) ->
     return float(alpha.sum() - 0.5 * (v @ kernel @ v))
 
 
-def _violators(alpha, g, b, y, c, tol, eps) -> np.ndarray:
-    e = g + b - y
-    r = y * e
-    return np.flatnonzero(((r < -tol) & (alpha < c - eps)) | ((r > tol) & (alpha > eps)))
+def _violators(alpha, g, b, y, c, tol, eps) -> list[int]:
+    """Positions violating KKT by more than tol under bias b, by the numpy formulation's float tests."""
+    c_eps = c - eps
+    return [i for i, (a, gt, yt) in enumerate(zip(alpha, g, y))
+            if ((r := yt * (gt + b - yt)) < -tol and a < c_eps) or (r > tol and a > eps)]
 
 
 def _final_bias(alpha, g, y, c, eps) -> float:
-    free = (alpha > eps) & (alpha < c - eps)
-    if free.any():
-        return float(np.mean(y[free] - g[free]))
-    # all alphas at a bound: take the midpoint of the interval the KKT
-    # inequalities allow: y=+1@0 and y=-1@C bound b from below, the rest from above
-    margins = y - g
-    lower = ((alpha <= eps) & (y > 0)) | ((alpha >= c - eps) & (y < 0))
-    upper = ((alpha <= eps) & (y < 0)) | ((alpha >= c - eps) & (y > 0))
-    lo = np.max(margins[lower]) if lower.any() else -np.inf
-    hi = np.min(margins[upper]) if upper.any() else np.inf
+    """The KKT bias, reducing the values the numpy formulation reduced as it did (np.mean sums, then divides)."""
+    c_eps = c - eps
+    free = [yt - gt for a, gt, yt in zip(alpha, g, y) if eps < a < c_eps]
+    if free:
+        return float(np.add.reduce(free)) / len(free)
+    # all alphas at a bound: the midpoint of the KKT interval (y=+1@0, y=-1@C bound b below, the rest above)
+    lower = [yt - gt for a, gt, yt in zip(alpha, g, y) if (a <= eps and yt > 0) or (a >= c_eps and yt < 0)]
+    upper = [yt - gt for a, gt, yt in zip(alpha, g, y) if (a <= eps and yt < 0) or (a >= c_eps and yt > 0)]
+    lo = float(np.max(lower)) if lower else -np.inf
+    hi = float(np.min(upper)) if upper else np.inf
     if not np.isfinite(lo):
-        return float(hi)
+        return hi
     if not np.isfinite(hi):
-        return float(lo)
-    return float(0.5 * (lo + hi))
+        return lo
+    return 0.5 * (lo + hi)
 
 
 def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
@@ -218,9 +219,8 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         passes += 1
         if examine_all:
             if changed == 0:
-                a, gv = np.array(alpha), np.array(g)
-                b = _final_bias(a, gv, y, c, eps)
-                if _violators(a, gv, b, y, c, tol, eps).size == 0:
+                b = _final_bias(alpha, g, yl, c, eps)
+                if not _violators(alpha, g, b, yl, c, tol, eps):
                     converged = True
                     break
                 # the refreshed bias exposed stragglers; keep sweeping
@@ -232,12 +232,11 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     if used < _PERM_BLOCK:  # redraw only the rows used, so rng ends as per-violator draws leave it
         rng.bit_generator.state = state
         rng.permuted(rows[:used], axis=1)
-    alpha, g = np.array(alpha), np.array(g)
     if not converged:
-        b = _final_bias(alpha, g, y, c, eps)
-        converged = _violators(alpha, g, b, y, c, tol, eps).size == 0
+        b = _final_bias(alpha, g, yl, c, eps)
+        converged = not _violators(alpha, g, b, yl, c, tol, eps)
 
-    return SvmModel(alpha=alpha, bias=b, train_labels=y, params=params, converged=converged)
+    return SvmModel(alpha=np.array(alpha), bias=b, train_labels=y, params=params, converged=converged)
 
 
 def decision(model: SvmModel, cross_gram) -> np.ndarray:
@@ -263,6 +262,9 @@ class MulticlassModel:
     @property
     def converged(self) -> bool:
         return all(m.converged for m in self.models)
+
+
+Fitted = tuple[np.ndarray, MulticlassModel, np.ndarray]  # predictions, model, held x pairs decisions
 
 
 def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) -> MulticlassModel:
@@ -323,20 +325,28 @@ def _vote(model: MulticlassModel, decisions: np.ndarray) -> np.ndarray:
 def predict(model: MulticlassModel, rows) -> np.ndarray:
     """Majority vote over pair decisions on a held x fit kernel block, whose columns are
     the model's training points in training order.  Vote ties are broken by the larger
-    sum of |decision| over the pairs that voted for the tied class, then by the smaller class id."""
-    return _vote(model, _pair_decisions(model, rows))
+    sum of |decision| over the pairs that voted for the tied class, then by the smaller class id.
+    The pair positions cover every training position, so a block not 1 + max(position) wide raises ShapeError."""
+    q = np.asarray(rows, dtype=float)
+    width = 1 + max((int(pos.max()) for pos in model.pair_positions if pos.size), default=-1)
+    if q.ndim == 2 and q.shape[1] != width:
+        raise ShapeError(f"kernel block has {q.shape[1]} columns; the model was trained on {width} points")
+    return _vote(model, _pair_decisions(model, q))
 
 
-def fit_predict(
-    gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int
-) -> tuple[np.ndarray, MulticlassModel, np.ndarray]:
-    """Train on the fit_idx points and predict the held_idx rows: (predictions, model,
-    decisions), decisions being the held x pairs matrix of pair decisions the vote read
+def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> Fitted:
+    """Train on the fit_idx points and predict the held_idx rows: ``fit_predict_rows`` on the held x fit block."""
+    return fit_predict_rows(gram, labels, fit_idx, submatrix(gram, held_idx, fit_idx), params, seed)
+
+
+def fit_predict_rows(gram: GramMatrix, labels, fit_idx, rows, params: SvmParams, seed: int) -> Fitted:
+    """Train on gram's fit_idx points and predict rows, a held x fit_idx kernel block:
+    (predictions, model, decisions), decisions being the held x pairs matrix the vote read
     (column t is model.pairs[t]'s).  Raises NumericalError if any pair model stopped at max_passes."""
     model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
     if not model.converged:
         raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
-    decisions = _pair_decisions(model, submatrix(gram, held_idx, fit_idx))
+    decisions = _pair_decisions(model, rows)
     return _vote(model, decisions), model, decisions
 
 

@@ -2,9 +2,10 @@
 
 Nothing here calls into the solver or evolution code paths being verified:
 the dual oracles are a grid search and a dense interior-point method, the
-Platt-loop reference is the solver's numpy formulation kept as it was, the
-expression oracles are plain recursion over scalars, and the tree enumerator
-builds the search space directly.
+Platt-loop reference and the KKT test references (violators, final bias) are
+the solver's numpy formulation kept as it was, the expression oracles are
+plain recursion over scalars, and the tree enumerator builds the search space
+directly.
 """
 
 from __future__ import annotations
@@ -110,6 +111,32 @@ def interior_point_dual_max(kernel: np.ndarray, labels: np.ndarray, c: float, ga
     return float(a.sum() - 0.5 * (v @ k @ v)), a, float(gap)
 
 
+def numpy_violators(alpha, g, b, y, c, tol, eps) -> np.ndarray:
+    """The KKT violators as ``svm._violators`` found them on arrays before it moved to lists:
+    the positions where y (g + b - y) breaks the condition its alpha's bound sets."""
+    e = g + b - y
+    r = y * e
+    return np.flatnonzero(((r < -tol) & (alpha < c - eps)) | ((r > tol) & (alpha > eps)))
+
+
+def numpy_final_bias(alpha, g, y, c, eps) -> float:
+    """``svm._final_bias`` as it ran on arrays: the mean of y - g over the free points,
+    else the midpoint of the interval the bounds allow."""
+    free = (alpha > eps) & (alpha < c - eps)
+    if free.any():
+        return float(np.mean(y[free] - g[free]))
+    margins = y - g
+    lower = ((alpha <= eps) & (y > 0)) | ((alpha >= c - eps) & (y < 0))
+    upper = ((alpha <= eps) & (y < 0)) | ((alpha >= c - eps) & (y > 0))
+    lo = np.max(margins[lower]) if lower.any() else -np.inf
+    hi = np.min(margins[upper]) if upper.any() else np.inf
+    if not np.isfinite(lo):
+        return float(hi)
+    if not np.isfinite(hi):
+        return float(lo)
+    return float(0.5 * (lo + hi))
+
+
 def numpy_platt_smo(kernel: np.ndarray, labels: np.ndarray, c: float, kkt_tol: float, max_passes: int, eps: float, rng):
     """Platt's SMO loop on numpy arrays and numpy scalars: (alpha, bias, converged).
 
@@ -124,25 +151,6 @@ def numpy_platt_smo(kernel: np.ndarray, labels: np.ndarray, c: float, kkt_tol: f
     alpha = np.zeros(p)
     g = np.zeros(p)
     b = 0.0
-
-    def violators(alpha, g, b):
-        r = y * (g + b - y)
-        return np.flatnonzero(((r < -kkt_tol) & (alpha < c - eps)) | ((r > kkt_tol) & (alpha > eps)))
-
-    def final_bias(alpha, g):
-        free = (alpha > eps) & (alpha < c - eps)
-        if free.any():
-            return float(np.mean(y[free] - g[free]))
-        margins = y - g
-        lower = ((alpha <= eps) & (y > 0)) | ((alpha >= c - eps) & (y < 0))
-        upper = ((alpha <= eps) & (y < 0)) | ((alpha >= c - eps) & (y > 0))
-        lo = np.max(margins[lower]) if lower.any() else -np.inf
-        hi = np.min(margins[upper]) if upper.any() else np.inf
-        if not np.isfinite(lo):
-            return float(hi)
-        if not np.isfinite(hi):
-            return float(lo)
-        return float(0.5 * (lo + hi))
 
     def take_step(i: int, j: int) -> bool:
         nonlocal b, g
@@ -214,8 +222,8 @@ def numpy_platt_smo(kernel: np.ndarray, labels: np.ndarray, c: float, kkt_tol: f
         passes += 1
         if examine_all:
             if changed == 0:
-                b = final_bias(alpha, g)
-                if violators(alpha, g, b).size == 0:
+                b = numpy_final_bias(alpha, g, y, c, eps)
+                if numpy_violators(alpha, g, b, y, c, kkt_tol, eps).size == 0:
                     converged = True
                     break
             else:
@@ -224,8 +232,8 @@ def numpy_platt_smo(kernel: np.ndarray, labels: np.ndarray, c: float, kkt_tol: f
             examine_all = True
 
     if not converged:
-        b = final_bias(alpha, g)
-        converged = violators(alpha, g, b).size == 0
+        b = numpy_final_bias(alpha, g, y, c, eps)
+        converged = numpy_violators(alpha, g, b, y, c, kkt_tol, eps).size == 0
     return alpha, b, converged
 
 

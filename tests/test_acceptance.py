@@ -39,10 +39,10 @@ from kernelforge.gram import add as gram_add
 from kernelforge.gram import multiply as gram_multiply
 from kernelforge.harness import ProtocolConfig, _addition_expr
 from kernelforge.kernel_io import save_feature_csv
-from kernelforge.svm import _violators
 from kernelforge.synthetic import xor_bank, xor_views
 
 from oracles import brute_force_dual_max, enumerate_trees, random_psd
+from oracles import numpy_violators as _violators
 
 
 @contextmanager

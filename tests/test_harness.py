@@ -167,20 +167,46 @@ class TestFitAndScore:
         params = GpParams(population_size=12, max_generations=8, stagnation_limit=3)
         score = SplitFitness(bank, labels, split)
         result = evolve(score, params, SvmParams(), seed=3)
-        rows, real = [], harness_mod.fit_predict
+        calls, real = [], harness_mod.fit_predict_rows
 
-        def fit_predict(kernel, labels, fit_idx, held_idx, *args):
-            rows.append((kernel, fit_idx.tolist(), held_idx.tolist()))
-            return real(kernel, labels, fit_idx, held_idx, *args)
+        def fit_predict_rows(fit, fit_labels, fit_idx, rows, *args):
+            calls.append((fit, fit_labels, fit_idx.tolist(), rows))
+            return real(fit, fit_labels, fit_idx, rows, *args)
 
-        monkeypatch.setattr(harness_mod, "fit_predict", fit_predict)
+        monkeypatch.setattr(harness_mod, "fit_predict_rows", fit_predict_rows)
         acc, _, _ = fit_expr(result.best_expr, score, SvmParams(), grid_search_c=False)
-        [(kernel, fit_rows, held_rows)] = rows
-        assert fit_rows == [*split.train_idx, *split.val_idx] == split.fit_idx.tolist()
-        assert held_rows == list(split.test_idx)
+        [(fit, fit_labels, fit_positions, rows)] = calls
+        # the fit block's rows and columns are split.fit_idx, train then validation, and
+        # the held rows are the test rows: the same cuts of the whole fold, bit for bit
+        whole = evaluate(result.best_expr, bank)
+        fit_rows, test_rows = [*split.train_idx, *split.val_idx], list(split.test_idx)
+        assert fit_rows == split.fit_idx.tolist() and fit_positions == list(range(len(fit_rows)))
+        assert fit.values.tobytes() == submatrix(whole, fit_rows, fit_rows).tobytes()
+        assert rows.tobytes() == submatrix(whole, test_rows, fit_rows).tobytes()
+        assert fit_labels.tolist() == labels[fit_rows].tolist()
         assert not set(fit_rows) & set(split.test_idx)
-        assert np.array_equal(kernel.values, evaluate(result.best_expr, bank).values)
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("grid_search_c", [False, True])
+    def test_final_fits_fold_no_m_by_m_array(self, monkeypatch, grid_search_c):
+        import kernelforge.expr as expr_mod
+
+        bank, labels = xor_bank(n_per_class=80, seed=4)  # m = 240
+        split = make_splits(labels, per_class_train=15, per_class_val=5, repeats=1, seed=2)[0]
+        score = SplitFitness(bank, labels, split)
+        shapes, real = [], expr_mod._fold
+
+        def fold(node, arrays):
+            out = real(node, arrays)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(expr_mod, "_fold", fold)  # the fold's recursion looks _fold up by name
+        for text in ("(+ K1 K2)", "K2", "(* (+ K1 K2) (* K1 K2))"):
+            fit_expr(parse_expr(text), score, SvmParams(), grid_search_c)
+        n_fit, n_test = split.fit_idx.size, len(split.test_idx)
+        assert (n_fit + n_test, n_fit) in shapes
+        assert max(rows * cols for rows, cols in shapes) <= (n_fit + n_test) * n_fit < bank.size**2
 
     def test_unconverged_final_model_raises(self):
         bank, labels = xor_bank(n_per_class=12, seed=5)
@@ -318,25 +344,26 @@ class TestRunComparison:
         assert len(leaves) == len(bank) * protocol.repeats
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
-        # the bank was checked where it entered; every kernel a comparison evaluates from it,
-        # and the restrictions and class-pair blocks cut from those, is derived and not scanned
+        # the bank was checked where it entered; every kernel a comparison folds from it
+        # (fitness kernels and the final fits' row blocks), and the restrictions and
+        # class-pair blocks cut from those, is derived and not scanned
         import kernelforge.gp as gp_mod
         import kernelforge.harness as harness_mod
 
         bank, labels = xor_bank(n_per_class=10, seed=6)
         symmetry_passes.clear()
-        evaluations, pair_problems = [], []
+        folds, pair_problems = [], []
 
         def counted(calls, real):
             return lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
 
-        for mod in (gp_mod, harness_mod):
-            monkeypatch.setattr(mod, "evaluate", counted(evaluations, mod.evaluate))
+        monkeypatch.setattr(gp_mod, "evaluate", counted(folds, gp_mod.evaluate))
+        monkeypatch.setattr(harness_mod, "_folded", counted(folds, harness_mod._folded))
         monkeypatch.setattr(svm_mod, "train_binary", counted(pair_problems, svm_mod.train_binary))
         run_comparison(bank, labels, small_protocol(repeats=2, seed=7), small_gp(max_generations=2), SvmParams())
-        assert len(pair_problems) == 3 * len(evaluations) > 0  # three classes
-        leaves = [expr for expr, _ in evaluations if isinstance(expr, Leaf)]
-        assert 0 < len(leaves) < len(evaluations)
+        assert len(pair_problems) == 3 * len(folds) > 0  # three classes
+        leaves = [expr for expr, *_ in folds if isinstance(expr, Leaf)]
+        assert 0 < len(leaves) < len(folds)
         assert symmetry_passes == []
 
     def test_kernels_near_the_symmetry_tolerance_combine(self):
@@ -391,6 +418,25 @@ class TestRunComparison:
         protocol = small_protocol(repeats=1, seed=7, grid_search_c=True)
         report, _ = run_comparison(bank, labels, protocol, small_gp(max_generations=2), SvmParams())
         assert all(len(report.methods[m]) == 1 for m in METHODS)
+
+
+class TestClaimOverFeatureSeeds:
+    """The paper's claim at four feature seeds, not one: on xor_bank (3 classes, pool 15/5,
+    3 repeats, population 40, 12 generations, stagnation 4) the evolved kernel beats both
+    baselines by at least 10 test-accuracy points.  The seeds (the first four of 1-8) and
+    the bound were fixed from a measurement before this gate: over seeds 1-8 the margin
+    read 29.9-41.0 points over addition and 69.4-70.4 over the best single kernel.  They
+    are not to be retuned to let a change pass."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_evolved_beats_both_baselines_by_ten_points(self, seed):
+        bank, labels = xor_bank(n_per_class=60, n_classes=3, seed=seed)
+        protocol = ProtocolConfig(per_class_train=15, per_class_val=5, repeats=3, seed=seed)
+        gp_params = GpParams(population_size=40, max_generations=12, stagnation_limit=4)
+        report, _ = run_comparison(bank, labels, protocol, gp_params, SvmParams())
+        for baseline in ("addition", "best_single"):
+            margin = 100.0 * (report.mean["evolved"] - report.mean[baseline])
+            assert margin >= 10.0, (seed, baseline, margin)
 
 
 class TestRunRepeat:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernelforge.svm as svm_mod
 from kernelforge import (
     DataError,
     GramMatrix,
@@ -31,7 +32,6 @@ from kernelforge.svm import (
     _PERM_BLOCK,
     MulticlassModel,
     SvmModel,
-    _violators,
     _vote,
     load_multiclass,
     multiclass_from_dict,
@@ -41,7 +41,8 @@ from kernelforge.svm import (
 from kernelforge.synthetic import xor_views
 
 from jsondocs import corrupted
-from oracles import brute_force_dual_max, interior_point_dual_max, numpy_platt_smo, random_psd
+from oracles import brute_force_dual_max, interior_point_dual_max, numpy_final_bias, numpy_platt_smo, random_psd
+from oracles import numpy_violators as _violators  # the numpy KKT test, which svm._violators matches
 
 TWO_POINT_K = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TWO_POINT_Y = np.array([-1.0, 1.0])
@@ -463,6 +464,60 @@ class TestNumpyReference:
         assert model.alpha.tolist() == [3.0, 3.0] and model.converged
 
 
+def kkt_case(draw, p: int, c: float, free: bool, sides: str, eps: float = 1e-12):
+    """alpha, g, y of length p for the KKT test: alphas at 0, at C, within eps of either
+    bound and (if free) strictly inside; gradients that hit y exactly (margin +0.0) or
+    are +-0.0.  Without free alphas, sides picks which bounds of b are present: "both",
+    "lower" (alpha 0 with y = +1, alpha C with y = -1) or "upper" (the other two)."""
+    y = np.where(draw.random(p) < 0.5, -1.0, 1.0)
+    at_zero = draw.random(p) < 0.5
+    if sides == "lower":
+        at_zero = y > 0
+    elif sides == "upper":
+        at_zero = y < 0
+    alpha = np.where(at_zero, draw.choice([0.0, 0.5 * eps, eps], p), draw.choice([c, c - 0.5 * eps, c - eps], p))
+    if free:
+        inside = draw.random(p) < 0.7
+        inside[draw.integers(0, p)] = True
+        alpha = np.where(inside, draw.uniform(2 * eps, c - 2 * eps, p), alpha)
+    g = y + draw.normal(0.0, draw.choice([1e-4, 1e-2, 1.0]), p)
+    g = np.where(draw.random(p) < 0.2, y, g)  # margin y - g = +0.0, and y (g + b - y) = +-0.0 at b = 0
+    g = np.where(draw.random(p) < 0.1, draw.choice([0.0, -0.0], p), g)
+    return alpha, g, y
+
+
+class TestKktOnLists:
+    """train_binary's convergence test runs on its lists of Python floats; the bias and
+    the violators it finds are the numpy formulation's (oracles.numpy_final_bias,
+    numpy_violators) bit for bit.  p runs from 1 to 130, past the sizes (8 and 128) at
+    which numpy's pairwise sum, which np.mean uses, changes its blocking."""
+
+    @pytest.mark.parametrize("case", ["free", "both", "lower", "upper"])
+    def test_bias_then_violators_match_numpy(self, case):
+        draw = np.random.default_rng(["free", "both", "lower", "upper"].index(case))
+        eps = 1e-12
+        for p in range(1, 131):
+            for c in (0.1, 1.0, 10.0, 100.0, float(draw.uniform(0.01, 50.0))):
+                alpha, g, y = kkt_case(draw, p, c, case == "free", "both" if case == "free" else case, eps)
+                b = svm_mod._final_bias(alpha.tolist(), g.tolist(), y.tolist(), c, eps)
+                ref = numpy_final_bias(alpha, g, y, c, eps)
+                assert np.float64(b).tobytes() == np.float64(ref).tobytes(), (case, p, c)
+                for tol in (1e-3, 1e-5):
+                    for bias in (b, 0.0, -0.0):
+                        mine = svm_mod._violators(alpha.tolist(), g.tolist(), bias, y.tolist(), c, tol, eps)
+                        assert mine == _violators(alpha, g, bias, y, c, tol, eps).tolist(), (case, p, c, bias)
+
+    def test_bound_sides(self):
+        # with no free alpha, b is the midpoint of the bounds present, or the one bound
+        alpha, y = [0.0, 0.0], [1.0, -1.0]
+        assert svm_mod._final_bias(alpha, [0.5, -0.25], y, 1.0, 1e-12) == 0.5 * ((1.0 - 0.5) + (-1.0 + 0.25))
+        assert svm_mod._final_bias([0.0], [0.5], [1.0], 1.0, 1e-12) == 0.5
+        assert svm_mod._final_bias([0.0], [0.5], [-1.0], 1.0, 1e-12) == -1.5
+        assert np.float64(svm_mod._final_bias([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.0, 1e-12)).tobytes() == (
+            np.float64(0.0).tobytes()
+        )
+
+
 class TestPartnerBlocks:
     """The numpy stream property train_binary's block draws rest on: the rows of
     Generator.permuted are successive Generator.permutation draws, and after a
@@ -578,6 +633,25 @@ class TestFitPredict:
         idx = np.arange(labels.size)
         with pytest.raises(NumericalError, match="kernel 'K1' did not converge"):
             fit_predict(GramMatrix(k, "K1"), labels, idx, idx, SvmParams(max_passes=0), seed=0)
+
+
+class TestPredictWidth:
+    """predict reads a held x fit block exactly as wide as the training set, 1 + max pair
+    position, and refuses any other width, on a trained model and on one read back from its file."""
+
+    @pytest.mark.parametrize("width_change", [1, -1], ids=["one-column-too-many", "one-column-too-few"])
+    def test_other_widths_raise(self, rng, tmp_path, width_change):
+        k, labels = three_class_clusters(rng)
+        fit, held = np.arange(0, labels.size, 2), np.arange(1, labels.size, 2)
+        trained = train_multiclass(k, labels, fit, SvmParams(), seed=1)
+        save_multiclass(tmp_path / "model.json", trained)
+        rows = k[np.ix_(held, fit)]
+        wrong = np.hstack([rows, rows[:, :1]]) if width_change > 0 else rows[:, :-1]
+        for model in (trained, load_multiclass(tmp_path / "model.json")):
+            assert predict(model, rows).tolist() == predict(trained, rows).tolist()
+            message = f"{fit.size + width_change} columns; the model was trained on {fit.size} points"
+            with pytest.raises(ShapeError, match=message):
+                predict(model, wrong)
 
 
 class TestAccuracy:
