@@ -3,19 +3,17 @@
 The population is evolved by tournament selection, one-child subtree crossover
 and mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
-the kernel the chromosome evaluates to (cross-validation modes optional).
-Fitness reads only the train x train and validation x train entries, so
-``SplitFitness`` cuts the split's fit block, every base kernel restricted to
-the training and validation items, once (and the final fits' rows), and
-``fitness`` folds each chromosome over that block.  Every mode is a list of
-(fit, held) position pairs scored by one loop over ``svm.fit_predict``;
-validation is the single pair (train, validation).  ``SplitFitness`` is the one memo of fitness on a
-split; ``evolve`` and the harness's best-leaf and C selection score through it.
-Per-chromosome RNG streams are derived from (seed, generation, slot), the seed
-an argument of ``evolve``, so a run is reproducible from its seed.  The search
-never sees the test set: retraining the winner on train+validation and scoring
-it on test is ``harness.fit_expr``; the harness also writes the files, and gp
-opens none.
+the kernel the chromosome evaluates to (cross-validation modes optional); every
+mode is a list of (fit, held) position pairs, validation the single pair (train,
+validation).  ``SplitFitness`` is the one memo of fitness on a split, and
+``score_all`` scores a list through it: ``evolve`` once per generation, the
+harness's best-leaf and C selection once each.  Per mode, it cuts once the blocks
+fitness reads, each fold's class-pair train x train and held x train blocks of
+every base kernel, so ``fitness`` folds a chromosome once over them, cuts nothing
+and hands each pair's views to ``svm``'s pair core.  Per-chromosome RNG streams
+are derived from (seed, generation, slot), the seed an argument of ``evolve``.  The
+search never sees the test set: retraining the winner on train+validation and
+scoring it on test is ``harness.fit_expr``; the harness writes the files, gp none.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +32,8 @@ from .expr import (
     Leaf,
     Mul,
     canonical_string,
+    _folded,
     depth,
-    evaluate,
     iter_nodes,
     node_count,
     parse_expr,
@@ -43,7 +42,7 @@ from .expr import (
 )
 from .gram import KernelBank, submatrix
 from .rng import derive_seed, derived_rng
-from .svm import SvmParams, accuracy, fit_predict
+from .svm import SvmParams, _class_pairs, _fit_pairs, _voted, accuracy
 
 log = logging.getLogger(__name__)
 FITNESS_MODES = ("validation", "k_fold", "leave_one_out")
@@ -208,54 +207,95 @@ def _folds(mode: str, train: np.ndarray, val: np.ndarray, n_folds: int, seed: in
 def fitness(
     expr: KernelExpr, score: SplitFitness, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5
 ) -> float:
-    """Accuracy of an SVM using the chromosome's kernel (higher is better).
-
-    validation: train on the split's training items, score on its validation items.
-    leave_one_out / k_fold: cross-validated accuracy over the training items.
-    The expression is folded over score's fit block; nothing is cut here.
-    SVM failures (non-convergence, degenerate folds, nothing held out) score 0
-    with a warning instead of raising, so evolution keeps moving.
-    """
-    kernel, labels, split = evaluate(expr, score.fit_bank), score.fit_labels, score.split
-    t = len(split.train_idx)
-    folds = _folds(mode, np.arange(t), np.arange(t, labels.size), n_folds, split.seed)
-    seed = derive_seed(split.seed, canonical_string(expr))
+    """Accuracy of an SVM using the chromosome's kernel (higher is better): validation trains on the
+    split's training items and scores its validation items; leave_one_out / k_fold cross-validate over
+    the training items.  The expression is folded once over score's plan, the entries fitness reads;
+    an overflow there raises DataError.  SVM failures (non-convergence, degenerate folds, nothing held
+    out) score 0 with a warning instead of raising, so evolution keeps moving, and count in
+    ``score.failed``, since Python's default filter drops a repeated warning."""
+    tag = canonical_string(expr)
+    buffers, folds, held_labels = score._plan(mode, n_folds)
+    flat, seed = _folded(expr, buffers, tag), derive_seed(score.split.seed, tag)
     try:
         if not folds:
             raise ShapeError("no training points to leave out")
-        preds = [fit_predict(kernel, labels, fit, held, svm_params, seed)[0] for fit, held in folds]
-        return accuracy(np.concatenate(preds), labels[np.concatenate([held for _, held in folds])])
+        preds = []
+        for classes, pairs, n_held in folds:
+            blocks = [(pair, pos, y, flat[s:h].reshape(-1, pos.size)) for pair, pos, y, s, h, _ in pairs]
+            held = [flat[h:e].reshape(-1, pos.size) for _, pos, _, _, h, e in pairs]
+            preds.append(_voted(_fit_pairs(classes, blocks, svm_params, seed), held, n_held, tag)[0])
+        return accuracy(np.concatenate(preds), held_labels)
     except (DataError, NumericalError) as exc:
-        warnings.warn(f"fitness of {canonical_string(expr)} set to 0: {exc}", stacklevel=2)
+        score.failed += 1
+        warnings.warn(f"fitness of {tag} set to 0: {exc}", stacklevel=2)
         return 0.0
 
 
 class SplitFitness:
     """``fitness`` on one split, memoised by (canonical expression, SVM params, mode, n_folds).
-    Commutative reorderings share a canonical string, and so the fitness seed, so sharing
-    their entry changes no result.  The split's blocks are cut once, here: the fit block
-    ``fit_bank`` (the bank restricted to ``split.fit_idx``) and ``fit_labels``, and ``final_rows``,
-    each base kernel's (fit, then test) x fit rows, which ``harness.fit_expr`` folds over
-    (read-only, as a fold writes only into arrays it made).  Labels must match the bank, one per
-    item, or ShapeError (``kernel_io.load_bank`` checks a bank read from files first).  Splits
-    are drawn from the labels first, so a short vector can fail there as a class too small (DataError)."""
+    Commutative reorderings share a canonical string, and so the fitness seed, so sharing their
+    entry changes no result.  The fit block ``fit_bank`` (the bank restricted to ``split.fit_idx``)
+    and ``fit_labels`` are cut when it is built, each mode's ``_plan`` and ``final_rows`` (each base
+    kernel's (fit, then test) x fit rows, which ``harness.fit_expr`` folds over) on first use, all
+    read-only, as a fold writes only into arrays it made.  Labels must match the bank, one per item,
+    or ShapeError (``kernel_io.load_bank`` checks a bank read from files first)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split
         if len(self.labels) != bank.size:
             raise ShapeError(f"{len(self.labels)} labels for a bank of {bank.size} items")
         self.fit_bank, self.fit_labels = bank.restrict(split.fit_idx), self.labels[split.fit_idx]
-        rows = np.concatenate([split.fit_idx, np.asarray(split.test_idx, dtype=int)])  # fit, then test
-        self.final_rows = tuple(submatrix(k, rows, rows[: self.fit_labels.size]) for k in bank.kernels)
-        for block in self.final_rows:
-            block.flags.writeable = False
         self._memo: dict[tuple, float] = {}
+        self._plans: dict[tuple, tuple] = {}
+        # evaluations fitness scored 0 for a failure, and the last score_all call's (evaluated, memo hits, failed)
+        self.failed, self.counts = 0, (0, 0, 0)
+
+    @cached_property
+    def final_rows(self) -> tuple[np.ndarray, ...]:
+        rows = np.concatenate([self.split.fit_idx, np.asarray(self.split.test_idx, dtype=int)])  # fit, then test
+        blocks = tuple(submatrix(k, rows, rows[: self.fit_labels.size]) for k in self.bank.kernels)
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
+
+    def _plan(self, mode: str, n_folds: int) -> tuple:
+        """(buffers, folds, held labels) of (mode, n_folds), cut on first use.  Per fold and class pair,
+        each base kernel's flat read-only buffer holds the pair's train x train block, then its held x
+        train block; a fold is (classes, per pair (pair, positions, labels, start, held start, end), held count)."""
+        if (mode, n_folds) not in self._plans:
+            t = len(self.split.train_idx)
+            folds = _folds(mode, np.arange(t), np.arange(t, self.fit_labels.size), n_folds, self.split.seed)
+            cuts, layout, end = [], [], 0
+            for fit, held in folds:
+                classes, pairs = _class_pairs(self.fit_labels[fit])
+                for i, (pair, pos, y) in enumerate(pairs):
+                    cols, at = fit[pos], end
+                    end += cols.size * (cols.size + held.size)
+                    cuts += [(cols, cols), (held, cols)]
+                    pairs[i] = (pair, pos, y, at, at + cols.size**2, end)
+                layout.append((classes, pairs, held.size))
+            buffers = np.stack([np.concatenate([k.values[np.ix_(r, c)].ravel() for r, c in cuts] or [np.empty(0)])
+                                for k in self.fit_bank.kernels])  # row i: base kernel i's buffer
+            buffers.flags.writeable = False
+            held = self.fit_labels[np.concatenate([h for _, h in folds] or [np.empty(0, dtype=int)])]
+            self._plans[mode, n_folds] = (buffers, layout, held)
+        return self._plans[mode, n_folds]
 
     def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:
-        key = (canonical_string(expr), svm_params, mode, n_folds)
-        if key not in self._memo:  # by global name, so a wrapper bound to gp.fitness sees every evaluation
-            self._memo[key] = fitness(expr, self, svm_params, mode, n_folds)
-        return self._memo[key]
+        return self.score_all([expr], svm_params, mode, n_folds)[0]
+
+    def score_all(self, exprs, svm_params, mode: str = "validation", n_folds: int = 5) -> list[float]:
+        """Each expression's fitness: memo hits as they are, misses scored in first-seen order, each key
+        once, and ``counts`` set.  svm_params is one SvmParams for all, or a list, one per expression."""
+        params = svm_params if isinstance(svm_params, list) else [svm_params] * len(exprs)
+        keys = [(canonical_string(e), c, mode, n_folds) for e, c in zip(exprs, params)]
+        evaluated, failed = 0, self.failed
+        for expr, key in zip(exprs, keys):
+            if key not in self._memo:  # by global name, so a wrapper bound to gp.fitness sees every evaluation
+                self._memo[key] = fitness(expr, self, key[1], mode, n_folds)
+                evaluated += 1
+        self.counts = (evaluated, len(keys) - evaluated, self.failed - failed)
+        return [self._memo[key] for key in keys]
 
 
 def _initial_population(params: GpParams, n: int, seed: int) -> list[KernelExpr]:
@@ -315,12 +355,13 @@ def evolve(score: SplitFitness, params: GpParams, svm_params: SvmParams, seed: i
                     child = mutate(child, rng, params, n)
                 next_pop.append(child)
             population = next_pop
-        fits = [score(e, svm_params, mode, folds) for e in population]
+        fits = score.score_all(population, svm_params, mode, folds)
         sizes = [node_count(e) for e in population]
         order = sorted(range(len(population)), key=_fitter_first(fits, sizes))
         top = order[0]
         history.append((gen, fits[top], float(np.mean(fits))))
-        log.debug("generation %d: best %.4f, mean %.4f, %d memo entries", *history[-1], len(score._memo))
+        log.debug("generation %d: best %.4f, mean %.4f, %d evaluated, %d memo hits, %d failed, %d memo entries",
+                  *history[-1], *score.counts, len(score._memo))
         best_strings.append(canonical_string(population[top]))
         stagnant = 0 if fits[top] > best_fit + IMPROVEMENT_TOL else stagnant + 1
         if fits[top] > best_fit or (fits[top] == best_fit and sizes[top] < node_count(best_expr)):

@@ -128,7 +128,7 @@ def best_single_kernel(bank: KernelBank, labels, split: DatasetSplit, svm_params
 
 
 def _best_leaf(score: SplitFitness, svm_params: SvmParams) -> tuple[int, float]:
-    scores = [score(Leaf(i), svm_params) for i in range(len(score.bank))]
+    scores = score.score_all([Leaf(i) for i in range(len(score.bank))], svm_params)
     best = int(np.argmax(scores))
     return best, scores[best]
 
@@ -155,7 +155,7 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 def _select_c(expr: KernelExpr, score: SplitFitness, svm_params: SvmParams) -> SvmParams:
     """The C of C_GRID with the best validation fitness (ties -> smaller C); a
     trial that stops at max_passes scores 0 with the fitness warning."""
-    scores = [score(expr, replace(svm_params, c=c)) for c in C_GRID]
+    scores = score.score_all([expr] * len(C_GRID), [replace(svm_params, c=c) for c in C_GRID])
     return replace(svm_params, c=C_GRID[int(np.argmax(scores))])
 
 
@@ -183,7 +183,7 @@ def fit_expr(
 
 def _pair_accuracies(model: MulticlassModel, decisions: np.ndarray, test_labels: np.ndarray) -> dict[str, float]:
     """Accuracy of each pair's binary decision (its column of ``decisions``, the
-    test x pairs matrix ``fit_predict`` voted with) on the test points of its two classes."""
+    test x pairs matrix ``fit_predict_rows`` voted with) on the test points of its two classes."""
     out = {}
     for (a, b), f in zip(model.pairs, decisions.T):
         sel = np.isin(test_labels, (a, b))

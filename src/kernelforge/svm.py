@@ -11,16 +11,15 @@ rewound past the unused rows on exit, so it ends where one draw per violator
 leaves it.  Iterates and end state are bitwise those of the numpy formulation
 (``numpy_platt_smo`` in the tests' oracles), so reruns are byte-identical,
 given a fixed BLAS thread count (the bits of a large kernel depend on it).
-``fit_predict_rows`` is the one train-then-predict path of the package: fitness folds
-and C selection reach it through ``fit_predict``, which cuts the held x fit block, the
-final fits directly; it refuses a model that stopped at max_passes.
-
-The entry points (``train_binary``, ``train_multiclass``, ``decision``, ``predict``,
-``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix, which
-was checked where it entered the package.  Blocks cut from a checked fit block (the
-class-pair blocks) are trusted, wrapped unscanned, and each pair decides on its own
-columns without ``decision``'s re-check.  The core hands back the pair decisions its
-vote read, so no caller decides a pair twice.
+Training and voting take one path.  ``_fit_pairs`` trains each class pair's block
+through ``train_binary``, and ``_voted`` decides each pair's held rows on its own
+columns, without ``decision``'s re-check, votes, and hands back the decisions its vote
+read, so no caller decides a pair twice.  ``train_multiclass`` cuts its pair blocks
+from its fit block, and the final fits reach it through ``fit_predict_rows``;
+``gp.fitness`` hands in views of its split's plan; both refuse a model that stopped at
+max_passes.  The entry points (``train_binary``, ``train_multiclass``, ``decision``,
+``predict``, ``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix,
+checked where it entered the package; blocks cut from a checked kernel are trusted.
 """
 
 from __future__ import annotations
@@ -275,48 +274,49 @@ def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) 
     training order.  The input is checked once; pair blocks cut from the fit block are trusted.
     """
     fit = (gram if isinstance(gram, GramMatrix) else GramMatrix(gram)).restrict(train_idx)
-    train_labels = np.asarray(labels)[np.asarray(train_idx, dtype=int)]
-    classes = sorted(int(v) for v in set(train_labels.tolist()))
+    classes, pairs = _class_pairs(np.asarray(labels)[np.asarray(train_idx, dtype=int)])
+    blocks = [(pair, pos, y, fit.values.take(pos, 0).take(pos, 1)) for pair, pos, y in pairs]
+    return _fit_pairs(classes, blocks, params, seed)
+
+
+def _class_pairs(labels: np.ndarray) -> tuple[list[int], list]:
+    """The sorted classes of labels and, per class pair (a, b) in ``combinations`` order,
+    ((a, b), the positions of its points, their labels: -1 for a, +1 for b)."""
+    classes = sorted(int(v) for v in set(labels.tolist()))
+    pos = {(a, b): np.flatnonzero((labels == a) | (labels == b)) for a, b in combinations(classes, 2)}
+    return classes, [(pair, p, np.where(labels[p] == pair[0], -1.0, 1.0)) for pair, p in pos.items()]
+
+
+def _fit_pairs(classes: list[int], blocks, params: SvmParams, seed: int) -> MulticlassModel:
+    """The one training core, under ``train_multiclass`` and ``gp.fitness``: blocks[t] is the t-th pair
+    of ``_class_pairs`` with its train x train block, cut from a checked kernel and so trusted, which
+    ``train_binary`` (by its bare name) solves on the stream derived from (seed, "pair", a, b)."""
     if len(classes) < 2:
         raise DataError("need training points from at least 2 classes")
-
-    pairs, models, positions = [], [], []
-    for a, b in combinations(classes, 2):
-        pos = np.flatnonzero((train_labels == a) | (train_labels == b))
-        y = np.where(train_labels[pos] == a, -1.0, 1.0)
-        block = GramMatrix._checked(fit.values.take(pos, 0).take(pos, 1), fit.source_tag)
-        model = train_binary(block, y, params, derived_rng(seed, "pair", a, b))
-        pairs.append((a, b))
-        models.append(model)
-        positions.append(pos)
-    return MulticlassModel(classes, pairs, models, positions, params)
+    models = [train_binary(GramMatrix._checked(k), y, params, derived_rng(seed, "pair", *ab)) for ab, _, y, k in blocks]
+    return MulticlassModel(classes, [blk[0] for blk in blocks], models, [blk[1] for blk in blocks], params)
 
 
-def _pair_decisions(model: MulticlassModel, rows) -> np.ndarray:
-    """Held x pairs: column t is model.pairs[t]'s decision on each row of the block."""
-    q = np.asarray(rows, dtype=float)
-    if q.ndim != 2:
-        raise ShapeError(f"expected 2-d kernel rows, got shape {q.shape}")
-    f = np.empty((q.shape[0], len(model.pairs)))
-    for t, (mdl, pos) in enumerate(zip(model.models, model.pair_positions)):
-        f[:, t] = q[:, pos] @ (mdl.alpha * mdl.train_labels) + mdl.bias  # decision() on its own columns
-    return f
+def _voted(model: MulticlassModel, held, n_held: int, tag: str | None = None) -> Fitted:
+    """Decide each pair on held[t], its held x pair block, and vote: (predictions, model, the held x pairs
+    decisions the vote read).  Given the kernel's tag, a model that stopped at max_passes is a NumericalError."""
+    if tag is not None and not model.converged:
+        raise NumericalError(f"SMO on kernel {tag!r} did not converge within max_passes")
+    f = np.empty((n_held, len(model.pairs)))
+    for t, (mdl, q) in enumerate(zip(model.models, held)):
+        f[:, t] = q @ (mdl.alpha * mdl.train_labels) + mdl.bias  # decision() on its own columns
+    return _vote(model, f), model, f
 
 
 def _vote(model: MulticlassModel, decisions: np.ndarray) -> np.ndarray:
-    n_cls = len(model.class_labels)
+    n_cls, n = len(model.class_labels), decisions.shape[0]
     col_of = {c: i for i, c in enumerate(model.class_labels)}
-    # a row per class; a pair adds 0.0 to the loser's margins, which leaves each (>= +0.0 or NaN) as it was
-    votes = np.zeros((n_cls, decisions.shape[0]))
-    margins = np.zeros((n_cls, decisions.shape[0]))
-    for (a, b), f in zip(model.pairs, decisions.T):
-        win_b, size = f > 0, np.abs(f)
-        ia, ib = col_of[a], col_of[b]
-        votes[ib] += win_b
-        votes[ia] += ~win_b
-        margins[ib] += np.where(win_b, size, 0.0)
-        margins[ia] += np.where(win_b, 0.0, size)
-
+    cols = np.array([[col_of[a], col_of[b]] for a, b in model.pairs], dtype=int).reshape(-1, 2)
+    # the (class, row) cell each pair's decision votes for, pairs in order; a weighted bincount
+    # adds in input order, so each margin sums its pairs' |decision| in pair order from 0.0
+    cell = (np.where(decisions.T > 0, cols[:, 1:], cols[:, :1]) * n + np.arange(n)).ravel()
+    votes = np.bincount(cell, minlength=n_cls * n).reshape(n_cls, n)
+    margins = np.bincount(cell, np.abs(decisions.T).ravel(), n_cls * n).reshape(n_cls, n)
     # margins are >= 0, so -inf rules out every class short of the most votes
     top = np.argmax(np.where(votes == votes.max(axis=0), margins, -np.inf), axis=0)
     return np.asarray(model.class_labels, dtype=int)[top]
@@ -328,10 +328,12 @@ def predict(model: MulticlassModel, rows) -> np.ndarray:
     sum of |decision| over the pairs that voted for the tied class, then by the smaller class id.
     The pair positions cover every training position, so a block not 1 + max(position) wide raises ShapeError."""
     q = np.asarray(rows, dtype=float)
+    if q.ndim != 2:
+        raise ShapeError(f"expected 2-d kernel rows, got shape {q.shape}")
     width = 1 + max((int(pos.max()) for pos in model.pair_positions if pos.size), default=-1)
-    if q.ndim == 2 and q.shape[1] != width:
+    if q.shape[1] != width:
         raise ShapeError(f"kernel block has {q.shape[1]} columns; the model was trained on {width} points")
-    return _vote(model, _pair_decisions(model, q))
+    return _voted(model, [q[:, pos] for pos in model.pair_positions], q.shape[0])[0]
 
 
 def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> Fitted:
@@ -340,14 +342,11 @@ def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, 
 
 
 def fit_predict_rows(gram: GramMatrix, labels, fit_idx, rows, params: SvmParams, seed: int) -> Fitted:
-    """Train on gram's fit_idx points and predict rows, a held x fit_idx kernel block:
-    (predictions, model, decisions), decisions being the held x pairs matrix the vote read
-    (column t is model.pairs[t]'s).  Raises NumericalError if any pair model stopped at max_passes."""
-    model = train_multiclass(gram, labels, fit_idx, params, seed=seed)
-    if not model.converged:
-        raise NumericalError(f"SMO on kernel {gram.source_tag!r} did not converge within max_passes")
-    decisions = _pair_decisions(model, rows)
-    return _vote(model, decisions), model, decisions
+    """Train on gram's fit_idx points through ``train_multiclass`` and predict rows, a held x fit_idx
+    kernel block: (predictions, model, decisions), decisions being the held x pairs matrix the vote
+    read (column t is model.pairs[t]'s).  Raises NumericalError if any pair model stopped at max_passes."""
+    model, q = train_multiclass(gram, labels, fit_idx, params, seed=seed), np.asarray(rows, dtype=float)
+    return _voted(model, [q[:, pos] for pos in model.pair_positions], q.shape[0], gram.source_tag)
 
 
 def accuracy(predicted, actual) -> float:

@@ -32,8 +32,10 @@ def rng():
 def final_trainings(monkeypatch):
     """List that gains one entry per train_multiclass call made outside gp.fitness.
 
-    svm.fit_predict is the one caller of train_multiclass and gp.SplitFitness
-    the one caller of gp.fitness, so both are wrapped at their module attributes.
+    svm.fit_predict_rows (the final fits, and fit_predict) is the package's one
+    caller of train_multiclass, and gp.SplitFitness.score_all the one caller of
+    gp.fitness, which trains through svm's pair core and not train_multiclass;
+    both are wrapped at their module attributes.
     """
     import kernelforge.gp as gp_mod
     import kernelforge.svm as svm_mod

@@ -1,7 +1,7 @@
-"""``gp.fitness`` is called in one place: by its bare name in ``SplitFitness.__call__``.
+"""``gp.fitness`` is called in one place: by its bare name in ``SplitFitness.score_all``.
 
 So every split is scored through its ``SplitFitness``, which cuts the split's
-fit block once, and a bare name is looked up in gp's globals at each call, so a
+blocks once, and a bare name is looked up in gp's globals at each call, so a
 wrapper bound to ``gp.fitness`` (perfbench's probe, the tests' ``fitness_calls``)
 sees every evaluation."""
 
@@ -39,7 +39,7 @@ def test_fitness_is_called_only_by_split_fitness_by_its_bare_name():
         for path in sorted(PACKAGE.glob("*.py"))
         for where in fitness_references(path.read_text(encoding="utf-8"))
     ]
-    assert found == ["gp.SplitFitness.__call__: fitness()"]
+    assert found == ["gp.SplitFitness.score_all: fitness()"]
 
 
 def test_the_finder_flags_every_reference():

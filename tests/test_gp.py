@@ -1,3 +1,7 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 import kernelforge.gp as gp_mod
 from kernelforge import (
     Add,
+    DataError,
     DatasetSplit,
     GpParams,
     GramMatrix,
@@ -272,6 +277,44 @@ class TestFitness:
         assert len(set(want)) > 1  # the scores discriminate between kernels
 
 
+class TestFitnessPlan:
+    """Fitness folds each chromosome over the blocks its mode reads, cut once per split:
+    per fold and class pair, the train x train and held x train blocks of each base kernel."""
+
+    SPLIT = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
+
+    @staticmethod
+    def bank_with(entries, value=1e200):
+        """two_cluster_bank's kernel with each (i, j) of entries, and (j, i), set to value."""
+        bank, labels = two_cluster_bank(np.random.default_rng(7))
+        k = bank.kernels[0].values.copy()
+        for i, j in entries:
+            k[i, j] = k[j, i] = value
+        return bank_of([k]), labels
+
+    def test_an_overflow_in_an_entry_fitness_reads_raises(self):
+        bank, labels = self.bank_with([(2, 0)])  # validation x training
+        with pytest.raises(DataError, match="non-finite"):
+            fitness(Mul(Leaf(0), Leaf(0)), SplitFitness(bank, labels, self.SPLIT), SvmParams())
+
+    @pytest.mark.parametrize("mode", ["validation", "k_fold", "leave_one_out"])
+    def test_an_overflow_only_in_a_validation_pair_entry_is_not_read(self, mode):
+        bank, labels = self.bank_with([(2, 5)])  # validation x validation
+        plain, _ = self.bank_with([])
+        expr = Mul(Leaf(0), Leaf(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fitness(expr, SplitFitness(bank, labels, self.SPLIT), SvmParams(), mode=mode, n_folds=2)
+        assert got == fitness(expr, SplitFitness(plain, labels, self.SPLIT), SvmParams(), mode=mode, n_folds=2)
+
+    def test_a_k_fold_fold_that_loses_a_class_scores_zero_with_the_warning(self, rng):
+        bank, labels = two_cluster_bank(rng, per_class=4)
+        split = DatasetSplit((0, 1, 2, 4), (3, 5), (), seed=1)  # one training point of class 1
+        message = "fitness of K1 set to 0: need training points from at least 2 classes"
+        with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
+            assert fitness(Leaf(0), SplitFitness(bank, labels, split), SvmParams(), mode="k_fold", n_folds=2) == 0.0
+
+
 class TestSplitFitness:
     SETTINGS = [
         (SvmParams(), "validation", 5),
@@ -291,6 +334,50 @@ class TestSplitFitness:
         assert [score(reordered, *setting) for setting in self.SETTINGS] == first
         assert fitness_calls == [(canonical_string(expr), 1, *setting) for setting in self.SETTINGS]
         assert first == [fitness(expr, score, *setting) for setting in self.SETTINGS]
+
+
+    def test_score_all_scores_misses_in_first_seen_order_once_each(self, rng, fitness_calls):
+        bank, labels = two_cluster_bank(rng, per_class=4)
+        bank = KernelBank(bank.kernels * 2, ("k0", "k1"))
+        score = SplitFitness(bank, labels, DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1))
+        a, b, c = Add(Leaf(0), Leaf(1)), Mul(Leaf(0), Leaf(1)), Leaf(1)
+        got = score.score_all([b, a, Add(Leaf(1), Leaf(0)), c, b], SvmParams())
+        assert [expr for expr, *_ in fitness_calls] == ["(* K1 K2)", "(+ K1 K2)", "K2"]
+        assert score.counts == (3, 2, 0)
+        assert got == [fitness(e, score, SvmParams()) for e in (b, a, a, c, b)]
+        assert score.score_all([c, Leaf(0), a], SvmParams()) == [got[3], fitness(Leaf(0), score, SvmParams()), got[1]]
+        assert score.counts == (1, 2, 0) and len(fitness_calls) == 4
+        # one SvmParams per expression, as C selection asks
+        grid = [SvmParams(c=1.0), SvmParams(c=100.0)]
+        assert score.score_all([c, c], grid) == [fitness(c, score, params) for params in grid]
+        assert fitness_calls[4:] == [("K2", 1, params, "validation", 5) for params in grid]
+
+    def test_a_failure_is_counted_when_its_repeated_warning_is_dropped(self, rng):
+        bank, labels = two_cluster_bank(rng)
+        split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # Python's default: a repeated message from one place shows once
+            for _ in range(2):
+                score = SplitFitness(bank, labels, split)
+                assert score.score_all([Leaf(0)], SvmParams(max_passes=0)) == [0.0]
+                assert score.counts == (1, 0, 1) and score.failed == 1
+        assert len(caught) == 1
+
+    def test_debug_line_counts_match_the_fitness_calls(self, caplog, fitness_calls):
+        bank, labels = xor_bank(n_per_class=6, seed=3)
+        split = make_splits(labels, 5, 2, 1, 4)[0]
+        params = GpParams(population_size=8, max_generations=3, stagnation_limit=5)
+        line = re.compile(r"generation (\d+): best \S+, mean \S+, (\d+) evaluated, (\d+) memo hits, (\d+) failed, (\d+) memo entries$")
+        with warnings.catch_warnings(record=True) as caught, caplog.at_level(logging.DEBUG, logger="kernelforge.gp"):
+            warnings.simplefilter("always")
+            evolve(SplitFitness(bank, labels, split), params, SvmParams(max_passes=8), seed=2)
+        rows = [tuple(map(int, line.match(r.getMessage()).groups())) for r in caplog.records if r.name == "kernelforge.gp"]
+        assert [gen for gen, *_ in rows] == [0, 1, 2, 3]
+        assert all(evaluated + hits == params.population_size for _, evaluated, hits, _, _ in rows)
+        assert sum(evaluated for _, evaluated, *_ in rows) == len(fitness_calls) == rows[-1][-1]
+        failures = [w for w in caught if str(w.message).startswith("fitness of")]
+        assert sum(failed for *_, failed, _ in rows) == len(failures)
+        assert 0 < len(failures) < len(fitness_calls)
 
 
 def quick_params(**kw):

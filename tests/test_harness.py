@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestFitAndScore:
             fit_expr(parse_expr(text), score, SvmParams(), grid_search_c)
         n_fit, n_test = split.fit_idx.size, len(split.test_idx)
         assert (n_fit + n_test, n_fit) in shapes
-        assert max(rows * cols for rows, cols in shapes) <= (n_fit + n_test) * n_fit < bank.size**2
+        assert max(math.prod(shape) for shape in shapes) <= (n_fit + n_test) * n_fit < bank.size**2
 
     def test_unconverged_final_model_raises(self):
         bank, labels = xor_bank(n_per_class=12, seed=5)
@@ -345,8 +346,8 @@ class TestRunComparison:
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
         # the bank was checked where it entered; every kernel a comparison folds from it
-        # (fitness kernels and the final fits' row blocks), and the restrictions and
-        # class-pair blocks cut from those, is derived and not scanned
+        # (fitness plans' pair blocks and the final fits' row blocks), and the restrictions
+        # and class-pair blocks cut from those, is derived and not scanned
         import kernelforge.gp as gp_mod
         import kernelforge.harness as harness_mod
 
@@ -357,7 +358,7 @@ class TestRunComparison:
         def counted(calls, real):
             return lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
 
-        monkeypatch.setattr(gp_mod, "evaluate", counted(folds, gp_mod.evaluate))
+        monkeypatch.setattr(gp_mod, "_folded", counted(folds, gp_mod._folded))
         monkeypatch.setattr(harness_mod, "_folded", counted(folds, harness_mod._folded))
         monkeypatch.setattr(svm_mod, "train_binary", counted(pair_problems, svm_mod.train_binary))
         run_comparison(bank, labels, small_protocol(repeats=2, seed=7), small_gp(max_generations=2), SvmParams())
@@ -455,6 +456,27 @@ class TestRunRepeat:
         assert len(fitness_calls) > 10  # every evaluation of the search and of C selection
         run_comparison(bank, labels, protocol, small_gp(), SvmParams())
         assert len(cuts) == 1 + protocol.repeats
+
+    def test_scoring_fitness_never_builds_final_rows(self, monkeypatch):
+        # the final fits' (fit, then test) x fit rows are cut on first use in fit_expr, so
+        # best-leaf selection, evolve and C selection, and best_single_kernel, skip the gather
+        import kernelforge.gp as gp_mod
+
+        bank, labels = xor_bank(n_per_class=12, seed=2)
+        split = make_splits(labels, 8, 3, 1, seed=21)[0]
+        score = SplitFitness(bank, labels, split)
+        evolve(score, small_gp(max_generations=1), SvmParams(), seed=1)
+        harness_mod._best_leaf(score, SvmParams())
+        _select_c(Leaf(0), score, SvmParams())
+        assert "final_rows" not in vars(score)
+        fit_expr(Leaf(0), score, SvmParams(), grid_search_c=False)
+        assert len(vars(score)["final_rows"]) == len(bank)
+
+        def submatrix(*args):
+            raise AssertionError("final rows were cut")
+
+        monkeypatch.setattr(gp_mod, "submatrix", submatrix)
+        assert best_single_kernel(bank, labels, split, SvmParams()) == harness_mod._best_leaf(score, SvmParams())
 
     def test_evolve_gets_the_repeats_gp_seed(self, monkeypatch):
         seen, real = [], harness_mod.evolve

@@ -1,18 +1,23 @@
-"""The shape of the SMO path in ``svm``: the Platt loop calls no builtin per pair
-step and no numpy function at all (its convergence test runs on its lists of
-Python floats), and ``train_multiclass`` hands each class-pair block, cut once
-from its checked fit block, to ``train_binary`` by its bare name.  A bare name is
-looked up in svm's globals at each call, so a wrapper bound to
-``svm.train_binary`` (perfbench's probe, the tests' training probes) sees every
-binary problem.  ``harness`` never calls ``evaluate``: the final fits fold over
-the split's row blocks, so no comparison builds a combined m x m kernel."""
+"""The shape of the SMO path in ``svm`` and of the fitness path in ``gp``.
+
+The Platt loop calls no builtin per pair step and no numpy function at all (its
+convergence test runs on its lists of Python floats).  ``train_multiclass`` and
+``gp.fitness`` train through one pair core, ``svm._fit_pairs``, which hands each
+class-pair block to ``train_binary`` by its bare name.  A bare name is looked up
+in svm's globals at each call, so a wrapper bound to ``svm.train_binary``
+(perfbench's probe, the tests' training probes) sees every binary problem.
+``gp.fitness`` folds the chromosome over its split's plan and cuts nothing, and
+``evolve`` scores each generation with one ``score_all`` call.  ``harness`` never
+calls ``evaluate``: the final fits fold over the split's row blocks, so no
+comparison builds a combined m x m kernel."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
-SVM, HARNESS = SRC / "svm.py", SRC / "harness.py"
+SVM, HARNESS, GP = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py"
 CLIPPING_BUILTINS = {"min", "max", "abs"}
+FITNESS_CUTS = {"evaluate", "submatrix", "restrict", "ix_", "train_multiclass", "fit_predict"}
 
 
 def function(source: str, name: str) -> ast.FunctionDef:
@@ -49,10 +54,22 @@ def numpy_calls_in_loops(source: str, name: str) -> set[str]:
 
 
 def pair_loop_cuts(source: str) -> set[str]:
-    """The cutting calls (``restrict``, ``submatrix``) made inside train_multiclass's for loops."""
+    """The cutting calls (``restrict``, ``submatrix``) made inside train_multiclass's for loops and comprehensions."""
     fn = function(source, "train_multiclass")
     cuts = {"restrict", ".restrict", "submatrix", ".submatrix"}
-    return {c for n in ast.walk(fn) if isinstance(n, ast.For) for c in called_names(n)} & cuts
+    return {c for n in ast.walk(fn) if isinstance(n, (ast.For, ast.ListComp)) for c in called_names(n)} & cuts
+
+
+def bare_targets(names: list[str]) -> set[str]:
+    """The called names with any attribute dot dropped: ``np.ix_`` and ``ix_`` both read ``ix_``."""
+    return {name.lstrip(".") for name in names}
+
+
+def generation_loop_calls(source: str, name: str) -> tuple[list[str], list[str]]:
+    """(the calls inside name's for loops, every call in name), as ``called_names`` writes them."""
+    fn = function(source, name)
+    loops = [n for n in ast.walk(fn) if isinstance(n, ast.For)]
+    return [c for loop in loops for c in called_names(loop)], called_names(fn)
 
 
 def test_platt_loop_calls_no_clipping_builtin():
@@ -68,9 +85,23 @@ def test_harness_never_calls_evaluate():
     assert "evaluate" not in calls and ".evaluate" not in calls
 
 
-def test_train_multiclass_calls_train_binary_by_its_bare_name():
-    calls = called_names(function(SVM.read_text(encoding="utf-8"), "train_multiclass"))
+def test_the_pair_core_calls_train_binary_by_its_bare_name():
+    source = SVM.read_text(encoding="utf-8")
+    calls = called_names(function(source, "_fit_pairs"))
     assert "train_binary" in calls and ".train_binary" not in calls
+    assert "_fit_pairs" in called_names(function(source, "train_multiclass"))
+    assert "_fit_pairs" in called_names(function(GP.read_text(encoding="utf-8"), "fitness"))
+
+
+def test_fitness_folds_once_and_cuts_nothing():
+    calls = called_names(function(GP.read_text(encoding="utf-8"), "fitness"))
+    assert bare_targets(calls) & FITNESS_CUTS == set()
+    assert calls.count("_folded") == 1
+
+
+def test_evolve_scores_each_generation_with_one_score_all_call():
+    in_loops, everywhere = generation_loop_calls(GP.read_text(encoding="utf-8"), "evolve")
+    assert in_loops.count(".score_all") == 1 and everywhere.count(".score_all") == 1
 
 
 def test_train_multiclass_cuts_no_block_in_its_pair_loop():
@@ -87,4 +118,10 @@ def test_the_finders_flag_what_they_guard():
     assert numpy_calls_in_loops(source, "solve") == {"np.mean", "np.random.default_rng"}
     assert "evaluate" in called_names(ast.parse("k = evaluate(e, bank)"))
     assert pair_loop_cuts(source) == {".restrict", "submatrix"}
+    assert pair_loop_cuts("def train_multiclass(f, ps):\n    return [f.restrict(p) for p in ps]\n") == {".restrict"}
     assert called_names(function(source, "train_multiclass")) == [".train_binary", ".restrict", "submatrix"]
+    fitness = "def fitness(e, s):\n    k = evaluate(e, s.bank).restrict(s.fit)\n    return train_multiclass(k[np.ix_(a, b)])\n"
+    assert bare_targets(called_names(function(fitness, "fitness"))) & FITNESS_CUTS == {"evaluate", "restrict", "ix_", "train_multiclass"}
+    evolve = "def evolve(s, pop):\n    s.score_all(pop)\n    for g in range(3):\n        fits = [s.score_all([e]) for e in pop]\n"
+    in_loops, everywhere = generation_loop_calls(evolve, "evolve")
+    assert in_loops.count(".score_all") == 1 and everywhere.count(".score_all") == 2

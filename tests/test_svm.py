@@ -391,6 +391,20 @@ class TestPredictTies:
         for value in (0.0, -0.0, np.nan):  # each alone: every pair's smaller class wins
             assert np.array_equal(_vote(model, np.full((1, len(pairs)), value)), reference_vote(model, [[value] * len(pairs)]))
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["pairs-in-order", "pairs-shuffled"])
+    def test_vote_sums_margins_in_pair_order(self, rng, shuffled):
+        # 1 + 2**-53 rounds back to 1, so a margin of 1, 2**-53, 2**-53 depends on the order of
+        # its terms; vote ties are common with 5 classes, and the reference adds in pair order
+        params = SvmParams()
+        classes = [1, 3, 4, 6, 8]
+        pairs = list(combinations(classes, 2))
+        if shuffled:  # a model read from a file may list its pairs in any order
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        model = MulticlassModel(classes, pairs, [None] * len(pairs), [None] * len(pairs), params)
+        sizes = rng.choice([1.0, 0.5, 2.0**-53, 2.0**-52, 3 * 2.0**-53], size=(6000, len(pairs)))
+        decisions = sizes * rng.choice([-1.0, 1.0], size=sizes.shape)
+        assert np.array_equal(_vote(model, decisions), reference_vote(model, decisions))
+
     def test_empty_query_gives_empty_prediction(self, rng):
         k, labels = three_class_clusters(rng)
         idx = np.arange(labels.size)
