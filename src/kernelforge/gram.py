@@ -8,9 +8,21 @@ Matrix multiplication would not, which is why it is absent here.
 A Gaussian base kernel is unit-diagonal by construction, so ``build_bank``
 runs no separate normalize pass.  Its bandwidth defaults to the median
 heuristic, taken exactly (the same value as ``np.median``) over the nonzero
-pairwise squared distances.  Each view's distances are computed once, in the
-array ``x @ x.T`` makes, which serves the bandwidth and then becomes the kernel;
-numpy mirrors one triangle of ``x @ x.T``, so the kernel is exactly symmetric.
+pairwise squared distances.  Each view's distances are computed once, in an
+m x m array that ``np.matmul(x, x.T, out=...)`` fills, which serves the
+bandwidth and then becomes the kernel; numpy mirrors one triangle of
+``x @ x.T``, so the kernel is exactly symmetric.
+
+The views are independent, so from ``_POOL_MIN_ITEMS`` items up ``build_bank``
+builds them on a thread pool of min(views, usable CPUs) workers; below that
+size, starting the threads costs more than the second core saves, and the same
+per-view function runs in a plain loop.  Every array that outlives a view is
+allocated on the calling thread, so that no worker's own malloc arena keeps the
+memory once it is freed: the kernels, and one scratch per worker (two B x m
+tiles for the distances, then the median's m(m-1)/2 copy).  A view's bits do
+not depend on the path or on how many workers run, since each view is computed
+by the same calls on its own arrays; as before, they do depend on how many
+threads BLAS splits ``x @ x.T`` over.
 
 A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
 enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The kernels
@@ -21,8 +33,13 @@ as it happens (``_stays_finite``).  A block cut by ``restrict`` keeps the check.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -30,8 +47,12 @@ from .errors import DataError, ParameterError, ShapeError
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
-_ASYMMETRY_STRIP = 64  # rows per strip of the m x m loops here, whose one temporary is B x m
+_ASYMMETRY_STRIP = 64  # B, the rows per strip of the m x m loops here, whose temporaries are B x m
 _STRICT_LOWER = np.tri(_ASYMMETRY_STRIP, k=-1, dtype=bool)  # the part of a strip's diagonal block below it
+# build_bank builds its views on a thread pool from this many items up; below
+# it, starting the threads costs more than the second core saves (6 views of
+# 2 features on 2 cores: a tie at m = 256-320, the pool 10 % faster at 400)
+_POOL_MIN_ITEMS = 384
 
 
 def validate_features(features) -> np.ndarray:
@@ -162,21 +183,33 @@ def _stays_finite(what: str):
         raise DataError(f"{what} is non-finite: {exc}") from exc
 
 
-def _pairwise_sq_dists(x: np.ndarray, where: str) -> np.ndarray:
-    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0, in the one m x m array ``x @ x.T`` makes.
+def _pairwise_sq_dists(x: np.ndarray, where: str, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """||x_i - x_j||^2 as (n_i + n_j) - 2 x_i.x_j, clipped at 0, written into ``out``.
 
-    No term exceeds 4 max(n), so squared norms above a quarter of the float64
-    range raise DataError, naming ``where``, before any term can overflow.
+    The caller allocates ``out`` (m x m), which ``np.matmul(x, x.T, out=out)``
+    fills with the same bits as ``x @ x.T``, and the flat ``scratch``, which holds
+    two B x m tiles: n_j in every row, and each strip's n_i + n_j.  A ufunc that
+    broadcasts allocates buffers, so no ufunc here broadcasts, and a worker thread
+    allocates nothing of size B x m or more.  No term exceeds 4 max(n), so
+    squared norms above a quarter of the float64 range raise DataError, naming
+    ``where``, before any term can overflow.
     """
     with np.errstate(over="ignore"):
         n = np.einsum("ij,ij->i", x, x)
     if not n.max() <= np.finfo(float).max / 4:
         raise DataError(f"{where}: feature scale overflows, so it gives no usable bandwidth or kernel")
-    sq = x @ x.T
-    for s in range(0, sq.shape[0], _ASYMMETRY_STRIP):
-        rows = sq[s : s + _ASYMMETRY_STRIP]
+    sq = np.matmul(x, x.T, out=out)
+    m = len(n)
+    b = min(_ASYMMETRY_STRIP, m)
+    sums, n_j = scratch[: b * m].reshape(b, m), scratch[b * m : 2 * b * m].reshape(b, m)
+    np.copyto(n_j, n)
+    for s in range(0, m, b):
+        rows = sq[s : s + b]
         rows *= 2.0
-        np.subtract(np.add.outer(n[s : s + _ASYMMETRY_STRIP], n), rows, out=rows)
+        strip = sums[: len(rows)]
+        np.copyto(strip, n[s : s + b, None])
+        np.add(strip, n_j[: len(rows)], out=strip)
+        np.subtract(strip, rows, out=rows)
         np.clip(rows, 0.0, None, out=rows)
     return sq
 
@@ -190,18 +223,31 @@ def _exact_median(a: np.ndarray, skip: int = 0) -> float:
     return float((a[:k].max() + a[k]) / 2.0)
 
 
-def _median_gamma(sq: np.ndarray, pair: np.ndarray) -> float:
-    """1 / median of the nonzero strict-upper-triangle entries of a distance matrix,
-    copied into the scratch ``pair`` (m(m-1)/2 floats); the zeros sort first."""
+def _upper_start(row: int, m: int) -> int:
+    """How many strict-upper-triangle entries of an m x m matrix lie in the rows before ``row``."""
+    return row * (2 * m - row - 1) // 2
+
+
+def _median_gamma(sq: np.ndarray, scratch: np.ndarray, where: str) -> float:
+    """1 / median of the nonzero strict-upper-triangle entries of a distance matrix.
+
+    The entries are copied into the first m(m-1)/2 floats of the caller's
+    ``scratch``, B rows at a time so that the list of row views stays short, and
+    the zeros sort first there.  A bandwidth that cannot be used raises
+    DataError naming ``where``.
+    """
     m = sq.shape[0]
-    pair = np.concatenate([sq[i, i + 1 :] for i in range(m - 1)], out=pair)
+    pair = scratch[: _upper_start(m - 1, m)]
+    for s in range(0, m - 1, _ASYMMETRY_STRIP):
+        e = min(s + _ASYMMETRY_STRIP, m - 1)
+        np.concatenate([sq[i, i + 1 :] for i in range(s, e)], out=pair[_upper_start(s, m) : _upper_start(e, m)])
     zeros = pair.size - np.count_nonzero(pair)
     if zeros == pair.size:
-        raise DataError("all pairwise distances are zero; no usable bandwidth")
+        raise DataError(f"{where}: all pairwise distances are zero; no usable bandwidth")
     median = _exact_median(pair, zeros)
     gamma = 1.0 / median
     if not (np.isfinite(gamma) and gamma > 0.0):
-        raise DataError(f"median pairwise squared distance {median!r} gives no usable bandwidth")
+        raise DataError(f"{where}: median pairwise squared distance {median!r} gives no usable bandwidth")
     return gamma
 
 
@@ -307,7 +353,9 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
 
     gammas may be None (median heuristic per descriptor), a scalar applied to
     all descriptors, or a sequence with one entry per descriptor where None
-    entries again fall back to the median heuristic.
+    entries again fall back to the median heuristic.  From ``_POOL_MIN_ITEMS``
+    items up the views are built on worker threads, with the same bits; an error
+    is the first failing view's, as in the loop.
     """
     feature_sets = list(feature_sets)
     if names is None:
@@ -325,13 +373,45 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
     if len({len(x) for x in views}) > 1:  # before any m x m work
         raise ShapeError(f"views disagree on size: {[len(x) for x in views]} rows")
 
-    kernels, used, pair = [], [], None  # pair: the median's scratch, shared by the views
-    for i, (x, name, gamma) in enumerate(zip(views, names, gammas)):
-        sq = _pairwise_sq_dists(x, f"view {i} ({name})")
-        if gamma is None and pair is None:
-            pair = np.empty((sq.size - len(sq)) // 2)
+    m = len(views[0])
+    workers = min(len(views), _usable_cpus()) if m >= _POOL_MIN_ITEMS else 1
+    # every array that outlives a view is allocated here, on the calling thread:
+    # the kernels, and one scratch per worker for two B x m tiles and the median's m(m-1)/2 copy
+    size = _upper_start(m - 1, m) if any(g is None for g in gammas) else 0
+    scratches = queue.SimpleQueue()
+    for _ in range(workers):
+        scratches.put(np.empty(max(size, 2 * min(_ASYMMETRY_STRIP, m) * m)))
+    jobs = (range(len(views)), views, names, gammas, [np.empty((m, m)) for _ in views], repeat(scratches))
+    if workers == 1:
+        built = list(map(_gaussian_view, *jobs))
+    else:
+        # results and errors come back in view order; the threads are joined
+        # before the first error is raised; a caller's np.errstate reaches each job
+        with ThreadPoolExecutor(workers) as pool:
+            contexts = [contextvars.copy_context() for _ in views]
+            built = list(pool.map(contextvars.Context.run, contexts, repeat(_gaussian_view), *jobs))
+    kernels, used = zip(*built)
+    return KernelBank(kernels, tuple(names)), list(used)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _gaussian_view(i: int, x: np.ndarray, name: str, gamma, out: np.ndarray, scratches: queue.SimpleQueue):
+    """View i's Gaussian kernel, built in ``out``, and its gamma (the median
+    heuristic's when ``gamma`` is None), with a scratch taken from ``scratches``
+    and put back.  The pool's workers run this, so it calls only private
+    helpers, none of which the benchmark's tracer wraps."""
+    where = f"view {i} ({name})"
+    scratch = scratches.get()
+    try:
+        sq = _pairwise_sq_dists(x, where, out, scratch)
         # the bandwidth reads sq before the kernel overwrites it
-        g = _median_gamma(sq, pair) if gamma is None else float(gamma)
-        kernels.append(_gaussian_from_sq(sq, g, name))
-        used.append(g)
-    return KernelBank(tuple(kernels), tuple(names)), used
+        g = _median_gamma(sq, scratch, where) if gamma is None else float(gamma)
+        return _gaussian_from_sq(sq, g, name), g
+    finally:
+        scratches.put(scratch)

@@ -91,3 +91,12 @@ def symmetry_passes(monkeypatch):
 
     monkeypatch.setattr(gram_mod, "_max_asymmetry", max_asymmetry)
     return shapes
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """build_bank sees two usable CPUs, so from gram._POOL_MIN_ITEMS items up it
+    builds its views on two worker threads, on any host."""
+    import kernelforge.gram as gram_mod
+
+    monkeypatch.setattr(gram_mod, "_usable_cpus", lambda: 2)

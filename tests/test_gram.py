@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from kernelforge import (
     parse_expr,
     submatrix,
 )
-from kernelforge.gram import SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
+from kernelforge.gram import _POOL_MIN_ITEMS, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
 from kernelforge.kernel_io import read_kernel, write_kernel
 
 from oracles import random_psd
@@ -121,7 +122,7 @@ class TestMedianHeuristic:
         assert median_gamma(x) == pytest.approx(1.0 / 9.0)
 
     def test_all_duplicates_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^view 0 \(K1\): all pairwise distances are zero"):
             median_gamma(np.array([[1.0], [1.0], [1.0]]))
 
     def test_subnormal_median_is_data_error(self):
@@ -129,24 +130,51 @@ class TestMedianHeuristic:
         x = np.array([[0.0], [1e-160], [2e-160], [5e-160]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="no usable bandwidth"):
+            with pytest.raises(DataError, match="no usable bandwidth") as raised:
                 median_gamma(x)
+        assert str(raised.value).startswith("view 0 (K1): median pairwise squared distance")
 
     def test_infinite_median_is_data_error(self):
-        # the squared distances overflow to inf, so 1 / median is 0
-        x = np.array([[0.0], [1e200], [-1e200]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DataError, match="no usable bandwidth"):
+        # the squared norms pass the overflow guard, but the two middle distances,
+        # each 4 a^2 = 0.98 of the float64 range, sum past it: the median is inf and 1 / median is 0
+        a = 0.99 * np.sqrt(np.finfo(float).max / 4)
+        x = np.array([[a], [-a], [a], [-a]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DataError, match="no usable bandwidth") as raised:
                 median_gamma(x)
+        assert str(raised.value).startswith("view 0 (K1): median pairwise squared distance inf ")
+
+    def test_bandwidth_errors_name_the_view(self):
+        views = [np.array([[0.0], [1.0], [3.0]]), np.ones((3, 2))]
+        with pytest.raises(DataError, match=r"^view 1 \(flat\): all pairwise distances are zero"):
+            build_bank(views, names=["line", "flat"])
 
     @pytest.mark.parametrize("gammas", [None, 1.0, [0.5, None]], ids=["median", "explicit", "mixed"])
-    def test_overflowing_feature_scale_names_the_view(self, gammas):
+    def test_overflowing_feature_scale_names_the_view(self, gammas, two_workers):
         # the squared norm 1e400 overflows float64; no RuntimeWarning may come first
-        views = [np.array([[0.0], [1.0], [3.0]]), np.array([[1e200], [1e200], [0.0]])]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=r"view 1 \(wide\): feature scale overflows"):
-                build_bank(views, names=["narrow", "wide"], gammas=gammas)
+        for m in (3, _POOL_MIN_ITEMS):  # the loop, then the pool
+            wide = np.zeros((m, 1))
+            wide[:-1] = 1e200
+            views = [np.linspace(0.0, 3.0, m)[:, None], wide]
+            threads = threading.active_count()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match=r"view 1 \(wide\): feature scale overflows"):
+                    build_bank(views, names=["narrow", "wide"], gammas=gammas)
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("m", [3, _POOL_MIN_ITEMS], ids=["loop", "pool"])
+    def test_the_first_failing_view_is_raised(self, m, two_workers):
+        # view 0 has no usable bandwidth, view 2's scale overflows; the loop stops at view 0
+        wide = np.zeros((m, 1))
+        wide[:-1] = 1e200
+        views = [np.ones((m, 2)), np.linspace(0.0, 3.0, m)[:, None], wide]
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=r"^view 0 \(K1\): all pairwise distances are zero"):
+            build_bank(views)
+        assert threading.active_count() == threads
+        build_bank(views[1:2] * 3)
+        assert threading.active_count() == threads
 
     def test_overflowing_feature_scale_in_the_single_view_helpers(self):
         x = np.array([[1e200], [1e200], [0.0]])
@@ -654,12 +682,47 @@ class TestBuildBankBitIdentity:
         self.assert_matches_reference([rng.standard_normal((21, 2)), rng.standard_normal((21, 3))], [None, 1.5])
 
 
+class TestPooledBuild:
+    """From _POOL_MIN_ITEMS items up, build_bank builds its views on worker
+    threads; every bit stays that of building each view alone, in the loop."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_view_is_built_as_alone(self, cpus, rng, monkeypatch):
+        m = 3 * _POOL_MIN_ITEMS  # large enough that two workers sharing a scratch would clash
+        views = [scale * rng.standard_normal((m, d)) for d, scale in ((2, 1.0), (7, 0.3), (1, 5.0), (4, 1.0), (3, 2.0))]
+        gammas = [None, 0.37, None, 2.0, None]
+        ran_on, real = [], gram_mod._gaussian_view
+        monkeypatch.setattr(gram_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(gram_mod, "_gaussian_view", lambda *a: ran_on.append(threading.current_thread()) or real(*a))
+        bank, used = build_bank(views, gammas=gammas)
+        if cpus == 1:
+            assert set(ran_on) == {threading.main_thread()}
+        else:
+            assert threading.main_thread() not in ran_on and 1 <= len(set(ran_on)) <= cpus
+        for x, gamma, k, g in zip(views, gammas, bank.kernels, used):
+            ran_on.clear()
+            alone, (alone_gamma,) = build_bank([x], gammas=[gamma])
+            assert ran_on == [threading.main_thread()]
+            assert g == alone_gamma
+            assert k.values.tobytes() == alone[0].values.tobytes()
+
+    @pytest.mark.parametrize("m", [8, _POOL_MIN_ITEMS], ids=["loop", "pool"])
+    def test_a_callers_errstate_governs_every_view(self, m, rng, two_workers):
+        # far from the diagonal exp underflows to 0, which numpy ignores by default
+        views = [rng.standard_normal((m, 2)) for _ in range(3)]
+        build_bank(views, gammas=1e3)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                build_bank(views, gammas=1e3)
+
+
 class TestAllocationBudget:
     """Peak traced memory, in m x m float64 arrays, of the calls that build
     kernels: each makes one new array per kernel it keeps, plus strips of
-    rows and, in build_bank, the median's one m(m-1)/2 scratch."""
+    rows and, in build_bank, one scratch per worker of m(m-1)/2 floats for
+    the median.  M is at least _POOL_MIN_ITEMS, so build_bank pools its views."""
 
-    M = 300
+    M = 400
 
     @staticmethod
     def peak_units(f):
@@ -672,11 +735,16 @@ class TestAllocationBudget:
 
     @pytest.fixture(scope="class")
     def views(self):
+        assert self.M >= _POOL_MIN_ITEMS
         rng = np.random.default_rng(3)
         return [rng.standard_normal((self.M, d)) for d in (2, 5, 3)]
 
-    def test_build_bank(self, views):
+    def test_build_bank(self, views, two_workers):
         assert self.peak_units(lambda: build_bank(views)) <= 4.1  # 3 kernels kept
+
+    def test_build_bank_in_a_loop(self, views, monkeypatch):
+        monkeypatch.setattr(gram_mod, "_usable_cpus", lambda: 1)
+        assert self.peak_units(lambda: build_bank(views)) <= 3.6  # 3 kernels kept, one scratch
 
     def test_build_index(self, views):
         bank, _ = build_bank(views)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from kernelforge import (
+    DataError,
     GpParams,
     ProtocolConfig,
     SvmParams,
@@ -30,6 +31,7 @@ from kernelforge import (
     run_comparison,
     save_index,
 )
+from kernelforge.gram import _POOL_MIN_ITEMS
 from kernelforge.synthetic import xor_bank, xor_views
 
 INDEX_EXPR = "(+ (* K1 K2) K1)"
@@ -74,6 +76,25 @@ def variation():
     return a, b
 
 
+def pooled_views(*, failing: bool):
+    """Three views large enough for build_bank's thread pool; with ``failing``,
+    the first has no usable bandwidth and the last overflows."""
+    rng = np.random.default_rng(5)
+    views = [rng.standard_normal((_POOL_MIN_ITEMS, d)) for d in (2, 3, 4)]
+    if failing:
+        views[0][:] = 1.0
+        views[2][0] = 1e200
+    return views
+
+
+def failing_build(views):
+    try:
+        build_bank(views)
+    except DataError:
+        return
+    raise AssertionError("build_bank did not raise")
+
+
 def small_comparison(bank, labels):
     protocol = ProtocolConfig(per_class_train=8, per_class_val=3, repeats=1, seed=21, grid_search_c=True)
     return run_comparison(bank, labels, protocol, GpParams(population_size=8, max_generations=2), SvmParams())
@@ -96,13 +117,23 @@ def test_a_dropped_bank_is_freed_at_once():
 
 @pytest.mark.parametrize(
     "job",
-    ["build_bank", "index_round_trip", "parse_expr", "variation", "run_comparison"],
+    [
+        "build_bank",
+        "build_bank_pooled",
+        "build_bank_pooled_raising",
+        "index_round_trip",
+        "parse_expr",
+        "variation",
+        "run_comparison",
+    ],
 )
-def test_a_path_leaves_no_cycles(job, bank_and_labels, tmp_path):
+def test_a_path_leaves_no_cycles(job, bank_and_labels, tmp_path, two_workers):
     bank, labels = bank_and_labels
     views, _ = xor_views(n_per_class=12, seed=2)
     run = {
         "build_bank": lambda: build_bank(views),
+        "build_bank_pooled": lambda: build_bank(pooled_views(failing=False)),
+        "build_bank_pooled_raising": lambda: failing_build(pooled_views(failing=True)),
         "index_round_trip": lambda: index_round_trip(bank, tmp_path / "index.kgm"),
         "parse_expr": lambda: parse_expr("(+ (* K1 (+ K2 K3)) K1)"),
         "variation": variation,
