@@ -4,12 +4,12 @@ The population is evolved by tournament selection, one-child subtree crossover
 and mutation under a depth cap, with elitism and generational replacement.
 Fitness of a chromosome is the validation accuracy of a 1-vs-1 SVM trained on
 the kernel the chromosome evaluates to (cross-validation modes optional); every
-mode is a list of (fit, held) position pairs, validation the single pair (train,
-validation).  ``SplitFitness`` is the one memo of fitness on a split, and
+mode is a list of (fit, held) pairs of item ids, validation the single pair
+(train, validation).  ``SplitFitness`` is the one memo of fitness on a split, and
 ``score_all`` scores a list through it: ``evolve`` once per generation, the
-harness's best-leaf and C selection once each.  Per mode, it cuts once the blocks
-fitness reads, each fold's class-pair train x train and held x train blocks of
-every base kernel, so ``fitness`` folds a chromosome once over them, cuts nothing
+harness's best-leaf and C selection once each.  Per mode, it gathers once from
+the bank the blocks fitness reads, each fold's class-pair train x train and held
+x train blocks, so ``fitness`` folds a chromosome once over them, cuts nothing
 and hands each pair's views to ``svm``'s pair core.  Per-chromosome RNG streams
 are derived from (seed, generation, slot), the seed an argument of ``evolve``.  The
 search never sees the test set: retraining the winner on train+validation and
@@ -40,7 +40,7 @@ from .expr import (
     replace_at,
     subtree_at,
 )
-from .gram import KernelBank, submatrix
+from .gram import KernelBank, _checked_ids, submatrix
 from .rng import derive_seed, derived_rng
 from .svm import SvmParams, _class_pairs, _fit_pairs, _voted, accuracy
 
@@ -190,7 +190,7 @@ def tournament_select(fitnesses, k: int, rng: np.random.Generator, node_counts=N
 
 
 def _folds(mode: str, train: np.ndarray, val: np.ndarray, n_folds: int, seed: int) -> list:
-    """The (fit, held) position pairs a fitness mode scores."""
+    """The (fit, held) item-id pairs a fitness mode scores; a fold's draw depends only on train's size."""
     if mode == "validation":
         return [(train, val)]
     if mode == "leave_one_out":
@@ -221,8 +221,9 @@ def fitness(
             raise ShapeError("no training points to leave out")
         preds = []
         for classes, pairs, n_held in folds:
-            blocks = [(pair, pos, y, flat[s:h].reshape(-1, pos.size)) for pair, pos, y, s, h, _ in pairs]
-            held = [flat[h:e].reshape(-1, pos.size) for _, pos, _, _, h, e in pairs]
+            views = [flat[s:e].reshape(-1, pos.size) for _, pos, _, s, e in pairs]  # (p + h) x p, split at row p
+            blocks = [(pair, pos, y, v[: pos.size]) for (pair, pos, y, _, _), v in zip(pairs, views)]
+            held = [v[pos.size :] for (_, pos, *_), v in zip(pairs, views)]
             preds.append(_voted(_fit_pairs(classes, blocks, svm_params, seed), held, n_held, tag)[0])
         return accuracy(np.concatenate(preds), held_labels)
     except (DataError, NumericalError) as exc:
@@ -234,17 +235,20 @@ def fitness(
 class SplitFitness:
     """``fitness`` on one split, memoised by (canonical expression, SVM params, mode, n_folds).
     Commutative reorderings share a canonical string, and so the fitness seed, so sharing their
-    entry changes no result.  The fit block ``fit_bank`` (the bank restricted to ``split.fit_idx``)
-    and ``fit_labels`` are cut when it is built, each mode's ``_plan`` and ``final_rows`` (each base
-    kernel's (fit, then test) x fit rows, which ``harness.fit_expr`` folds over) on first use, all
-    read-only, as a fold writes only into arrays it made.  Labels must match the bank, one per item,
-    or ShapeError (``kernel_io.load_bank`` checks a bank read from files first)."""
+    entry changes no result.  The split's ids are checked against the bank (IndexError) and
+    ``fit_labels`` read when it is built; each mode's ``_plan`` and ``final_rows`` (each base kernel's
+    (fit, then test) x fit rows, which ``harness.fit_expr`` folds over) are gathered from ``bank`` on
+    first use, all read-only, as a fold writes only into arrays it made.  Labels must match the bank,
+    one per item, or ShapeError (``kernel_io.load_bank`` checks a bank read from files first)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split
         if len(self.labels) != bank.size:
             raise ShapeError(f"{len(self.labels)} labels for a bank of {bank.size} items")
-        self.fit_bank, self.fit_labels = bank.restrict(split.fit_idx), self.labels[split.fit_idx]
+        train, val, test = (_checked_ids(idx, bank.size, name) for idx, name in
+                            ((split.train_idx, "train"), (split.val_idx, "validation"), (split.test_idx, "test")))
+        self._rows = np.concatenate([train, val, test])  # fit (train, then validation), then test
+        self.fit_labels = self.labels[self._rows[: train.size + val.size]]
         self._memo: dict[tuple, float] = {}
         self._plans: dict[tuple, tuple] = {}
         # evaluations fitness scored 0 for a failure, and the last score_all call's (evaluated, memo hits, failed)
@@ -252,32 +256,31 @@ class SplitFitness:
 
     @cached_property
     def final_rows(self) -> tuple[np.ndarray, ...]:
-        rows = np.concatenate([self.split.fit_idx, np.asarray(self.split.test_idx, dtype=int)])  # fit, then test
-        blocks = tuple(submatrix(k, rows, rows[: self.fit_labels.size]) for k in self.bank.kernels)
+        blocks = tuple(submatrix(k, self._rows, self._rows[: self.fit_labels.size]) for k in self.bank.kernels)
         for block in blocks:
             block.flags.writeable = False
         return blocks
 
     def _plan(self, mode: str, n_folds: int) -> tuple:
-        """(buffers, folds, held labels) of (mode, n_folds), cut on first use.  Per fold and class pair,
-        each base kernel's flat read-only buffer holds the pair's train x train block, then its held x
-        train block; a fold is (classes, per pair (pair, positions, labels, start, held start, end), held count)."""
+        """(buffers, folds, held labels) of (mode, n_folds), on first use.  Per fold and class pair, each base
+        kernel's flat read-only buffer holds one (p + h) x p gather from the bank: rows the pair's p training items,
+        then the fold's h held items, columns the p.  A fold is (classes, [(pair, pos, labels, start, end)], h)."""
         if (mode, n_folds) not in self._plans:
-            t = len(self.split.train_idx)
-            folds = _folds(mode, np.arange(t), np.arange(t, self.fit_labels.size), n_folds, self.split.seed)
+            train, val = np.split(self._rows[: self.fit_labels.size], [len(self.split.train_idx)])
+            folds = _folds(mode, train, val, n_folds, self.split.seed)
             cuts, layout, end = [], [], 0
             for fit, held in folds:
-                classes, pairs = _class_pairs(self.fit_labels[fit])
+                classes, pairs = _class_pairs(self.labels[fit])
                 for i, (pair, pos, y) in enumerate(pairs):
                     cols, at = fit[pos], end
                     end += cols.size * (cols.size + held.size)
-                    cuts += [(cols, cols), (held, cols)]
-                    pairs[i] = (pair, pos, y, at, at + cols.size**2, end)
+                    cuts.append((np.concatenate([cols, held]), cols))
+                    pairs[i] = (pair, pos, y, at, end)
                 layout.append((classes, pairs, held.size))
             buffers = np.stack([np.concatenate([k.values[np.ix_(r, c)].ravel() for r, c in cuts] or [np.empty(0)])
-                                for k in self.fit_bank.kernels])  # row i: base kernel i's buffer
+                                for k in self.bank.kernels])  # row i: base kernel i's buffer
             buffers.flags.writeable = False
-            held = self.fit_labels[np.concatenate([h for _, h in folds] or [np.empty(0, dtype=int)])]
+            held = self.labels[np.concatenate([h for _, h in folds] or [np.empty(0, dtype=int)])]
             self._plans[mode, n_folds] = (buffers, layout, held)
         return self._plans[mode, n_folds]
 

@@ -21,14 +21,15 @@ allocated on the calling thread, so that no worker's own malloc arena keeps the
 memory once it is freed: the kernels, and one scratch per worker (two B x m
 tiles for the distances, then the median's m(m-1)/2 copy).  A view's bits do
 not depend on the path or on how many workers run, since each view is computed
-by the same calls on its own arrays; as before, they do depend on how many
-threads BLAS splits ``x @ x.T`` over.
+by the same calls on its own arrays; they do depend on how many threads BLAS
+splits ``x @ x.T`` over.
 
 A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
 enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The kernels
 derived from checked ones are symmetric by construction and not scanned again; an
 overflow or invalid operation, their one way to a non-finite entry, raises DataError
-as it happens (``_stays_finite``).  A block cut by ``restrict`` keeps the check.
+as it happens (``_stays_finite``).  ``_checked_ids`` is the one range check of item ids,
+for ``submatrix``, ``gp.SplitFitness`` and ``svm.train_multiclass``, which gather from the kernel.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
 _ASYMMETRY_STRIP = 64  # B, the rows per strip of the m x m loops here, whose temporaries are B x m
 _STRICT_LOWER = np.tri(_ASYMMETRY_STRIP, k=-1, dtype=bool)  # the part of a strip's diagonal block below it
-# build_bank builds its views on a thread pool from this many items up; below
-# it, starting the threads costs more than the second core saves (6 views of
-# 2 features on 2 cores: a tie at m = 256-320, the pool 10 % faster at 400)
+# build_bank's pool starts here (6 views of 2 features on 2 cores: a tie at m = 256-320, the pool 10 % faster at 400)
 _POOL_MIN_ITEMS = 384
 
 
@@ -131,11 +130,6 @@ class GramMatrix:
         """The same read-only array under another tag; nothing is checked or copied again."""
         return self._checked(self.values, tag)
 
-    def restrict(self, idx) -> "GramMatrix":
-        """The idx x idx block under the same tag; out-of-range indices raise IndexError.
-        A principal block is finite and no more asymmetric than its parent, so it keeps the check."""
-        return self._checked(submatrix(self, idx, idx), self.source_tag)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelBank:
@@ -166,11 +160,6 @@ class KernelBank:
 
     def __getitem__(self, i: int) -> GramMatrix:
         return self.kernels[i]
-
-    def restrict(self, idx) -> "KernelBank":
-        """The bank over the items ``idx`` in that order: each kernel's idx x idx
-        block (``GramMatrix.restrict``), which keeps the kernel's check."""
-        return KernelBank(tuple(k.restrict(idx) for k in self.kernels), self.names)
 
 
 @contextmanager
@@ -337,15 +326,17 @@ def _smallest_eigenvalue(v: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (v + v.T))[0])
 
 
+def _checked_ids(idx, m: int, name: str) -> np.ndarray:
+    """Item ids as an int array, each in [0, m), or IndexError naming them, so a negative id cannot wrap."""
+    ids = np.asarray(idx, dtype=int)
+    if ids.size and (ids.min() < 0 or ids.max() >= m):
+        raise IndexError(f"{name} index out of range for size {m}")
+    return ids
+
+
 def submatrix(g: GramMatrix, row_idx, col_idx) -> np.ndarray:
     """G[row_idx x col_idx] as a plain array (train x train, test x train blocks)."""
-    m = g.size
-    rows = np.asarray(row_idx, dtype=int)
-    cols = np.asarray(col_idx, dtype=int)
-    for name, idx in (("row", rows), ("column", cols)):
-        if idx.size and (idx.min() < 0 or idx.max() >= m):
-            raise IndexError(f"{name} index out of range for size {m}")
-    return g.values[np.ix_(rows, cols)]
+    return g.values[np.ix_(_checked_ids(row_idx, g.size, "row"), _checked_ids(col_idx, g.size, "column"))]
 
 
 def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[float]]:
@@ -370,6 +361,8 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
         raise ParameterError("need one gamma per descriptor matrix")
 
     views = [validate_features(x) for x in feature_sets]
+    if not views:
+        raise DataError("need at least one descriptor matrix")
     if len({len(x) for x in views}) > 1:  # before any m x m work
         raise ShapeError(f"views disagree on size: {[len(x) for x in views]} rows")
 

@@ -14,8 +14,8 @@ given a fixed BLAS thread count (the bits of a large kernel depend on it).
 Training and voting take one path.  ``_fit_pairs`` trains each class pair's block
 through ``train_binary``, and ``_voted`` decides each pair's held rows on its own
 columns, without ``decision``'s re-check, votes, and hands back the decisions its vote
-read, so no caller decides a pair twice.  ``train_multiclass`` cuts its pair blocks
-from its fit block, and the final fits reach it through ``fit_predict_rows``;
+read, so no caller decides a pair twice.  ``train_multiclass`` gathers each pair's block
+straight from the caller's kernel, and the final fits reach it through ``fit_predict_rows``;
 ``gp.fitness`` hands in views of its split's plan; both refuse a model that stopped at
 max_passes.  The entry points (``train_binary``, ``train_multiclass``, ``decision``,
 ``predict``, ``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix,
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
-from .gram import GramMatrix, submatrix
+from .gram import GramMatrix, _checked_ids, submatrix
 from .kernel_io import check_json, dump_json, parse_json, reading
 from .rng import derived_rng
 
@@ -267,15 +267,18 @@ Fitted = tuple[np.ndarray, MulticlassModel, np.ndarray]  # predictions, model, h
 
 
 def train_multiclass(gram, labels, train_idx, params: SvmParams, seed: int = 0) -> MulticlassModel:
-    """Train c(c-1)/2 pair models on the kernel restricted to each pair's points.
+    """Train c(c-1)/2 pair models, each on its pair's train_idx items of the kernel.
 
-    Pair label convention: the smaller class id maps to -1.  Each pair's SMO
-    stream is derived from (seed, class pair), so results do not depend on
-    training order.  The input is checked once; pair blocks cut from the fit block are trusted.
+    Pair label convention: the smaller class id maps to -1.  Each pair's SMO stream is derived from
+    (seed, class pair), so results do not depend on training order.  The input is checked once (one
+    label per kernel item, or ShapeError; train_idx inside it, or IndexError); pair blocks are trusted.
     """
-    fit = (gram if isinstance(gram, GramMatrix) else GramMatrix(gram)).restrict(train_idx)
-    classes, pairs = _class_pairs(np.asarray(labels)[np.asarray(train_idx, dtype=int)])
-    blocks = [(pair, pos, y, fit.values.take(pos, 0).take(pos, 1)) for pair, pos, y in pairs]
+    k, labels = (gram if isinstance(gram, GramMatrix) else GramMatrix(gram)).values, np.asarray(labels)
+    if len(labels) != len(k):
+        raise ShapeError(f"{len(labels)} labels for a kernel of {len(k)} items")
+    ids = _checked_ids(train_idx, len(k), "train")
+    classes, pairs = _class_pairs(labels[ids])
+    blocks = [(pair, pos, y, k[np.ix_(ids[pos], ids[pos])]) for pair, pos, y in pairs]
     return _fit_pairs(classes, blocks, params, seed)
 
 

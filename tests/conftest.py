@@ -30,33 +30,22 @@ def rng():
 
 @pytest.fixture
 def final_trainings(monkeypatch):
-    """List that gains one entry per train_multiclass call made outside gp.fitness.
+    """List that gains one entry per train_multiclass call: one per final fit.
 
     svm.fit_predict_rows (the final fits, and fit_predict) is the package's one
-    caller of train_multiclass, and gp.SplitFitness.score_all the one caller of
-    gp.fitness, which trains through svm's pair core and not train_multiclass;
-    both are wrapped at their module attributes.
+    caller of train_multiclass; gp.fitness trains through svm's pair core on
+    views of its split's plan, never through train_multiclass
+    (tests/test_solver_structure.py), so no fitness call is counted.
     """
-    import kernelforge.gp as gp_mod
     import kernelforge.svm as svm_mod
 
-    calls, inside = [], [0]
-    real_train, real_fitness = svm_mod.train_multiclass, gp_mod.fitness
+    calls, real = [], svm_mod.train_multiclass
 
     def train(*args, **kwargs):
-        if not inside[0]:
-            calls.append(args)
-        return real_train(*args, **kwargs)
-
-    def fitness(*args, **kwargs):
-        inside[0] += 1
-        try:
-            return real_fitness(*args, **kwargs)
-        finally:
-            inside[0] -= 1
+        calls.append(args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(svm_mod, "train_multiclass", train)
-    monkeypatch.setattr(gp_mod, "fitness", fitness)
     return calls
 
 

@@ -4,12 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines and
 per-criterion timing.
 """
 
-import json
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from kernelforge import (
     Add,

@@ -5,8 +5,8 @@ wide-bank inputs at seed 1, and ``run_comparison`` runs at the settings
 ``perfbench/bench.py`` uses.  A change that moves any float of a report fails
 here; a change meant to move one (a new solver) re-pins the hash on purpose.
 Each report also pins the symmetry passes: none, since a kernel is scanned only
-where it enters the package, and every kernel a comparison evaluates, restricts
-or cuts into class-pair blocks is derived from the bank.  The set-up the
+where it enters the package, and every kernel a comparison evaluates or cuts
+into class-pair blocks is derived from the bank.  The set-up the
 benchmark times (``build_bank``, then ``build_index`` and ``save_index`` for
 ``INDEX_EXPR``) is pinned the same way: the bytes of every base kernel and of
 the saved index file, and no symmetry pass, since the Gaussians, the evaluated

@@ -29,7 +29,6 @@ from kernelforge import (
     evolve,
     fitness,
     mutate,
-    node_count,
     predict,
     tournament_select,
     train_multiclass,
@@ -335,6 +334,15 @@ class TestSplitFitness:
         assert fitness_calls == [(canonical_string(expr), 1, *setting) for setting in self.SETTINGS]
         assert first == [fitness(expr, score, *setting) for setting in self.SETTINGS]
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    @pytest.mark.parametrize("field, name", [(0, "train"), (1, "validation"), (2, "test")])
+    def test_out_of_range_ids_are_an_index_error(self, rng, bad, field, name):
+        # the message is the id check's, not numpy's: a negative id would wrap, an id >= m read past the labels
+        bank, labels = two_cluster_bank(rng, per_class=4)
+        ids = [[0, 1, 4, 5], [2, 6], [3]]
+        ids[field] = ids[field] + [bad]
+        with pytest.raises(IndexError, match=f"^{name} index out of range for size 8$"):
+            SplitFitness(bank, labels, DatasetSplit(*ids, seed=1))
 
     def test_score_all_scores_misses_in_first_seen_order_once_each(self, rng, fitness_calls):
         bank, labels = two_cluster_bank(rng, per_class=4)

@@ -9,15 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelforge.gram as gram_mod
+import kernelforge.svm as svm_mod
 from kernelforge import (
     Add,
     DataError,
+    DatasetSplit,
     GramMatrix,
     KernelBank,
     Leaf,
     Mul,
     ParameterError,
     ShapeError,
+    SplitFitness,
+    SvmParams,
     add,
     build_bank,
     build_index,
@@ -27,6 +31,7 @@ from kernelforge import (
     normalize,
     parse_expr,
     submatrix,
+    train_multiclass,
 )
 from kernelforge.gram import _POOL_MIN_ITEMS, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
 from kernelforge.kernel_io import read_kernel, write_kernel
@@ -484,32 +489,6 @@ class TestSubmatrix:
             submatrix(gm(np.eye(2)), [0], [-1])
 
 
-class TestRestrict:
-    def test_blocks_follow_index_order(self, rng):
-        bank = KernelBank((gm(random_psd(5, rng)), gm(random_psd(5, rng))), ("a", "b"))
-        idx = [3, 0, 4]
-        sub = bank.restrict(idx)
-        assert sub.names == bank.names and sub.size == 3
-        for k, full in zip(sub.kernels, bank.kernels):
-            assert np.array_equal(k.values, full.values[np.ix_(idx, idx)])
-
-    @pytest.mark.parametrize("idx", [[0, 2], [-1, 0]])
-    def test_out_of_range(self, idx):
-        with pytest.raises(IndexError):
-            KernelBank((gm(np.eye(2)),), ("a",)).restrict(idx)
-
-    def test_blocks_keep_the_check(self, rng, symmetry_passes):
-        bank = KernelBank((gm(random_psd(5, rng), "a"), gm(random_psd(5, rng), "b")), ("a", "b"))
-        symmetry_passes.clear()
-        sub = bank.restrict([3, 0, 4])
-        block = bank[1].restrict([4, 4, 1])
-        assert symmetry_passes == []
-        assert block.source_tag == "b" and np.array_equal(block.values, bank[1].values[np.ix_([4, 4, 1], [4, 4, 1])])
-        for k, full in zip((*sub.kernels, block), (*bank.kernels, bank[1])):
-            assert k.source_tag == full.source_tag and not k.values.flags.writeable
-            assert not np.shares_memory(k.values, full.values)
-
-
 class TestTypes:
     def test_gram_requires_symmetry(self):
         with pytest.raises(ShapeError):
@@ -535,6 +514,11 @@ class TestTypes:
     def test_bank_nonempty(self):
         with pytest.raises(DataError):
             KernelBank((), ())
+
+    @pytest.mark.parametrize("gammas", [None, []])
+    def test_no_views_is_data_error(self, gammas):
+        with pytest.raises(DataError, match="^need at least one descriptor matrix$"):
+            build_bank([], gammas=gammas)
 
     def test_build_bank_median_heuristic(self, rng):
         views = [rng.standard_normal((6, 2)), rng.standard_normal((6, 3))]
@@ -563,7 +547,6 @@ class TestOwnership:
             "build_bank": bank[0],
             "read_kernel": read_kernel(tmp_path / "k.kgm"),
             "evaluate": evaluate(Add(Leaf(0), Leaf(1)), bank),
-            "restrict": bank.restrict([4, 1, 2])[0],
             "normalize": normalize(multiply(bank[0], bank[1])),
             "add": add(bank[0], bank[1]),
             "with_tag": bank[0].with_tag("renamed"),
@@ -720,7 +703,9 @@ class TestAllocationBudget:
     """Peak traced memory, in m x m float64 arrays, of the calls that build
     kernels: each makes one new array per kernel it keeps, plus strips of
     rows and, in build_bank, one scratch per worker of m(m-1)/2 floats for
-    the median.  M is at least _POOL_MIN_ITEMS, so build_bank pools its views."""
+    the median.  M is at least _POOL_MIN_ITEMS, so build_bank pools its views.
+    The calls that cut training blocks gather them from the kernels they
+    belong to, with no copy of the fit items' block."""
 
     M = 400
 
@@ -755,3 +740,22 @@ class TestAllocationBudget:
         bank, _ = build_bank(views)
         expr = parse_expr("(+ (+ (+ K1 K2) (* K3 K1)) (* K2 K2))")
         assert self.peak_units(lambda: evaluate(expr, bank)) <= 2.1
+
+    @pytest.fixture(scope="class")
+    def fit_split(self):
+        """300 fit items (240 train, 60 validation) of three classes over M items, and their labels."""
+        ids = np.random.default_rng(4).permutation(self.M)
+        return DatasetSplit(ids[:240], ids[240:300], ids[300:], seed=1), np.arange(self.M) % 3
+
+    def test_split_fitness_copies_no_block(self, views, fit_split):
+        # blocks are gathered from the bank on first use, so setting up a split allocates no m x m array
+        bank, _ = build_bank(views)
+        split, labels = fit_split
+        assert self.peak_units(lambda: SplitFitness(bank, labels, split)) <= 0.1
+
+    def test_train_multiclass_gathers_pair_blocks_from_the_kernel(self, views, fit_split, monkeypatch):
+        # the three class pairs' 200 x 200 blocks of the 300 fit items (0.75 units), with no 300 x 300 copy
+        bank, _ = build_bank(views)
+        split, labels = fit_split
+        monkeypatch.setattr(svm_mod, "_fit_pairs", lambda classes, blocks, params, seed: blocks)
+        assert self.peak_units(lambda: train_multiclass(bank[0], labels, split.fit_idx, SvmParams())) <= 1.0

@@ -346,8 +346,8 @@ class TestRunComparison:
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
         # the bank was checked where it entered; every kernel a comparison folds from it
-        # (fitness plans' pair blocks and the final fits' row blocks), and the restrictions
-        # and class-pair blocks cut from those, is derived and not scanned
+        # (fitness plans' pair blocks and the final fits' row blocks), and the class-pair
+        # blocks cut from those, is derived and not scanned
         import kernelforge.gp as gp_mod
         import kernelforge.harness as harness_mod
 
@@ -442,20 +442,24 @@ class TestClaimOverFeatureSeeds:
 
 class TestRunRepeat:
     def test_each_split_fitness_cuts_its_fit_block_once(self, monkeypatch, fitness_calls):
-        cuts, real = [], KernelBank.restrict
+        # one plan build per (split, mode): in validation mode a build sorts the split's
+        # training labels into class pairs once, and nothing else in gp does
+        import kernelforge.gp as gp_mod
 
-        def restrict(bank, idx):
-            cuts.append(list(idx))
-            return real(bank, idx)
+        builds, real = [], gp_mod._class_pairs
 
-        monkeypatch.setattr(KernelBank, "restrict", restrict)
+        def class_pairs(labels):
+            builds.append(labels.tolist())
+            return real(labels)
+
+        monkeypatch.setattr(gp_mod, "_class_pairs", class_pairs)
         bank, labels = xor_bank(n_per_class=12, seed=2)
         protocol = small_protocol(grid_search_c=True)
         score, _, _ = run_repeat(bank, labels, protocol, small_gp(), SvmParams(), 1)
-        assert cuts == [score.split.fit_idx.tolist()]
+        assert builds == [labels[list(score.split.train_idx)].tolist()]
         assert len(fitness_calls) > 10  # every evaluation of the search and of C selection
         run_comparison(bank, labels, protocol, small_gp(), SvmParams())
-        assert len(cuts) == 1 + protocol.repeats
+        assert len(builds) == 1 + protocol.repeats
 
     def test_scoring_fitness_never_builds_final_rows(self, monkeypatch):
         # the final fits' (fit, then test) x fit rows are cut on first use in fit_expr, so

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports; the package's
+"""Every module of the package, and every test module, uses each name it
+imports, so an import of a deleted name cannot linger; the package's
 ``__init__`` is exempt, since its imports are the public re-exports."""
 
 import ast
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+# a package module by its name, a test module as tests/<name>
+MODULES = {p.name: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+MODULES |= {f"tests/{p.name}": p for p in sorted(TESTS.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +37,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_found():

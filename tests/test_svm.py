@@ -25,7 +25,7 @@ from kernelforge import (
     train_multiclass,
 )
 from kernelforge.expr import evaluate, parse_expr
-from kernelforge.gram import SYMMETRY_TOL, build_bank
+from kernelforge.gram import SYMMETRY_TOL, build_bank, submatrix
 from kernelforge.harness import C_GRID, make_splits
 from kernelforge.rng import derived_rng
 from kernelforge.svm import (
@@ -126,7 +126,7 @@ class TestTrainBinary:
     def test_checked_block_and_raw_block_give_equal_models(self, rng, symmetry_passes):
         k, labels = three_class_clusters(rng, per_class=6)
         idx = np.flatnonzero(labels != 1)
-        block = GramMatrix(k, "K1").restrict(idx)
+        block = GramMatrix._checked(submatrix(GramMatrix(k, "K1"), idx, idx), "K1")
         y = np.where(labels[idx] == 0, -1.0, 1.0)
         raw = train_binary(np.array(block.values), y, SvmParams(), np.random.default_rng(3))
         symmetry_passes.clear()
@@ -259,6 +259,19 @@ class TestMulticlass:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             train_multiclass(np.eye(4), np.zeros(4, dtype=int), np.arange(4), SvmParams())
+
+    @pytest.mark.parametrize("n_labels", [4, 8])
+    def test_labels_must_number_the_kernels_items(self, rng, n_labels):
+        k, labels = three_class_clusters(rng, per_class=2)
+        with pytest.raises(ShapeError, match=f"^{n_labels} labels for a kernel of 6 items$"):
+            train_multiclass(k, np.resize(labels, n_labels), np.arange(4), SvmParams())
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_train_idx_is_an_index_error(self, rng, bad):
+        # the message is the id check's, not numpy's: a negative id would wrap, an id >= m read past the labels
+        k, labels = three_class_clusters(rng, per_class=2)
+        with pytest.raises(IndexError, match="^train index out of range for size 6$"):
+            train_multiclass(k, labels, [0, 1, 2, bad], SvmParams())
 
     def test_raw_kernel_is_checked_once(self, rng, symmetry_passes):
         k, labels = three_class_clusters(rng)
