@@ -19,16 +19,7 @@ from .errors import (
 )
 from .expr import Add, KernelExpr, Leaf, Mul, canonical_string, depth, evaluate, node_count, parse_expr
 from .gp import EvolutionResult, GpParams, SplitFitness, crossover, evolve, fitness, mutate, tournament_select
-from .gram import (
-    GramMatrix,
-    KernelBank,
-    add,
-    build_bank,
-    check_psd,
-    multiply,
-    normalize,
-    submatrix,
-)
+from .gram import GramMatrix, KernelBank, add, build_bank, multiply, normalize, submatrix
 from .harness import (
     ComparisonReport,
     DatasetSplit,
@@ -41,17 +32,6 @@ from .harness import (
     summarize,
 )
 from .retrieval import SimilarityIndex, build_index, load_index, query, save_index
-from .svm import (
-    MulticlassModel,
-    SvmModel,
-    SvmParams,
-    accuracy,
-    decision,
-    dual_objective,
-    fit_predict,
-    predict,
-    train_binary,
-    train_multiclass,
-)
+from .svm import MulticlassModel, SvmModel, SvmParams, accuracy, predict, train_binary, train_multiclass
 
 __version__ = "0.1.0"

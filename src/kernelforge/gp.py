@@ -264,7 +264,8 @@ class SplitFitness:
     def _plan(self, mode: str, n_folds: int) -> tuple:
         """(buffers, folds, held labels) of (mode, n_folds), on first use.  Per fold and class pair, each base
         kernel's flat read-only buffer holds one (p + h) x p gather from the bank: rows the pair's p training items,
-        then the fold's h held items, columns the p.  A fold is (classes, [(pair, pos, labels, start, end)], h)."""
+        then the fold's h held items, columns the p.  The buffers are rows of one array, allocated once, and each
+        gather is written into its [start:end] slice.  A fold is (classes, [(pair, pos, labels, start, end)], h)."""
         if (mode, n_folds) not in self._plans:
             train, val = np.split(self._rows[: self.fit_labels.size], [len(self.split.train_idx)])
             folds = _folds(mode, train, val, n_folds, self.split.seed)
@@ -274,18 +275,17 @@ class SplitFitness:
                 for i, (pair, pos, y) in enumerate(pairs):
                     cols, at = fit[pos], end
                     end += cols.size * (cols.size + held.size)
-                    cuts.append((np.concatenate([cols, held]), cols))
+                    cuts.append((np.ix_(np.concatenate([cols, held]), cols), at, end))
                     pairs[i] = (pair, pos, y, at, end)
                 layout.append((classes, pairs, held.size))
-            buffers = np.stack([np.concatenate([k.values[np.ix_(r, c)].ravel() for r, c in cuts] or [np.empty(0)])
-                                for k in self.bank.kernels])  # row i: base kernel i's buffer
+            buffers = np.empty((len(self.bank), end))  # row i: base kernel i's buffer, each gather in its slice
+            for row, k in zip(buffers, self.bank.kernels):
+                for block, at, stop in cuts:
+                    row[at:stop] = k.values[block].ravel()
             buffers.flags.writeable = False
             held = self.labels[np.concatenate([h for _, h in folds] or [np.empty(0, dtype=int)])]
             self._plans[mode, n_folds] = (buffers, layout, held)
         return self._plans[mode, n_folds]
-
-    def __call__(self, expr: KernelExpr, svm_params: SvmParams, mode: str = "validation", n_folds: int = 5) -> float:
-        return self.score_all([expr], svm_params, mode, n_folds)[0]
 
     def score_all(self, exprs, svm_params, mode: str = "validation", n_folds: int = 5) -> list[float]:
         """Each expression's fitness: memo hits as they are, misses scored in first-seen order, each key

@@ -306,24 +306,15 @@ def _normalized(values: np.ndarray, out: np.ndarray, tag: str) -> GramMatrix:
     return GramMatrix._checked(out, tag)
 
 
-def check_psd(g, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol; a raw array is checked as a GramMatrix first."""
-    v = (g if isinstance(g, GramMatrix) else GramMatrix(g)).values
-    return _smallest_eigenvalue(v) >= -tol
-
-
 def require_psd(g: GramMatrix, what: str) -> None:
-    """``check_psd`` at ``PSD_TOL`` times the largest diagonal entry, since an
-    eigensolver's rounding grows with the kernel's scale; a kernel that fails is a
-    DataError naming ``what`` and its smallest eigenvalue."""
+    """The one PSD rule: the smallest eigenvalue is at least -``PSD_TOL`` times the largest
+    diagonal entry, a tolerance relative to the kernel's scale since an eigensolver's
+    rounding grows with it; a kernel that fails is a DataError naming ``what`` and its
+    smallest eigenvalue."""
     floor = -PSD_TOL * float(g.values.diagonal().max())
-    low = _smallest_eigenvalue(g.values)
+    low = float(np.linalg.eigvalsh(0.5 * (g.values + g.values.T))[0])
     if not low >= floor:
         raise DataError(f"{what} is not positive semidefinite: smallest eigenvalue {low:.6g} is below {floor:.6g}")
-
-
-def _smallest_eigenvalue(v: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (v + v.T))[0])
 
 
 def _checked_ids(idx, m: int, name: str) -> np.ndarray:

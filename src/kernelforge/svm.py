@@ -12,14 +12,15 @@ leaves it.  Iterates and end state are bitwise those of the numpy formulation
 (``numpy_platt_smo`` in the tests' oracles), so reruns are byte-identical,
 given a fixed BLAS thread count (the bits of a large kernel depend on it).
 Training and voting take one path.  ``_fit_pairs`` trains each class pair's block
-through ``train_binary``, and ``_voted`` decides each pair's held rows on its own
-columns, without ``decision``'s re-check, votes, and hands back the decisions its vote
-read, so no caller decides a pair twice.  ``train_multiclass`` gathers each pair's block
-straight from the caller's kernel, and the final fits reach it through ``fit_predict_rows``;
-``gp.fitness`` hands in views of its split's plan; both refuse a model that stopped at
-max_passes.  The entry points (``train_binary``, ``train_multiclass``, ``decision``,
-``predict``, ``fit_predict``) check a caller's input once: a raw array becomes a GramMatrix,
-checked where it entered the package; blocks cut from a checked kernel are trusted.
+through ``train_binary``, and ``_voted``, the one decision formula, decides each pair's
+held rows on its own columns, votes, and hands back the decisions its vote read, so no
+caller decides a pair twice.  ``train_multiclass`` gathers each pair's block straight from
+the caller's kernel, and the final fits reach it through ``fit_predict_rows``, the one
+fit-and-decide entry; ``gp.fitness`` hands in views of its split's plan; both refuse a model
+that stopped at max_passes.  The entry points (``train_binary``, ``train_multiclass``,
+``predict``) check a caller's input once: a raw array becomes a GramMatrix, checked where
+it entered the package; blocks cut from a checked kernel are trusted.  ``save_multiclass``
+writes a model as JSON, which no command reads back.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ShapeError
-from .gram import GramMatrix, _checked_ids, submatrix
-from .kernel_io import check_json, dump_json, parse_json, reading
+from .gram import GramMatrix, _checked_ids
+from .kernel_io import dump_json
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -70,12 +71,6 @@ class SvmModel:
     @property
     def support_idx(self) -> np.ndarray:
         return np.flatnonzero(self.alpha > self.params.eps)
-
-
-def dual_objective(kernel: np.ndarray, labels: np.ndarray, alpha: np.ndarray) -> float:
-    """sum(alpha) - 1/2 * (alpha*y)' K (alpha*y)."""
-    v = alpha * labels
-    return float(alpha.sum() - 0.5 * (v @ kernel @ v))
 
 
 def _violators(alpha, g, b, y, c, tol, eps) -> list[int]:
@@ -238,16 +233,6 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     return SvmModel(alpha=np.array(alpha), bias=b, train_labels=y, params=params, converged=converged)
 
 
-def decision(model: SvmModel, cross_gram) -> np.ndarray:
-    """f(q) = sum_i alpha_i y_i K(q, x_i) + bias, one value per query row."""
-    q = np.asarray(cross_gram, dtype=float)
-    if q.ndim != 2 or q.shape[1] != model.alpha.shape[0]:
-        raise ShapeError(
-            f"cross kernel has {q.shape} columns; model trained on {model.alpha.shape[0]} points"
-        )
-    return q @ (model.alpha * model.train_labels) + model.bias
-
-
 @dataclass
 class MulticlassModel:
     """One binary model per unordered class pair (1-vs-1)."""
@@ -307,7 +292,7 @@ def _voted(model: MulticlassModel, held, n_held: int, tag: str | None = None) ->
         raise NumericalError(f"SMO on kernel {tag!r} did not converge within max_passes")
     f = np.empty((n_held, len(model.pairs)))
     for t, (mdl, q) in enumerate(zip(model.models, held)):
-        f[:, t] = q @ (mdl.alpha * mdl.train_labels) + mdl.bias  # decision() on its own columns
+        f[:, t] = q @ (mdl.alpha * mdl.train_labels) + mdl.bias  # the pair's decision on its own columns
     return _vote(model, f), model, f
 
 
@@ -337,11 +322,6 @@ def predict(model: MulticlassModel, rows) -> np.ndarray:
     if q.shape[1] != width:
         raise ShapeError(f"kernel block has {q.shape[1]} columns; the model was trained on {width} points")
     return _voted(model, [q[:, pos] for pos in model.pair_positions], q.shape[0])[0]
-
-
-def fit_predict(gram: GramMatrix, labels, fit_idx, held_idx, params: SvmParams, seed: int) -> Fitted:
-    """Train on the fit_idx points and predict the held_idx rows: ``fit_predict_rows`` on the held x fit block."""
-    return fit_predict_rows(gram, labels, fit_idx, submatrix(gram, held_idx, fit_idx), params, seed)
 
 
 def fit_predict_rows(gram: GramMatrix, labels, fit_idx, rows, params: SvmParams, seed: int) -> Fitted:
@@ -382,43 +362,6 @@ def multiclass_to_dict(model: MulticlassModel) -> dict:
     }
 
 
-_PARAMS_DOC = {"c": float, "kkt_tol": float, "max_passes": int, "eps": float}
-_PAIR_DOC = {
-    "classes": [int], "train_positions": [int], "alpha": [float], "bias": float,
-    "labels": [float], "support_idx": [int], "converged": bool,
-}
-_MODEL_DOC = {"schema": MODEL_SCHEMA, "class_labels": [int], "params": _PARAMS_DOC, "pairs": [_PAIR_DOC]}
-
-
-def multiclass_from_dict(doc: dict) -> MulticlassModel:
-    """Inverse of multiclass_to_dict; a malformed document raises DataError."""
-    check_json(doc, _MODEL_DOC, "model")
-    try:
-        params = SvmParams(**doc["params"])
-    except ParameterError as exc:
-        raise DataError(f"model.params: {exc}") from exc
-    pairs, models, positions = [], [], []
-    for i, entry in enumerate(doc["pairs"]):
-        lengths = {len(entry[key]) for key in ("alpha", "labels", "train_positions")}
-        if (
-            len(lengths) > 1
-            or len(entry["classes"]) != 2
-            or not set(entry["classes"]) <= set(doc["class_labels"])
-            or not set(entry["labels"]) <= {-1, 1}
-            or min(entry["train_positions"], default=0) < 0
-        ):
-            raise DataError(f"model.pairs[{i}]: classes, labels and train positions do not fit together")
-        pairs.append(tuple(entry["classes"]))
-        alpha, y = np.asarray(entry["alpha"], dtype=float), np.asarray(entry["labels"], dtype=float)
-        models.append(SvmModel(alpha, float(entry["bias"]), y, params, entry["converged"]))
-        positions.append(np.asarray(entry["train_positions"], dtype=int))
-    return MulticlassModel(list(doc["class_labels"]), pairs, models, positions, params)
-
-
 def save_multiclass(path, model: MulticlassModel) -> None:
     Path(path).write_text(dump_json(multiclass_to_dict(model)), encoding="utf-8")
 
-
-def load_multiclass(path) -> MulticlassModel:
-    with reading(path, "model"):
-        return multiclass_from_dict(parse_json(Path(path).read_bytes(), dict, "model"))

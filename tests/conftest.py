@@ -32,7 +32,7 @@ def rng():
 def final_trainings(monkeypatch):
     """List that gains one entry per train_multiclass call: one per final fit.
 
-    svm.fit_predict_rows (the final fits, and fit_predict) is the package's one
+    svm.fit_predict_rows (the final fits) is the package's one
     caller of train_multiclass; gp.fitness trains through svm's pair core on
     views of its split's plan, never through train_multiclass
     (tests/test_solver_structure.py), so no fitness call is counted.

@@ -6,15 +6,91 @@ Platt-loop reference and the KKT test references (violators, final bias) are
 the solver's numpy formulation kept as it was, the expression oracles are
 plain recursion over scalars, and the tree enumerator builds the search space
 directly.
+
+The references below were public functions of the package that no package path
+called; the tests compare against them, and they call only the package's input
+checks: ``dual_objective``, the SVM dual; ``decision``, one binary model's
+decision values, the formula ``svm._voted`` applies pair by pair;
+``check_psd``, a PSD test at an absolute tolerance, which checks a raw array as
+a ``GramMatrix`` first (``gram.require_psd`` is the package's own, relative, rule);
+and ``load_multiclass``/``multiclass_from_dict``, the reader of the ``model.json``
+that ``svm.save_multiclass`` writes, which checks a document with
+``kernel_io.check_json``/``parse_json`` and types its file's errors with
+``kernel_io.reading``.
 """
 
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
+from kernelforge.errors import DataError, ParameterError, ShapeError
 from kernelforge.expr import Add, Leaf, Mul
+from kernelforge.gram import PSD_TOL, GramMatrix
+from kernelforge.kernel_io import check_json, parse_json, reading
+from kernelforge.svm import MODEL_SCHEMA, MulticlassModel, SvmModel, SvmParams
+
+
+def dual_objective(kernel: np.ndarray, labels: np.ndarray, alpha: np.ndarray) -> float:
+    """sum(alpha) - 1/2 * (alpha*y)' K (alpha*y)."""
+    v = alpha * labels
+    return float(alpha.sum() - 0.5 * (v @ kernel @ v))
+
+
+def decision(model: SvmModel, cross_gram) -> np.ndarray:
+    """f(q) = sum_i alpha_i y_i K(q, x_i) + bias, one value per query row."""
+    q = np.asarray(cross_gram, dtype=float)
+    if q.ndim != 2 or q.shape[1] != model.alpha.shape[0]:
+        raise ShapeError(
+            f"cross kernel has {q.shape} columns; model trained on {model.alpha.shape[0]} points"
+        )
+    return q @ (model.alpha * model.train_labels) + model.bias
+
+
+def check_psd(g, tol: float = PSD_TOL) -> bool:
+    """True iff the smallest eigenvalue is >= -tol; a raw array is checked as a GramMatrix first."""
+    v = (g if isinstance(g, GramMatrix) else GramMatrix(g)).values
+    return float(np.linalg.eigvalsh(0.5 * (v + v.T))[0]) >= -tol
+
+
+_PARAMS_DOC = {"c": float, "kkt_tol": float, "max_passes": int, "eps": float}
+_PAIR_DOC = {
+    "classes": [int], "train_positions": [int], "alpha": [float], "bias": float,
+    "labels": [float], "support_idx": [int], "converged": bool,
+}
+_MODEL_DOC = {"schema": MODEL_SCHEMA, "class_labels": [int], "params": _PARAMS_DOC, "pairs": [_PAIR_DOC]}
+
+
+def multiclass_from_dict(doc: dict) -> MulticlassModel:
+    """Inverse of multiclass_to_dict; a malformed document raises DataError."""
+    check_json(doc, _MODEL_DOC, "model")
+    try:
+        params = SvmParams(**doc["params"])
+    except ParameterError as exc:
+        raise DataError(f"model.params: {exc}") from exc
+    pairs, models, positions = [], [], []
+    for i, entry in enumerate(doc["pairs"]):
+        lengths = {len(entry[key]) for key in ("alpha", "labels", "train_positions")}
+        if (
+            len(lengths) > 1
+            or len(entry["classes"]) != 2
+            or not set(entry["classes"]) <= set(doc["class_labels"])
+            or not set(entry["labels"]) <= {-1, 1}
+            or min(entry["train_positions"], default=0) < 0
+        ):
+            raise DataError(f"model.pairs[{i}]: classes, labels and train positions do not fit together")
+        pairs.append(tuple(entry["classes"]))
+        alpha, y = np.asarray(entry["alpha"], dtype=float), np.asarray(entry["labels"], dtype=float)
+        models.append(SvmModel(alpha, float(entry["bias"]), y, params, entry["converged"]))
+        positions.append(np.asarray(entry["train_positions"], dtype=int))
+    return MulticlassModel(list(doc["class_labels"]), pairs, models, positions, params)
+
+
+def load_multiclass(path) -> MulticlassModel:
+    with reading(path, "model"):
+        return multiclass_from_dict(parse_json(Path(path).read_bytes(), dict, "model"))
 
 
 def brute_force_dual_max(kernel: np.ndarray, labels: np.ndarray, c: float, final_step: float = 1e-4):

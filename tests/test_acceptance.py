@@ -21,8 +21,6 @@ from kernelforge import (
     build_bank,
     build_index,
     canonical_string,
-    check_psd,
-    dual_objective,
     evaluate,
     evolve,
     fitness,
@@ -39,7 +37,7 @@ from kernelforge.harness import ProtocolConfig, _addition_expr
 from kernelforge.kernel_io import save_feature_csv
 from kernelforge.synthetic import xor_bank, xor_views
 
-from oracles import brute_force_dual_max, enumerate_trees, random_psd
+from oracles import brute_force_dual_max, check_psd, dual_objective, enumerate_trees, random_psd
 from oracles import numpy_violators as _violators
 
 

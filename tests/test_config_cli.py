@@ -33,8 +33,9 @@ from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, p
 from kernelforge.gram import SYMMETRY_TOL, GramMatrix, KernelBank
 from kernelforge.harness import _select_c
 from kernelforge.kernel_io import MAGIC, load_bank_from_manifest, read_kernel, save_feature_csv, write_kernel
-from kernelforge.svm import load_multiclass
 from kernelforge.synthetic import xor_views
+
+from oracles import load_multiclass
 
 
 # float(True) is 1.0, so a JSON boolean would pass for a number

@@ -329,8 +329,8 @@ class TestSplitFitness:
         split = DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1)
         score = SplitFitness(bank, labels, split)
         expr, reordered = Add(Leaf(0), Mul(Leaf(1), Leaf(0))), Add(Mul(Leaf(0), Leaf(1)), Leaf(0))
-        first = [score(expr, *setting) for setting in self.SETTINGS]
-        assert [score(reordered, *setting) for setting in self.SETTINGS] == first
+        first = [score.score_all([expr], *setting)[0] for setting in self.SETTINGS]
+        assert [score.score_all([reordered], *setting)[0] for setting in self.SETTINGS] == first
         assert fitness_calls == [(canonical_string(expr), 1, *setting) for setting in self.SETTINGS]
         assert first == [fitness(expr, score, *setting) for setting in self.SETTINGS]
 

@@ -25,7 +25,6 @@ from kernelforge import (
     add,
     build_bank,
     build_index,
-    check_psd,
     evaluate,
     multiply,
     normalize,
@@ -36,7 +35,7 @@ from kernelforge import (
 from kernelforge.gram import _POOL_MIN_ITEMS, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
 from kernelforge.kernel_io import read_kernel, write_kernel
 
-from oracles import random_psd
+from oracles import check_psd, random_psd
 
 
 def gm(values, tag=""):
@@ -759,3 +758,12 @@ class TestAllocationBudget:
         split, labels = fit_split
         monkeypatch.setattr(svm_mod, "_fit_pairs", lambda classes, blocks, params, seed: blocks)
         assert self.peak_units(lambda: train_multiclass(bank[0], labels, split.fit_idx, SvmParams())) <= 1.0
+
+    @pytest.mark.parametrize("mode", ["validation", "k_fold"])
+    def test_fitness_plan_is_built_in_place(self, views, fit_split, mode):
+        # each gather is written into its slice of the plan, so the peak is the plan and one gather
+        bank, _ = build_bank(views)
+        split, labels = fit_split
+        score = SplitFitness(bank, labels, split)
+        peak = self.peak_units(lambda: score._plan(mode, 5))
+        assert peak <= 1.25 * score._plan(mode, 5)[0].nbytes / (self.M**2 * 8)

@@ -29,7 +29,6 @@ from kernelforge import (
     best_single_kernel,
     build_bank,
     build_index,
-    decision,
     evaluate,
     evolve,
     load_index,
@@ -49,7 +48,7 @@ from kernelforge.rng import derive_seed
 from kernelforge.synthetic import xor_bank, xor_views
 
 from jsondocs import corrupted
-from oracles import random_psd
+from oracles import decision, random_psd
 
 
 def bank_of(matrices):

@@ -17,9 +17,6 @@ from kernelforge import (
     ShapeError,
     SvmParams,
     accuracy,
-    decision,
-    dual_objective,
-    fit_predict,
     predict,
     train_binary,
     train_multiclass,
@@ -33,8 +30,7 @@ from kernelforge.svm import (
     MulticlassModel,
     SvmModel,
     _vote,
-    load_multiclass,
-    multiclass_from_dict,
+    fit_predict_rows,
     multiclass_to_dict,
     save_multiclass,
 )
@@ -42,6 +38,7 @@ from kernelforge.synthetic import xor_views
 
 from jsondocs import corrupted
 from oracles import brute_force_dual_max, interior_point_dual_max, numpy_final_bias, numpy_platt_smo, random_psd
+from oracles import decision, dual_objective, load_multiclass, multiclass_from_dict
 from oracles import numpy_violators as _violators  # the numpy KKT test, which svm._violators matches
 
 TWO_POINT_K = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -638,7 +635,8 @@ class TestFitPredict:
     def test_equals_train_then_predict(self, rng):
         k, labels = three_class_clusters(rng)
         fit, held = np.arange(0, labels.size, 2), np.arange(1, labels.size, 2)
-        pred, model, decisions = fit_predict(GramMatrix(k, "K1"), labels, fit, held, SvmParams(), seed=4)
+        gram = GramMatrix(k, "K1")
+        pred, model, decisions = fit_predict_rows(gram, labels, fit, submatrix(gram, held, fit), SvmParams(), seed=4)
         reference = train_multiclass(k, labels, fit, SvmParams(), seed=4)
         assert np.array_equal(pred, predict(reference, k[np.ix_(held, fit)]))
         assert all(np.array_equal(a.alpha, b.alpha) for a, b in zip(model.models, reference.models))
@@ -659,7 +657,8 @@ class TestFitPredict:
         k, labels = three_class_clusters(rng)
         idx = np.arange(labels.size)
         with pytest.raises(NumericalError, match="kernel 'K1' did not converge"):
-            fit_predict(GramMatrix(k, "K1"), labels, idx, idx, SvmParams(max_passes=0), seed=0)
+            gram = GramMatrix(k, "K1")
+            fit_predict_rows(gram, labels, idx, submatrix(gram, idx, idx), SvmParams(max_passes=0), seed=0)
 
 
 class TestPredictWidth:
