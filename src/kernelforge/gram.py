@@ -25,10 +25,14 @@ by the same calls on its own arrays; they do depend on how many threads BLAS
 splits ``x @ x.T`` over.
 
 A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
-enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The kernels
-derived from checked ones are symmetric by construction and not scanned again; an
-overflow or invalid operation, their one way to a non-finite entry, raises DataError
-as it happens (``_stays_finite``).  ``_checked_ids`` is the one range check of item ids,
+enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The scan
+(``_max_asymmetry``) reduces only the strips whose difference is not all zeros, so
+an exactly symmetric kernel, as every file the package writes is, costs about one
+pass over it.  The kernels derived from checked ones are symmetric by construction
+and not scanned again; an overflow or invalid operation, their one way to a
+non-finite entry, raises DataError as it happens (``_stays_finite``).  A kernel file
+loaded into a bank must also be PSD (``require_psd``), which a Cholesky factorisation
+certifies before an eigensolver is asked.  ``_checked_ids`` is the one range check of item ids,
 for ``submatrix``, ``gp.SplitFitness`` and ``svm.train_multiclass``, which gather from the kernel.
 """
 
@@ -73,13 +77,21 @@ def _max_asymmetry(v: np.ndarray) -> float:
     """max |v - v.T| of a square array, 0.0 when it is empty.
 
     Compares v[s:s+B, s:] with v[s:, s:s+B].T one strip of B rows at a time,
-    which covers every pair once, so the one temporary is B x m instead of
-    two m x m arrays.
+    which covers every pair once, so the one temporary is a contiguous B x m
+    scratch, allocated once, instead of two m x m arrays.  A strip whose
+    difference is all zeros is exactly symmetric and adds nothing to the
+    maximum, so only a strip with a nonzero, NaN or infinite difference (an inf
+    pair gives inf - inf = NaN) is reduced: an exactly symmetric kernel, as every
+    file the package writes is, costs one subtraction and one test per strip.
     """
+    m = v.shape[0]
+    scratch = np.empty(min(_ASYMMETRY_STRIP, m) * m)
     worst = 0.0
-    for s in range(0, v.shape[0], _ASYMMETRY_STRIP):
-        d = v[s : s + _ASYMMETRY_STRIP, s:] - v[s:, s : s + _ASYMMETRY_STRIP].T
-        worst = np.maximum(worst, np.abs(d, out=d).max())  # a NaN stays NaN
+    for s in range(0, m, _ASYMMETRY_STRIP):
+        rows = v[s : s + _ASYMMETRY_STRIP, s:]
+        d = np.subtract(rows, v[s:, s : s + _ASYMMETRY_STRIP].T, out=scratch[: rows.size].reshape(rows.shape))
+        if d.any():
+            worst = np.maximum(worst, np.abs(d, out=d).max())  # a NaN stays NaN
     return float(worst)
 
 
@@ -281,22 +293,24 @@ def normalize(g: GramMatrix) -> GramMatrix:
 def _normalized(values: np.ndarray, out: np.ndarray, tag: str) -> GramMatrix:
     """``normalize`` of ``values`` written into ``out``, which may be ``values`` itself.
 
-    Strip by strip: the products of the square roots go to one strip-sized
-    scratch, the quotients to ``out``'s upper triangle, which is then mirrored.  In
-    place this is safe, since a strip reads only the upper triangle of rows not
-    yet written.
+    Strip by strip: the products of the square roots of rows r:e and columns r:
+    and then their quotients go to one contiguous (e - r) x (m - r) scratch, which
+    is copied to ``out``'s upper triangle and then mirrored.  The division writes to
+    contiguous memory, for which numpy's iterator allocates smaller buffers than for
+    ``out``'s strided rows.  In place this is safe, since a strip
+    reads only the upper triangle of rows not yet written.
     """
     d = np.diag(values)
     if np.any(d <= 0):
         raise DataError("cannot normalize a kernel with a nonpositive diagonal entry")
     s = np.sqrt(d)
     m = len(values)
-    scale = np.empty((min(_ASYMMETRY_STRIP, m), m))
+    scratch = np.empty(min(_ASYMMETRY_STRIP, m) * m)
     with _stays_finite(f"normalized kernel {tag!r}"):
         for r in range(0, m, _ASYMMETRY_STRIP):
             e = min(r + _ASYMMETRY_STRIP, m)
-            rows = np.multiply.outer(s[r:e], s[r:], out=scale[: e - r, : m - r])
-            np.divide(values[r:e, r:], rows, out=out[r:e, r:])
+            q = np.multiply.outer(s[r:e], s[r:], out=scratch[: (e - r) * (m - r)].reshape(e - r, m - r))
+            out[r:e, r:] = np.divide(values[r:e, r:], q, out=q)
             out[e:, r:e] = out[r:e, e:].T
             # within the diagonal block a transposed assignment would swap the
             # two triangles, so only its strict lower triangle is written
@@ -310,8 +324,26 @@ def require_psd(g: GramMatrix, what: str) -> None:
     """The one PSD rule: the smallest eigenvalue is at least -``PSD_TOL`` times the largest
     diagonal entry, a tolerance relative to the kernel's scale since an eigensolver's
     rounding grows with it; a kernel that fails is a DataError naming ``what`` and its
-    smallest eigenvalue."""
+    smallest eigenvalue.
+
+    A Cholesky factorisation certifies it at a fraction of an eigensolver's cost: the
+    symmetrised copy 0.5 (G + G.T), with delta = ``PSD_TOL`` times the largest diagonal
+    entry added to its diagonal in place, factors only if its smallest eigenvalue is
+    above -delta, up to the factorisation's rounding.  When it does not factor, the
+    smallest eigenvalue of a fresh symmetrised copy decides, as without the
+    certificate, and names the failure.  So only a kernel whose smallest eigenvalue
+    lies within Cholesky's rounding of the floor can get another verdict than from
+    the eigenvalue alone.
+    """
     floor = -PSD_TOL * float(g.values.diagonal().max())
+    shifted = np.add(g.values, g.values.T)
+    shifted *= 0.5
+    shifted.ravel()[:: len(shifted) + 1] -= floor  # a view of its diagonal
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        del shifted  # freed before the eigensolver's copy is made
     low = float(np.linalg.eigvalsh(0.5 * (g.values + g.values.T))[0])
     if not low >= floor:
         raise DataError(f"{what} is not positive semidefinite: smallest eigenvalue {low:.6g} is below {floor:.6g}")

@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import warnings
@@ -32,7 +33,7 @@ from kernelforge import (
     submatrix,
     train_multiclass,
 )
-from kernelforge.gram import _POOL_MIN_ITEMS, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
+from kernelforge.gram import _POOL_MIN_ITEMS, PSD_TOL, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
 from kernelforge.kernel_io import read_kernel, write_kernel
 
 from oracles import check_psd, random_psd
@@ -376,6 +377,49 @@ class TestCheckPsd:
         assert raised.type is DataError
 
 
+class TestRequirePsd:
+    """require_psd accepts a kernel whose smallest eigenvalue is at least -delta, delta =
+    PSD_TOL times its largest diagonal entry, on a Cholesky factorisation of the kernel
+    shifted by delta, and names a failure's smallest eigenvalue from the eigensolver.
+    Each kernel is Q diag(lam) Q.T for a seeded orthogonal Q, so lam_min is known."""
+
+    M = 400
+
+    @staticmethod
+    def kernel(scale, low_in_deltas):
+        """An M x M exactly symmetric kernel of spectrum scale * [1, 2] but for one
+        eigenvalue of low_in_deltas * delta, and that delta."""
+        m = TestRequirePsd.M
+        q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((m, m)))
+        lam = scale * np.linspace(1.0, 2.0, m)
+
+        def build(lam):
+            v = (q * lam) @ q.T
+            return np.triu(v) + np.triu(v, 1).T
+
+        delta = PSD_TOL * build(np.r_[0.0, lam[1:]]).diagonal().max()  # lam_min moves it by far less than 1e-3
+        return gm(build(np.r_[low_in_deltas * delta, lam[1:]])), delta
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_just_inside_the_floor_is_certified_without_an_eigensolver(self, scale, monkeypatch):
+        g, _ = self.kernel(scale, -0.5)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("the Cholesky certificate should suffice"))
+        require_psd(g, "inside")
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_just_outside_the_floor_names_the_kernel_and_its_smallest_eigenvalue(self, scale):
+        g, delta = self.kernel(scale, -2.0)
+        with pytest.raises(DataError, match=r"^kernel file k\.kgm is not positive semidefinite: smallest eigenvalue ") as raised:
+            require_psd(g, "kernel file k.kgm")
+        low, floor = map(float, re.search(r"smallest eigenvalue (\S+) is below (\S+)$", str(raised.value)).groups())
+        assert low == pytest.approx(-2.0 * delta, rel=1e-4)
+        assert floor == pytest.approx(-delta, rel=1e-3)
+
+    def test_a_zero_kernel_falls_back_to_the_eigenvalue_and_passes(self):
+        # delta is 0, so the shifted copy is singular and does not factor; its eigenvalues are 0
+        require_psd(gm(np.zeros((3, 3))), "zero")
+
+
 @contextmanager
 def no_warning_data_error():
     """pytest.raises for a DataError naming a non-finite result, with any warning an error."""
@@ -467,6 +511,58 @@ class TestMaxAsymmetry:
 
     def test_empty_is_symmetric(self):
         assert _max_asymmetry(np.zeros((0, 0))) == 0.0
+
+    # entries set at (i, j), (j, i) or (i, i), for i = m - 1 and j = m - 2 (in the last strip), and
+    # GramMatrix's error; at m = 1, i = j, so the asymmetric cases are symmetric there
+    CASES = {
+        "symmetric": ({}, None),
+        "within_tol": ({"ji": 1.0, "ij": 1.0 + 0.5 * SYMMETRY_TOL}, None),
+        "beyond_tol": ({"ji": 1.0, "ij": 1.0 + 2.0 * SYMMETRY_TOL}, ShapeError),
+        "nan_pair": ({"ji": np.nan, "ij": np.nan}, DataError),
+        "nan_diagonal": ({"ii": np.nan}, DataError),
+        "inf_pair": ({"ji": np.inf, "ij": np.inf}, DataError),
+        "one_sided_inf": ({"ji": np.inf}, DataError),
+        "signed_zero_pair": ({"ji": 0.0, "ij": -0.0}, None),
+    }
+
+    @staticmethod
+    def case_matrix(m, case):
+        a = np.random.default_rng(m).random((m, m))
+        v = a + a.T
+        i, j = m - 1, max(m - 2, 0)
+        at = {"ij": (i, j), "ji": (j, i), "ii": (i, i)}
+        for where, x in TestMaxAsymmetry.CASES[case][0].items():
+            v[at[where]] = x
+        return v
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    def test_skipping_symmetric_strips_keeps_the_maximum(self, m, case):
+        v = self.case_matrix(m, case)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.abs(v - v.T).max()
+            got = _max_asymmetry(v)
+        assert type(got) is float
+        assert got == expected or (np.isnan(got) and np.isnan(expected))  # two NaNs count as equal
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    def test_gram_matrix_verdict_in_one_pass(self, m, case, symmetry_passes):
+        v = self.case_matrix(m, case)
+        error = self.CASES[case][1]
+        if m == 1 and error is ShapeError:
+            error = None
+        if error is None:
+            assert np.array_equal(GramMatrix(v).values, v)
+        else:
+            message = {
+                ShapeError: f"gram matrix asymmetric beyond {SYMMETRY_TOL}",
+                DataError: "gram matrix contains non-finite entries",
+            }[error]
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+                GramMatrix(v)
+            assert raised.type is error
+        assert symmetry_passes == [(m, m)]
 
 
 class TestSubmatrix:
@@ -704,7 +800,8 @@ class TestAllocationBudget:
     rows and, in build_bank, one scratch per worker of m(m-1)/2 floats for
     the median.  M is at least _POOL_MIN_ITEMS, so build_bank pools its views.
     The calls that cut training blocks gather them from the kernels they
-    belong to, with no copy of the fit items' block."""
+    belong to, with no copy of the fit items' block; require_psd's check holds
+    one shifted copy and its Cholesky factor."""
 
     M = 400
 
@@ -758,6 +855,17 @@ class TestAllocationBudget:
         split, labels = fit_split
         monkeypatch.setattr(svm_mod, "_fit_pairs", lambda classes, blocks, params, seed: blocks)
         assert self.peak_units(lambda: train_multiclass(bank[0], labels, split.fit_idx, SvmParams())) <= 1.0
+
+    def test_require_psd(self, views):
+        # the shifted, symmetrised copy and its Cholesky factor; the eigensolver runs only on a failure
+        bank, _ = build_bank(views)
+        assert self.peak_units(lambda: require_psd(bank[0], "k")) <= 2.1
+
+    def test_normalize_in_place_strips_in_one_scratch(self, views):
+        # build_index's normalize: one contiguous B x M strip (0.16 units) holds the products and the quotients
+        bank, _ = build_bank(views)
+        v = bank[0].values.copy()
+        assert self.peak_units(lambda: gram_mod._normalized(v, v, "k")) <= 0.28
 
     @pytest.mark.parametrize("mode", ["validation", "k_fold"])
     def test_fitness_plan_is_built_in_place(self, views, fit_split, mode):

@@ -17,7 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
 SVM, HARNESS, GP = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py"
 CLIPPING_BUILTINS = {"min", "max", "abs"}
-FITNESS_CUTS = {"evaluate", "submatrix", "restrict", "ix_", "train_multiclass", "fit_predict"}
+FITNESS_CUTS = {"evaluate", "submatrix", "ix_", "train_multiclass", "fit_predict_rows"}
 
 
 def function(source: str, name: str) -> ast.FunctionDef:
@@ -120,8 +120,8 @@ def test_the_finders_flag_what_they_guard():
     assert pair_loop_cuts(source) == {".restrict", "submatrix"}
     assert pair_loop_cuts("def train_multiclass(f, ps):\n    return [f.restrict(p) for p in ps]\n") == {".restrict"}
     assert called_names(function(source, "train_multiclass")) == [".train_binary", ".restrict", "submatrix"]
-    fitness = "def fitness(e, s):\n    k = evaluate(e, s.bank).restrict(s.fit)\n    return train_multiclass(k[np.ix_(a, b)])\n"
-    assert bare_targets(called_names(function(fitness, "fitness"))) & FITNESS_CUTS == {"evaluate", "restrict", "ix_", "train_multiclass"}
+    fitness = "def fitness(e, s):\n    k = evaluate(e, s.bank)\n    svm.fit_predict_rows(k, s.y, a, k.values[np.ix_(b, a)])\n    return train_multiclass(k)\n"
+    assert bare_targets(called_names(function(fitness, "fitness"))) & FITNESS_CUTS == {"evaluate", "fit_predict_rows", "ix_", "train_multiclass"}
     evolve = "def evolve(s, pop):\n    s.score_all(pop)\n    for g in range(3):\n        fits = [s.score_all([e]) for e in pop]\n"
     in_loops, everywhere = generation_loop_calls(evolve, "evolve")
     assert in_loops.count(".score_all") == 1 and everywhere.count(".score_all") == 2
