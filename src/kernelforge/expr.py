@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DataError, ExprSyntaxError
 from .gram import GramMatrix, KernelBank, _stays_finite
 
+MAX_PARSE_DEPTH = 200  # deepest tree parse_expr reads: far above the search's, far below the recursion limit
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -120,7 +122,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             i += 1
         elif ch == "K":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             if j == i + 1:
                 raise ExprSyntaxError("kernel name needs digits after 'K'", i)
@@ -132,7 +134,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse_expr(text: str) -> KernelExpr:
-    """Parse a prefix kernel expression like '(+ (* K1 K1) K5)'."""
+    """Parse a prefix kernel expression like '(+ (* K1 K1) K5)', at most MAX_PARSE_DEPTH deep."""
     tokens = _tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
@@ -142,25 +144,30 @@ def parse_expr(text: str) -> KernelExpr:
     return expr
 
 
-def _parse(tokens: list[tuple[str, int]], at: int, end: int) -> tuple[KernelExpr, int]:
-    """(the expression starting at token at, the token index after it); end is the text length."""
+def _parse(tokens: list[tuple[str, int]], at: int, end: int, level: int = 1) -> tuple[KernelExpr, int]:
+    """(the expression starting at token at, the token index after it); end is the text length, level its depth."""
     if at >= len(tokens):
         raise ExprSyntaxError("unexpected end of expression", end)
     tok, pos = tokens[at]
     if tok.startswith("K"):
-        index = int(tok[1:]) - 1
+        try:
+            index = int(tok[1:]) - 1
+        except ValueError:  # more digits than int() converts
+            raise ExprSyntaxError(f"kernel index of {len(tok) - 1} digits is too long", pos) from None
         if index < 0:
             raise ExprSyntaxError("kernel names are 1-based", pos)
         return Leaf(index), at + 1
     if tok != "(":
         raise ExprSyntaxError(f"expected '(' or kernel name, got {tok!r}", pos)
+    if level == MAX_PARSE_DEPTH:
+        raise ExprSyntaxError(f"expression deeper than {MAX_PARSE_DEPTH}", pos)
     if at + 1 >= len(tokens):
         raise ExprSyntaxError("missing operator after '('", pos)
     op, op_pos = tokens[at + 1]
     if op not in "+*":
         raise ExprSyntaxError(f"expected '+' or '*', got {op!r}", op_pos)
-    left, nxt = _parse(tokens, at + 2, end)
-    right, nxt = _parse(tokens, nxt, end)
+    left, nxt = _parse(tokens, at + 2, end, level + 1)
+    right, nxt = _parse(tokens, nxt, end, level + 1)
     if nxt >= len(tokens) or tokens[nxt][0] != ")":
         where = tokens[nxt][1] if nxt < len(tokens) else end
         raise ExprSyntaxError("expected ')'", where)

@@ -29,6 +29,7 @@ from .errors import DataError, ExprSyntaxError, NumericalError, ParameterError, 
 from .expr import (
     Add,
     KernelExpr,
+    MAX_PARSE_DEPTH,
     Leaf,
     Mul,
     canonical_string,
@@ -80,6 +81,8 @@ class GpParams:
             raise ParameterError("tournament_size must lie in [1, population_size]")
         if not 0 <= self.elitism < self.population_size:
             raise ParameterError("elitism must lie in [0, population_size)")
+        if self.max_depth > MAX_PARSE_DEPTH:  # every tree the search writes parses back
+            raise ParameterError(f"max_depth may not exceed {MAX_PARSE_DEPTH}, the deepest tree parse_expr reads")
         lo, hi = self.init_depth_range
         if not (1 <= lo <= hi):
             raise ParameterError(f"invalid init_depth_range {self.init_depth_range}")
@@ -232,14 +235,19 @@ def fitness(
         return 0.0
 
 
+def _key(mode: str, n_folds: int) -> tuple:
+    """The part of a fitness key the mode reads: n_folds in k_fold mode only."""
+    return (mode, n_folds) if mode == "k_fold" else (mode,)
+
+
 class SplitFitness:
-    """``fitness`` on one split, memoised by (canonical expression, SVM params, mode, n_folds).
-    Commutative reorderings share a canonical string, and so the fitness seed, so sharing their
-    entry changes no result.  The split's ids are checked against the bank (IndexError) and
-    ``fit_labels`` read when it is built; each mode's ``_plan`` and ``final_rows`` (each base kernel's
-    (fit, then test) x fit rows, which ``harness.fit_expr`` folds over) are gathered from ``bank`` on
-    first use, all read-only, as a fold writes only into arrays it made.  Labels must match the bank,
-    one per item, or ShapeError (``kernel_io.load_bank`` checks a bank read from files first)."""
+    """``fitness`` on one split, memoised by (canonical expression, SVM params, mode, and n_folds in k_fold
+    mode only, the one mode that reads it).  Commutative reorderings share a canonical string, and so the
+    fitness seed, so sharing their entry changes no result.  The split's ids are checked against the bank
+    (IndexError) and ``fit_labels`` read when it is built; each mode's ``_plan`` and ``final_rows`` (each base
+    kernel's (fit, then test) x fit rows, which ``harness.fit_expr`` folds over) are gathered from ``bank`` on
+    first use, all read-only, as a fold writes only into arrays it made.  Labels must match the bank, one per
+    item, or ShapeError (``kernel_io.load_bank`` checks a bank read from files first)."""
 
     def __init__(self, bank: KernelBank, labels, split):
         self.bank, self.labels, self.split = bank, np.asarray(labels), split
@@ -262,11 +270,12 @@ class SplitFitness:
         return blocks
 
     def _plan(self, mode: str, n_folds: int) -> tuple:
-        """(buffers, folds, held labels) of (mode, n_folds), on first use.  Per fold and class pair, each base
-        kernel's flat read-only buffer holds one (p + h) x p gather from the bank: rows the pair's p training items,
-        then the fold's h held items, columns the p.  The buffers are rows of one array, allocated once, and each
-        gather is written into its [start:end] slice.  A fold is (classes, [(pair, pos, labels, start, end)], h)."""
-        if (mode, n_folds) not in self._plans:
+        """(buffers, folds, held labels) of mode (and of n_folds in k_fold mode), on first use.  Per fold and class
+        pair, each base kernel's flat read-only buffer holds one (p + h) x p gather from the bank: rows the pair's p
+        training items, then the fold's h held items, columns the p.  The buffers are rows of one array, each gather
+        in its [start:end] slice.  A fold is (classes, [(pair, pos, labels, start, end)], h)."""
+        key = _key(mode, n_folds)
+        if key not in self._plans:
             train, val = np.split(self._rows[: self.fit_labels.size], [len(self.split.train_idx)])
             folds = _folds(mode, train, val, n_folds, self.split.seed)
             cuts, layout, end = [], [], 0
@@ -284,14 +293,14 @@ class SplitFitness:
                     row[at:stop] = k.values[block].ravel()
             buffers.flags.writeable = False
             held = self.labels[np.concatenate([h for _, h in folds] or [np.empty(0, dtype=int)])]
-            self._plans[mode, n_folds] = (buffers, layout, held)
-        return self._plans[mode, n_folds]
+            self._plans[key] = (buffers, layout, held)
+        return self._plans[key]
 
     def score_all(self, exprs, svm_params, mode: str = "validation", n_folds: int = 5) -> list[float]:
         """Each expression's fitness: memo hits as they are, misses scored in first-seen order, each key
         once, and ``counts`` set.  svm_params is one SvmParams for all, or a list, one per expression."""
         params = svm_params if isinstance(svm_params, list) else [svm_params] * len(exprs)
-        keys = [(canonical_string(e), c, mode, n_folds) for e, c in zip(exprs, params)]
+        keys = [(canonical_string(e), c, *_key(mode, n_folds)) for e, c in zip(exprs, params)]
         evaluated, failed = 0, self.failed
         for expr, key in zip(exprs, keys):
             if key not in self._memo:  # by global name, so a wrapper bound to gp.fitness sees every evaluation

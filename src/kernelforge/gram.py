@@ -145,23 +145,18 @@ class GramMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KernelBank:
-    """Ordered collection of same-sized base kernels, one per descriptor."""
+    """Ordered collection of same-sized base kernels, one per descriptor, each named by its ``source_tag``."""
 
     kernels: tuple[GramMatrix, ...]
-    names: tuple[str, ...]
 
     def __post_init__(self):
         kernels = tuple(self.kernels)
-        names = tuple(self.names)
         if len(kernels) < 1:
             raise DataError("kernel bank must hold at least one kernel")
-        if len(names) != len(kernels):
-            raise DataError("kernel bank needs one name per kernel")
         sizes = {k.size for k in kernels}
         if len(sizes) != 1:
             raise ShapeError(f"kernel bank members disagree on size: {sorted(sizes)}")
         object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "names", names)
 
     @property
     def size(self) -> int:
@@ -372,9 +367,7 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
     is the first failing view's, as in the loop.
     """
     feature_sets = list(feature_sets)
-    if names is None:
-        names = [f"K{i + 1}" for i in range(len(feature_sets))]
-    names = list(names)
+    names = [f"K{i + 1}" for i in range(len(feature_sets))] if names is None else list(names)
     if len(names) != len(feature_sets):
         raise ParameterError("need one name per descriptor matrix")
     if gammas is None or np.isscalar(gammas):
@@ -407,7 +400,7 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
             contexts = [contextvars.copy_context() for _ in views]
             built = list(pool.map(contextvars.Context.run, contexts, repeat(_gaussian_view), *jobs))
     kernels, used = zip(*built)
-    return KernelBank(kernels, tuple(names)), list(used)
+    return KernelBank(kernels), list(used)
 
 
 def _usable_cpus() -> int:

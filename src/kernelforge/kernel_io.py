@@ -190,9 +190,9 @@ def read_manifest(path) -> dict:
     return doc
 
 
-def load_bank(files, labels_path, names=None, m=None) -> tuple[KernelBank, np.ndarray]:
-    """The bank of the kernel files and its labels, each error naming its file: every kernel holds m items
-    (default: the first file's) and is PSD, so all derived ones are too, and the labels number m."""
+def load_bank(files, labels_path, m=None) -> tuple[KernelBank, np.ndarray]:
+    """The bank of the kernel files (each named by its own tag) and its labels, each error naming its file: every
+    kernel holds m items (default: the first file's) and is PSD, so all derived ones are too; the labels number m."""
     files, kernels = [Path(p) for p in files], []
     for path in files:
         kernel = read_kernel(path)
@@ -201,9 +201,7 @@ def load_bank(files, labels_path, names=None, m=None) -> tuple[KernelBank, np.nd
             raise ShapeError(f"{path}: {kernel.size} items, but the bank holds {m}")
         require_psd(kernel, f"kernel file {path}")
         kernels.append(kernel)
-    if names is None:
-        names = [k.source_tag or p.stem for k, p in zip(kernels, files)]
-    bank = KernelBank(tuple(kernels), tuple(names))
+    bank = KernelBank(kernels)
     labels = load_labels_csv(labels_path)
     if labels.shape[0] != bank.size:
         raise ShapeError(f"{labels_path}: {labels.shape[0]} labels for a bank of {bank.size} items")
@@ -211,10 +209,9 @@ def load_bank(files, labels_path, names=None, m=None) -> tuple[KernelBank, np.nd
 
 
 def load_bank_from_manifest(path) -> tuple[KernelBank, np.ndarray, dict]:
-    """Read the manifest, then the bank and labels it points at (``load_bank`` at the manifest's m)."""
+    """Read the manifest, then the bank and labels it points at (``load_bank`` at the manifest's m; names unread)."""
     path = Path(path)
     doc = read_manifest(path)
     files = [path.parent / entry["file"] for entry in doc["kernels"]]
-    names = [entry["name"] for entry in doc["kernels"]]
-    bank, labels = load_bank(files, path.parent / doc["labels_file"], names, doc["m"])
+    bank, labels = load_bank(files, path.parent / doc["labels_file"], doc["m"])
     return bank, labels, doc

@@ -6,11 +6,9 @@ follow Platt's analytic two-variable solve; the second index of each working
 pair is drawn from a seeded random permutation.  The loop, pair step inlined, and
 its convergence test run on Python floats, since at p of about 20 per-call overhead
 outweighs a step's arithmetic.  Permutations are drawn a block at a time (the rows of
-``Generator.permuted`` are successive ``permutation`` draws), and the rng is
-rewound past the unused rows on exit, so it ends where one draw per violator
-leaves it.  Iterates and end state are bitwise those of the numpy formulation
-(``numpy_platt_smo`` in the tests' oracles), so reruns are byte-identical,
-given a fixed BLAS thread count (the bits of a large kernel depend on it).
+``Generator.permuted`` are successive ``permutation`` draws, one per violator).  Iterates and
+results are bitwise those of the numpy formulation (``numpy_platt_smo`` in the tests' oracles),
+so reruns are byte-identical at a fixed BLAS thread count, which sets a large kernel's bits.
 Training and voting take one path.  ``_fit_pairs`` trains each class pair's block
 through ``train_binary``, and ``_voted``, the one decision formula, decides each pair's
 held rows on its own columns, votes, and hands back the decisions its vote read, so no
@@ -52,10 +50,10 @@ class SvmParams:
             raise ParameterError(f"C must be positive and finite, got {self.c}")
         if not (np.isfinite(self.kkt_tol) and self.kkt_tol > 0):
             raise ParameterError(f"kkt_tol must be positive, got {self.kkt_tol}")
-        if self.max_passes < 0:
-            raise ParameterError("max_passes must be >= 0")
-        if self.eps <= 0:
-            raise ParameterError("eps must be positive")
+        if not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool) or self.max_passes < 0:
+            raise ParameterError(f"max_passes must be an int >= 0, got {self.max_passes!r}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ParameterError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass
@@ -106,8 +104,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     pair makes progress.  Returns a best-effort model flagged converged=False
     if violators survive max_passes sweeps.
 
-    ``rng`` must be a ``numpy.random.Generator``.  Permutations are drawn from
-    it _PERM_BLOCK at a time, and it is rewound past the unused ones on exit.
+    ``rng`` must be a ``numpy.random.Generator``; permutations are drawn from it _PERM_BLOCK at a time.
     """
     k = (train_gram if isinstance(train_gram, GramMatrix) else GramMatrix(train_gram)).values
     y = np.asarray(labels, dtype=float).ravel()
@@ -134,7 +131,7 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
     b = 0.0
     # each row of Generator.permuted is the next rng.permutation(p) draw, bit for bit
     rows = np.broadcast_to(np.arange(p), (_PERM_BLOCK, p))
-    perms, used, state = [], _PERM_BLOCK, None  # used: rows of perms taken
+    perms, used = [], _PERM_BLOCK  # used: rows of perms taken
 
     passes = 0
     examine_all = True
@@ -152,7 +149,6 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
             if not ((ri < neg_tol and ai < c_eps) or (ri > tol and ai > eps)):
                 continue
             if used == _PERM_BLOCK:
-                state = rng.bit_generator.state
                 perms, used = rng.permuted(rows, axis=1).tolist(), 0
             used += 1
             ci = cols[i]
@@ -223,9 +219,6 @@ def train_binary(train_gram, labels, params: SvmParams, rng=None) -> SvmModel:
         elif changed == 0:
             examine_all = True
 
-    if used < _PERM_BLOCK:  # redraw only the rows used, so rng ends as per-violator draws leave it
-        rng.bit_generator.state = state
-        rng.permuted(rows[:used], axis=1)
     if not converged:
         b = _final_bias(alpha, g, yl, c, eps)
         converged = not _violators(alpha, g, b, yl, c, tol, eps)

@@ -94,7 +94,7 @@ def test_02_kernel_algebra_closure():
             n = int(rng.integers(1, 5))
             m = int(rng.integers(2, 7))
             mats = [random_psd(m, rng) for _ in range(n)]
-            bank = KernelBank(tuple(GramMatrix(v) for v in mats), tuple(f"k{i}" for i in range(n)))
+            bank = KernelBank(tuple(GramMatrix(v) for v in mats))
             expr = random_expr(n, 6, rng)
             result = evaluate(expr, bank)
             assert check_psd(result, 1e-8)
@@ -222,7 +222,7 @@ def test_07_retrieval_consistency():
     with criterion(7, "retrieval consistency"):
         rng = np.random.default_rng(7007)
         mats = [random_psd(8, rng) for _ in range(5)]
-        bank = KernelBank(tuple(GramMatrix(v) for v in mats), tuple(f"k{i}" for i in range(5)))
+        bank = KernelBank(tuple(GramMatrix(v) for v in mats))
         chain = Leaf(0)
         for i in range(1, 5):
             chain = Add(chain, Leaf(i))

@@ -621,6 +621,25 @@ def test_malformed_initial_exprs_exit_2_before_the_bank_is_loaded(xor_workspace,
     assert err["error"] == "ConfigError" and "initial_exprs" in err["message"]
 
 
+# case -> a text a parser built on str.isdigit, int() and plain recursion fails on with another error
+UNPARSABLE = {
+    "superscript": "K\u00b2",  # '²'.isdigit() is true, and int() raises ValueError
+    "arabic-indic": "(+ K1 K\u0663)",  # int() reads it as K3
+    "5000-digits": "K" + "7" * 5000,  # over int()'s digit limit, ValueError
+    "3000-deep": "(+ " * 3000 + "K1" + " K1)" * 3000,  # RecursionError
+}
+
+
+@pytest.mark.parametrize("case", UNPARSABLE)
+def test_unparsable_initial_expr_exits_2_with_one_json_line(xor_workspace, capsys, case):
+    exprs = json.dumps([UNPARSABLE[case]])
+    assert run_cli(["evolve", "--config", xor_workspace / "run.cfg", "--set", f"gp.initial_exprs={exprs}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2 and "initial_exprs" in err["message"]
+
+
 @pytest.mark.parametrize("command", ["evolve", "compare"])
 def test_too_many_folds_exits_2_from_both_commands(xor_workspace, capsys, fitness_calls, command):
     cfg = xor_workspace / "run.cfg"
@@ -907,7 +926,7 @@ class TestRetrieveCommand:
         values[0, 1] = values[1, 0] = 0.9
         values[0, 3] = values[3, 0] = 0.7
         np.fill_diagonal(values, 1.0)
-        bank = KernelBank((GramMatrix(values),), ("k",))
+        bank = KernelBank((GramMatrix(values),))
         index = build_index(Leaf(0), bank, [f"img{i}" for i in range(4)])
         path = tmp_path / "index.kgm"
         save_index(path, index)
@@ -970,6 +989,16 @@ class TestInspectCommand:
         path = tmp_path / "expr.txt"
         path.write_text("(+ K1\n")
         assert run_cli(["inspect", path]) == 3
+
+    @pytest.mark.parametrize("case", UNPARSABLE)
+    def test_unparsable_file_is_data_error_naming_it(self, tmp_path, capsys, case):
+        path = tmp_path / "expr.txt"
+        path.write_text(UNPARSABLE[case] + "\n", encoding="utf-8")
+        assert run_cli(["inspect", path]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ExprSyntaxError" and err["message"].startswith(f"{path}: ")
 
     @pytest.mark.parametrize("content", [b"(+ K1 K\xff)\n", None], ids=["not_utf8", "missing"])
     def test_unreadable_file_is_data_error(self, tmp_path, capsys, content):

@@ -19,15 +19,13 @@ from kernelforge import (
     node_count,
     parse_expr,
 )
-from kernelforge.expr import iter_nodes, replace_at, subtree_at
+from kernelforge.expr import MAX_PARSE_DEPTH, iter_nodes, replace_at, subtree_at
 
 from oracles import eval_expr_scalar, random_psd
 
 
-def bank_of(matrices, names=None):
-    grams = tuple(GramMatrix(m) for m in matrices)
-    names = tuple(names or [f"k{i}" for i in range(len(grams))])
-    return KernelBank(grams, names)
+def bank_of(matrices):
+    return KernelBank(tuple(GramMatrix(m) for m in matrices))
 
 
 def random_expr(n, max_depth, rng):
@@ -96,6 +94,29 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expr(text)
         assert "position" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("K\u00b2", 0, "kernel name needs digits"),  # '²'.isdigit() is true, but int() refuses it
+            ("(+ K1 K\u0663)", 6, "kernel name needs digits"),  # an Arabic-Indic three is not K3
+            ("K1\u00b2", 2, "unexpected character"),
+            ("(+ K1 K" + "7" * 5000 + ")", 6, "kernel index of 5000 digits is too long"),  # over int()'s limit
+            ("(+ " * 3000 + "K1" + " K1)" * 3000, 3 * MAX_PARSE_DEPTH - 3, f"deeper than {MAX_PARSE_DEPTH}"),
+            ("(* " * MAX_PARSE_DEPTH + "K1" + " K1)" * MAX_PARSE_DEPTH, 3 * MAX_PARSE_DEPTH - 3, "deeper than"),
+        ],
+        ids=["superscript", "arabic-indic", "trailing-superscript", "5000-digits", "3000-deep", "one-too-deep"],
+    )
+    def test_every_malformed_input_is_a_syntax_error_at_its_position(self, text, position, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert err.value.position == position and message in str(err.value)
+
+    def test_the_deepest_tree_parses_back(self):
+        tree = Leaf(0)
+        for _ in range(MAX_PARSE_DEPTH - 1):
+            tree = Mul(tree, Leaf(1))
+        assert depth(tree) == MAX_PARSE_DEPTH and parse_expr(canonical_string(tree)) == tree
 
 
 class TestEvaluate:

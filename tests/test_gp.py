@@ -33,6 +33,7 @@ from kernelforge import (
     tournament_select,
     train_multiclass,
 )
+from kernelforge.expr import MAX_PARSE_DEPTH
 from kernelforge.gp import _random_tree
 from kernelforge.harness import make_splits, write_evolution_log
 from kernelforge.rng import derive_seed, derived_rng
@@ -41,7 +42,7 @@ from kernelforge.synthetic import or_bank, xor_bank
 
 def bank_of(matrices):
     grams = tuple(GramMatrix(m) for m in matrices)
-    return KernelBank(grams, tuple(f"k{i}" for i in range(len(grams))))
+    return KernelBank(grams)
 
 
 def two_cluster_bank(rng, per_class=3, gap=6.0):
@@ -74,6 +75,12 @@ class TestRandomTree:
     def test_range_exceeding_max_depth_rejected(self):
         with pytest.raises(ParameterError):
             GpParams(max_depth=3, init_depth_range=(2, 4))
+
+    def test_max_depth_beyond_what_parses_rejected(self):
+        # so every tree the search writes parses back
+        assert GpParams(max_depth=MAX_PARSE_DEPTH).max_depth == MAX_PARSE_DEPTH
+        with pytest.raises(ParameterError, match=f"max_depth may not exceed {MAX_PARSE_DEPTH}"):
+            GpParams(max_depth=MAX_PARSE_DEPTH + 1)
 
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
     def test_depth_within_range(self, seed, n):
@@ -325,7 +332,7 @@ class TestSplitFitness:
 
     def test_key_is_canonical_expression_params_mode_and_folds(self, rng, fitness_calls):
         bank, labels = two_cluster_bank(rng, per_class=4)
-        bank = KernelBank(bank.kernels * 2, ("k0", "k1"))
+        bank = KernelBank(bank.kernels * 2)
         split = DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1)
         score = SplitFitness(bank, labels, split)
         expr, reordered = Add(Leaf(0), Mul(Leaf(1), Leaf(0))), Add(Mul(Leaf(0), Leaf(1)), Leaf(0))
@@ -346,7 +353,7 @@ class TestSplitFitness:
 
     def test_score_all_scores_misses_in_first_seen_order_once_each(self, rng, fitness_calls):
         bank, labels = two_cluster_bank(rng, per_class=4)
-        bank = KernelBank(bank.kernels * 2, ("k0", "k1"))
+        bank = KernelBank(bank.kernels * 2)
         score = SplitFitness(bank, labels, DatasetSplit((0, 1, 2, 4, 5, 6), (3, 7), (), seed=1))
         a, b, c = Add(Leaf(0), Leaf(1)), Mul(Leaf(0), Leaf(1)), Leaf(1)
         got = score.score_all([b, a, Add(Leaf(1), Leaf(0)), c, b], SvmParams())

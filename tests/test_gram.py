@@ -435,7 +435,7 @@ class TestDerivedKernels:
     that alone makes a finite input non-finite raises DataError as it happens."""
 
     def test_overflow_in_a_nested_fold(self):
-        bank = KernelBank((gm(np.full((3, 3), 1e200)), gm(np.eye(3))), ("big", "id"))
+        bank = KernelBank((gm(np.full((3, 3), 1e200)), gm(np.eye(3))))
         before = [k.values.copy() for k in bank.kernels]
         # K1 + K2 is finite; K1 * (K1 + K2) overflows one level down the tree
         expr = Add(Leaf(1), Mul(Leaf(0), Add(Leaf(0), Leaf(1))))
@@ -494,7 +494,7 @@ class TestDerivedKernels:
             v = np.triu(a) + np.triu(a, 1).T
             np.fill_diagonal(v, rng.uniform(0.5, 2.0, m))  # sums and products keep it positive
             kernels.append(gm(v))
-        bank = KernelBank(tuple(kernels), ("a", "b", "c"))
+        bank = KernelBank(tuple(kernels))
         k = evaluate(expr, bank)
         for v in (k.values, normalize(k).values):
             assert np.array_equal(v, v.T)
@@ -604,11 +604,11 @@ class TestTypes:
 
     def test_bank_size_agreement(self):
         with pytest.raises(ShapeError):
-            KernelBank((gm(np.eye(2)), gm(np.eye(3))), ("a", "b"))
+            KernelBank((gm(np.eye(2)), gm(np.eye(3))))
 
     def test_bank_nonempty(self):
         with pytest.raises(DataError):
-            KernelBank((), ())
+            KernelBank(())
 
     @pytest.mark.parametrize("gammas", [None, []])
     def test_no_views_is_data_error(self, gammas):

@@ -53,7 +53,7 @@ from oracles import decision, random_psd
 
 def bank_of(matrices):
     grams = tuple(GramMatrix(m) for m in matrices)
-    return KernelBank(grams, tuple(f"k{i}" for i in range(len(grams))))
+    return KernelBank(grams)
 
 
 class TestMakeSplits:
@@ -130,7 +130,7 @@ class TestAdditionKernel:
 class TestBestSingleKernel:
     def test_single_member_bank(self, rng):
         bank, labels = xor_bank(n_per_class=9, seed=1)
-        solo = KernelBank((bank.kernels[0],), ("only",))
+        solo = KernelBank((bank.kernels[0],))
         split = make_splits(labels, 6, 2, 1, seed=3)[0]
         idx, acc = best_single_kernel(solo, labels, split, SvmParams())
         assert idx == 0
@@ -226,7 +226,7 @@ def near_symmetric_bank():
     the entry check, while their sums and products are further off."""
     built, labels = xor_bank(n_per_class=12, seed=2)
     near = [k.values + np.triu(np.full(k.values.shape, 0.9 * SYMMETRY_TOL), 1) for k in built.kernels]
-    return KernelBank(tuple(GramMatrix(v, name) for v, name in zip(near, built.names)), built.names), labels
+    return KernelBank(tuple(GramMatrix(v, k.source_tag) for v, k in zip(near, built.kernels))), labels
 
 
 def small_protocol(repeats=2, seed=21, **kw):
@@ -342,6 +342,33 @@ class TestRunComparison:
         # best-leaf selection, evolve's seed leaves and C selection at the base C all ask for these
         leaves = [key for key in fitness_calls if key[0] in ("K1", "K2") and key[2] == SvmParams()]
         assert len(leaves) == len(bank) * protocol.repeats
+
+    @pytest.mark.parametrize("mode", ["validation", "leave_one_out"])
+    def test_a_mode_that_reads_no_folds_scores_alike_at_any_n_folds(self, monkeypatch, fitness_calls, mode):
+        # only k_fold reads n_folds, so evolve's scores share their keys and plan with best-leaf
+        # and C selection, which score at the default 5, whatever gp.n_folds is
+        import kernelforge.gp as gp_mod
+
+        builds, real = [], gp_mod.SplitFitness._plan
+
+        def plan(self, *args):
+            before = len(self._plans)
+            out = real(self, *args)
+            builds.extend([args] * (len(self._plans) - before))
+            return out
+
+        monkeypatch.setattr(gp_mod.SplitFitness, "_plan", plan)
+        bank, labels = xor_bank(n_per_class=10, seed=6)
+        protocol = small_protocol(repeats=2, seed=7, grid_search_c=True)
+        runs = []
+        for n_folds in (3, 5):
+            fitness_calls.clear()
+            builds.clear()
+            gp = small_gp(max_generations=2, fitness_mode=mode, n_folds=n_folds)
+            report, _ = run_comparison(bank, labels, protocol, gp, SvmParams())
+            runs.append((len(fitness_calls), len(builds), report_to_json(report)))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == protocol.repeats * (1 if mode == "validation" else 2)
 
     def test_each_evaluated_kernel_is_checked_once(self, monkeypatch, symmetry_passes):
         # the bank was checked where it entered; every kernel a comparison folds from it

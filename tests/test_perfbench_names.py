@@ -62,7 +62,7 @@ def test_probes_see_one_fitness_call_and_no_training_under_it(tracer):
     """A fitness evaluation trains its class pairs through svm's pair core, not
     ``train_multiclass``, so the probes record it as one span."""
     x = np.array([0.0, 0.1, 0.2, 6.0, 6.1, 6.2])
-    bank = KernelBank((GramMatrix(np.exp(-((x[:, None] - x[None, :]) ** 2))),), ("k0",))
+    bank = KernelBank((GramMatrix(np.exp(-((x[:, None] - x[None, :]) ** 2))),))
     split = DatasetSplit((0, 1, 3, 4), (2, 5), (), seed=1)
     probe = tracer.Tracer(tracer.PROBED, timed=False)
     probe.install()

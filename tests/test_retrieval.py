@@ -27,7 +27,7 @@ from oracles import random_psd
 
 def bank_of(matrices):
     grams = tuple(GramMatrix(m) for m in matrices)
-    return KernelBank(grams, tuple(f"k{i}" for i in range(len(grams))))
+    return KernelBank(grams)
 
 
 def ids_for(m):

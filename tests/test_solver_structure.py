@@ -6,6 +6,8 @@ convergence test runs on its lists of Python floats).  ``train_multiclass`` and
 class-pair block to ``train_binary`` by its bare name.  A bare name is looked up
 in svm's globals at each call, so a wrapper bound to ``svm.train_binary``
 (perfbench's probe, the tests' training probes) sees every binary problem.
+``train_multiclass`` checks its ids once, before its pair loop, which only
+gathers each pair's block with ``np.ix_``.
 ``gp.fitness`` folds the chromosome over its split's plan and cuts nothing, and
 ``evolve`` scores each generation with one ``score_all`` call.  ``harness`` never
 calls ``evaluate``: the final fits fold over the split's row blocks, so no
@@ -17,6 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
 SVM, HARNESS, GP = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py"
 CLIPPING_BUILTINS = {"min", "max", "abs"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 FITNESS_CUTS = {"evaluate", "submatrix", "ix_", "train_multiclass", "fit_predict_rows"}
 
 
@@ -54,10 +57,11 @@ def numpy_calls_in_loops(source: str, name: str) -> set[str]:
 
 
 def pair_loop_cuts(source: str) -> set[str]:
-    """The cutting calls (``restrict``, ``submatrix``) made inside train_multiclass's for loops and comprehensions."""
+    """The calls that check or wrap a block (``submatrix``, ``_checked_ids``, ``GramMatrix``, ``restrict``) made
+    inside train_multiclass's loops and comprehensions, as ``called_names`` writes them; ``np.ix_`` is not one."""
     fn = function(source, "train_multiclass")
-    cuts = {"restrict", ".restrict", "submatrix", ".submatrix"}
-    return {c for n in ast.walk(fn) if isinstance(n, (ast.For, ast.ListComp)) for c in called_names(n)} & cuts
+    cuts = {f"{dot}{name}" for dot in ("", ".") for name in ("submatrix", "_checked_ids", "GramMatrix", "restrict")}
+    return {c for n in ast.walk(fn) if isinstance(n, LOOPS) for c in called_names(n)} & cuts
 
 
 def bare_targets(names: list[str]) -> set[str]:
@@ -104,22 +108,26 @@ def test_evolve_scores_each_generation_with_one_score_all_call():
     assert in_loops.count(".score_all") == 1 and everywhere.count(".score_all") == 1
 
 
-def test_train_multiclass_cuts_no_block_in_its_pair_loop():
-    assert pair_loop_cuts(SVM.read_text(encoding="utf-8")) == set()
+def test_train_multiclass_checks_its_ids_once_outside_its_pair_loop():
+    source = SVM.read_text(encoding="utf-8")
+    assert called_names(function(source, "train_multiclass")).count("_checked_ids") == 1
+    assert pair_loop_cuts(source) == set()
 
 
 def test_the_finders_flag_what_they_guard():
     source = (
         "def train_binary(k):\n    while k:\n        k = min(1, max(0, abs(k)))\n    return max(k, 0)\n"
         "def train_multiclass(fit, pos):\n    for p in pos:\n        svm.train_binary(fit.restrict(p), submatrix(fit, p, p))\n"
+        "    return [GramMatrix(fit[np.ix_(_checked_ids(p, 9), p)]) for p in pos]\n"
         "def solve(a):\n    np.array(a)\n    while a:\n        a = f(np.mean(a), np.random.default_rng(0), rng.permuted(a))\n"
     )
     assert builtins_called_in_loops(source, "train_binary") == {"min", "max", "abs"}
     assert numpy_calls_in_loops(source, "solve") == {"np.mean", "np.random.default_rng"}
     assert "evaluate" in called_names(ast.parse("k = evaluate(e, bank)"))
-    assert pair_loop_cuts(source) == {".restrict", "submatrix"}
-    assert pair_loop_cuts("def train_multiclass(f, ps):\n    return [f.restrict(p) for p in ps]\n") == {".restrict"}
-    assert called_names(function(source, "train_multiclass")) == [".train_binary", ".restrict", "submatrix"]
+    assert pair_loop_cuts(source) == {".restrict", "submatrix", "GramMatrix", "_checked_ids"}
+    assert pair_loop_cuts("def train_multiclass(f, ps):\n    ids = _checked_ids(ps, 9)\n    return {p: f[np.ix_(p, p)] for p in ids}\n") == set()
+    assert pair_loop_cuts("def train_multiclass(f, ps):\n    return sum(g.submatrix(p) for p in ps)\n") == {".submatrix"}
+    assert called_names(function(source, "train_multiclass")).count("_checked_ids") == 1
     fitness = "def fitness(e, s):\n    k = evaluate(e, s.bank)\n    svm.fit_predict_rows(k, s.y, a, k.values[np.ix_(b, a)])\n    return train_multiclass(k)\n"
     assert bare_targets(called_names(function(fitness, "fitness"))) & FITNESS_CUTS == {"evaluate", "fit_predict_rows", "ix_", "train_multiclass"}
     evolve = "def evolve(s, pop):\n    s.score_all(pop)\n    for g in range(3):\n        fits = [s.score_all([e]) for e in pop]\n"
