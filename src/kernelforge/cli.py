@@ -136,7 +136,7 @@ def cmd_evolve(args) -> int:
     log.info("search finished after %d generations: %s", len(result.per_generation), best_text)
 
     _make_dir(rundir)
-    (rundir / "best_expr.txt").write_text(best_text + "\n", encoding="utf-8")
+    kernel_io._write_file(rundir / "best_expr.txt", best_text + "\n")
     write_evolution_log(rundir / "evolution.csv", result)
     doc = {
         "schema": "kf-evolve-1",
@@ -146,7 +146,7 @@ def cmd_evolve(args) -> int:
         "generations": [[g, b, m] for g, b, m in result.per_generation],
         "config": config.echo(),
     }
-    (rundir / "result.json").write_text(kernel_io.dump_json(doc), encoding="utf-8")
+    kernel_io._write_file(rundir / "result.json", kernel_io.dump_json(doc))
     save_multiclass(rundir / "model.json", model)
     log.info("wrote outputs to %s", rundir)
     print(f"best expression: {best_text}")

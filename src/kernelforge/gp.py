@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, ExprSyntaxError, NumericalError, ParameterError, ShapeError
+from .errors import DataError, ExprSyntaxError, NumericalError, ParameterError, ShapeError, check_field_types
 from .expr import (
     Add,
     KernelExpr,
@@ -69,6 +69,9 @@ class GpParams:
     def __post_init__(self):
         object.__setattr__(self, "init_depth_range", tuple(self.init_depth_range))
         object.__setattr__(self, "initial_exprs", tuple(self.initial_exprs))
+        counts = ("population_size", "max_generations", "tournament_size", "max_depth", "init_depth_range",
+                  "stagnation_limit", "elitism", "n_folds")
+        check_field_types(self, ints=counts, floats=("crossover_rate", "mutation_rate"))
         if self.population_size < 1:
             raise ParameterError("population_size must be >= 1")
         if self.max_generations < 0:

@@ -27,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, KernelForgeError, ParameterError
+from .errors import DataError, KernelForgeError, ParameterError, check_field_types
 from .expr import Add, KernelExpr, Leaf, _folded, canonical_string
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve
 from .gram import GramMatrix, KernelBank
-from .kernel_io import dump_json, parse_json
+from .kernel_io import _write_file, dump_json, parse_json
 from .rng import derive_seed
 from .svm import MulticlassModel, SvmParams, accuracy, fit_predict_rows
 
@@ -77,6 +77,7 @@ class ProtocolConfig:
     grid_search_c: bool = False
 
     def __post_init__(self):
+        check_field_types(self, ints=("per_class_train", "per_class_val", "repeats", "seed"))
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
         if self.per_class_val < 1:
@@ -285,8 +286,8 @@ def summarize(report: ComparisonReport) -> str:
     return "\n".join(f"{m:>12}: {_pct(report.mean[m])}±{_pct(report.std[m])}" for m in METHODS)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_lines(path, lines: list[str]) -> None:
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def write_evolution_log(path, result: EvolutionResult) -> None:
@@ -294,7 +295,7 @@ def write_evolution_log(path, result: EvolutionResult) -> None:
     lines = ["generation,best_fitness,mean_fitness,best_expr"]
     for (gen, best, mean), text in zip(result.per_generation, result.generation_best_exprs):
         lines.append(f"{gen},{best!r},{mean!r},{text}")
-    _write_lines(Path(path), lines)
+    _write_lines(path, lines)
 
 
 def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionResult], outdir) -> str:
@@ -309,7 +310,7 @@ def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionRe
     """
     outdir = Path(outdir)
     (outdir / "logs").mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    _write_file(outdir / "report.json", report_to_json(report))
     rows = ["method,mean_accuracy_pct,std_pct"]
     rows += [f"{m},{_pct(report.mean[m])},{_pct(report.std[m])}" for m in METHODS]
     _write_lines(outdir / "summary.csv", rows)

@@ -1,8 +1,16 @@
 """File formats (kernel binaries, which only ``read_kernel`` reads; feature and label CSVs; manifests), the
-bank loader, ``reading``, where input files' errors are typed and named, and the shape check of JSON documents.
+bank loader, ``reading``, where input files' errors are typed and named, ``_write_file``, the one writer of every
+file the package writes, and the shape check of JSON documents.
 
 Binary kernel layout (little-endian throughout):
     magic "KGM1" | u32 m | m*m float64 entries, row-major | u32 name length | name utf-8
+
+Write rule: an output file is replaced, never rewritten in place.  ``_write_file`` unlinks whatever is at the
+path, then creates the file anew.  Reopening an existing file with ``O_TRUNC`` waits for the disk write that
+the previous ``close()`` started: on ext4 mounted with ``discard`` (2 cores), one m = 990 kernel took
+7.8-10.1 ms to write over an existing file (6-7 ms of it in ``open``) and 3.0 ms after an unlink, and at
+m = 180 0.3-0.5 ms against 0.07-0.19 ms.  A temporary file renamed over the path is no faster (8.5-8.8 ms),
+since ext4 also forces allocation when a rename replaces a file.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .gram import GramMatrix, KernelBank, require_psd, validate_features
 
 MAGIC = b"KGM1"
@@ -68,13 +76,32 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _write_file(path, *chunks) -> None:
+    """Replace the file at path with one holding the chunks: each str as UTF-8, each bytes-like object as it is.
+
+    Whatever is at the path is unlinked first (a missing file is fine), and the file is created anew, so a
+    reader that opened the old file still reads the old bytes to the end, a symlink is replaced by a regular
+    file and its target is left as it was, and the new file gets the default mode, not the old file's.  No
+    fsync is called, as none was when files were rewritten in place.  An OSError (a directory in the way, no
+    permission, a full disk) is a ConfigError naming the path and the reason.
+    """
+    try:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        with open(path, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_kernel(path, gram: GramMatrix) -> None:
-    path = Path(path)
     name = gram.source_tag.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", gram.size))
-        fh.write(np.ascontiguousarray(gram.values, dtype="<f8"))  # the array's own buffer
-        fh.write(struct.pack("<I", len(name)) + name)
+    head = MAGIC + struct.pack("<I", gram.size)
+    values = np.ascontiguousarray(gram.values, dtype="<f8")  # the array's own buffer
+    _write_file(path, head, values, struct.pack("<I", len(name)) + name)
 
 
 @contextmanager
@@ -134,12 +161,10 @@ def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray
 def save_feature_csv(path, features, labels, header: list[str] | None = None) -> None:
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row, label in zip(features, labels):
-            cells = [repr(float(v)) for v in row] + [str(int(label))]
-            fh.write(",".join(cells) + "\n")
+    lines = [] if header is None else [",".join(header) + "\n"]
+    for row, label in zip(features, labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]) + "\n")
+    _write_file(path, "".join(lines))
 
 
 def load_labels_csv(path) -> np.ndarray:
@@ -156,9 +181,7 @@ def load_labels_csv(path) -> np.ndarray:
 
 
 def save_labels_csv(path, labels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in np.asarray(labels, dtype=int):
-            fh.write(f"{int(label)}\n")
+    _write_file(path, "".join(f"{int(label)}\n" for label in np.asarray(labels, dtype=int)))
 
 
 def write_manifest(path, m: int, kernel_entries: list[dict], labels_file: str) -> None:
@@ -169,7 +192,7 @@ def write_manifest(path, m: int, kernel_entries: list[dict], labels_file: str) -
         "kernels": kernel_entries,
         "labels_file": labels_file,
     }
-    Path(path).write_text(dump_json(doc), encoding="utf-8")
+    _write_file(path, dump_json(doc))
 
 
 _MANIFEST_DOC = {

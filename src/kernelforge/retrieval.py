@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .expr import KernelExpr, _folded, canonical_string, parse_expr
 from .gram import GramMatrix, KernelBank, _normalized
-from .kernel_io import read_kernel, reading, write_kernel
+from .kernel_io import _write_file, read_kernel, reading, write_kernel
 
 ORDERS = ("similarity", "paper-min")
 
@@ -113,7 +113,7 @@ def save_index(path, index: SimilarityIndex) -> None:
     path = Path(path)
     write_kernel(path, index.matrix.with_tag(canonical_string(index.expr)))
     sidecar = path.with_name(path.name + ".ids")
-    sidecar.write_text("".join(f"{v}\n" for v in index.item_ids), encoding="utf-8")
+    _write_file(sidecar, "".join(f"{v}\n" for v in index.item_ids))
 
 
 def load_index(path) -> SimilarityIndex:

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError, ShapeError
+from .errors import DataError, NumericalError, ParameterError, ShapeError, check_field_types
 from .gram import GramMatrix, _checked_ids
-from .kernel_io import dump_json
+from .kernel_io import _write_file, dump_json
 from .rng import derived_rng
 
 MODEL_SCHEMA = "kf-model-1"
@@ -46,11 +45,12 @@ class SvmParams:
     eps: float = 1e-12
 
     def __post_init__(self):
+        check_field_types(self, ints=("max_passes",), floats=("c", "kkt_tol", "eps"))
         if not (np.isfinite(self.c) and self.c > 0):
             raise ParameterError(f"C must be positive and finite, got {self.c}")
         if not (np.isfinite(self.kkt_tol) and self.kkt_tol > 0):
             raise ParameterError(f"kkt_tol must be positive, got {self.kkt_tol}")
-        if not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool) or self.max_passes < 0:
+        if self.max_passes < 0:
             raise ParameterError(f"max_passes must be an int >= 0, got {self.max_passes!r}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ParameterError(f"eps must be positive and finite, got {self.eps}")
@@ -356,5 +356,5 @@ def multiclass_to_dict(model: MulticlassModel) -> dict:
 
 
 def save_multiclass(path, model: MulticlassModel) -> None:
-    Path(path).write_text(dump_json(multiclass_to_dict(model)), encoding="utf-8")
+    _write_file(path, dump_json(multiclass_to_dict(model)))
 

@@ -16,6 +16,7 @@ from kernelforge import (
     DataError,
     GpParams,
     Leaf,
+    ParameterError,
     ProtocolConfig,
     SplitFitness,
     SvmParams,
@@ -113,6 +114,30 @@ class TestConfigParsing:
         assert main(["evolve", "--set", "seed=1", "--set", f"{key}=1e400"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
+
+
+# the Python API holds the rule the config path parses by: a float count would make evolve
+# fail later with a bare TypeError, and True would pass as 1 or 1.0
+NOT_INT_COUNTS = [
+    (GpParams, {"max_generations": float("inf")}, "max_generations must be an int"),
+    (GpParams, {"population_size": 5.5, "tournament_size": 3}, "population_size must be an int"),
+    (GpParams, {"elitism": 0.5}, "elitism must be an int"),
+    (GpParams, {"stagnation_limit": float("inf")}, "stagnation_limit must be an int"),
+    (GpParams, {"fitness_mode": "k_fold", "n_folds": 2.5}, "n_folds must be an int"),
+    (GpParams, {"init_depth_range": (2.0, 3)}, "init_depth_range must hold ints"),
+    (GpParams, {"crossover_rate": True}, "crossover_rate must be a number"),
+    (ProtocolConfig, {"repeats": 1.5}, "repeats must be an int"),
+    (ProtocolConfig, {"repeats": True}, "repeats must be an int"),
+    (ProtocolConfig, {"seed": 1.5}, "seed must be an int"),
+    (SvmParams, {"c": True}, "c must be a number"),
+    (SvmParams, {"kkt_tol": True}, "kkt_tol must be a number"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", NOT_INT_COUNTS)
+def test_parameter_classes_take_int_counts_and_no_bool_for_a_float(cls, kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        cls(**kwargs)
 
 
 # every key the config accepted before the keys were mapped through one table
@@ -518,6 +543,35 @@ class TestOutputNamesAFile:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "afile" in err["message"]
         assert (xor_workspace / "afile").read_text() == "kept\n"
+
+
+class TestOutputCannotBeWritten:
+    """A directory where an output file should go is a config error naming the file (exit 2), not a traceback."""
+
+    def _assert_exit_2_naming(self, capsys, code, path):
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["exit_code"] == 2
+        assert err["message"].startswith(f"cannot write {path}: ")
+        assert path.is_dir()
+
+    def test_gram(self, xor_workspace, capsys):
+        blocked = xor_workspace / "kernels" / "k_view1.kgm"
+        blocked.mkdir(parents=True)
+        code = run_cli(["gram", "--config", xor_workspace / "run.cfg"])
+        self._assert_exit_2_naming(capsys, code, blocked)
+
+    def test_compare(self, xor_workspace, capsys):
+        cfg = xor_workspace / "run.cfg"
+        assert run_cli(["gram", "--config", cfg]) == 0
+        capsys.readouterr()
+        blocked = xor_workspace / "runs" / "cmp" / "report.json"
+        blocked.mkdir(parents=True)
+        args = ["--set", "data.manifest=kernels/manifest.json", "--set", "run_dir=cmp", "--output", "runs"]
+        code = run_cli(["compare", "--config", cfg, *args])
+        self._assert_exit_2_naming(capsys, code, blocked)
 
 
 def _digests(rundir: Path) -> dict[str, str]:

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import struct
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernelforge import DataError, GramMatrix, ShapeError
+from kernelforge import ConfigError, DataError, GramMatrix, ShapeError
 from kernelforge.kernel_io import (
     MAGIC,
     MANIFEST_SCHEMA,
@@ -73,6 +75,46 @@ class TestKernelBinary:
         write_kernel(a, g)
         write_kernel(b, g)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReplacingAFile:
+    """Every writer of the package replaces its file: what is at the path is unlinked, then the file is made anew."""
+
+    def test_a_reader_of_the_old_file_reads_it_to_the_end(self, rng, tmp_path):
+        path = tmp_path / "k.kgm"
+        write_kernel(path, GramMatrix(np.eye(3), "old"))
+        old = path.read_bytes()
+        new = GramMatrix(random_psd(5, rng), "new")
+        with open(path, "rb") as fh:
+            head = fh.read(8)
+            write_kernel(path, new)
+            assert head + fh.read() == old
+        back = read_kernel(path)
+        assert back.source_tag == "new" and np.array_equal(back.values, new.values)
+
+    def test_a_symlink_is_replaced_and_its_target_left_as_it_was(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "labels.csv"
+        target.write_text("kept\n")
+        link.symlink_to(target)
+        save_labels_csv(link, [1, 2])
+        assert not link.is_symlink() and link.read_text() == "1\n2\n"
+        assert target.read_text() == "kept\n"
+
+    def test_a_replaced_file_gets_the_default_mode(self, tmp_path):
+        fresh, path = tmp_path / "fresh.csv", tmp_path / "labels.csv"
+        save_labels_csv(fresh, [1])
+        save_labels_csv(path, [1])
+        mode = os.stat(fresh).st_mode
+        path.chmod(mode ^ 0o001)
+        save_labels_csv(path, [2])
+        assert os.stat(path).st_mode == mode
+
+    def test_a_directory_in_the_way_is_a_config_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "k.kgm"
+        path.mkdir()
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: ")):
+            write_kernel(path, GramMatrix(np.eye(2), "k"))
+        assert path.is_dir()
 
 
 # any finite float, with signed zeros and subnormals drawn often
