@@ -54,15 +54,6 @@ def _load_run_config(args) -> RunConfig:
     return build_run_config(values, Path(args.config).resolve().parent if args.config else Path.cwd())
 
 
-def _make_dir(path: Path) -> Path:
-    """Create path and its parents; one of them being a file is a config error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"output directory {path} cannot be made: a file is in the way") from exc
-    return path
-
-
 def _output_dir(path: Path) -> Path:
     """An output directory, checked but not made: a file where it or a parent should
     be is a config error before any work, and a run that fails leaves nothing behind."""
@@ -113,7 +104,7 @@ def cmd_gram(args) -> int:
     log.info("loaded %d descriptor files of %d items", len(feature_sets), len(label_sets[0]))
     bank, gammas = build_bank(feature_sets, names=names, gammas=config.gamma)
 
-    _make_dir(outdir)
+    kernel_io._make_dir(outdir)
     entries = []
     for kernel, name, gamma in zip(bank.kernels, names, gammas):
         filename = f"k_{name}.kgm"
@@ -135,7 +126,7 @@ def cmd_evolve(args) -> int:
     best_text = canonical_string(result.best_expr)
     log.info("search finished after %d generations: %s", len(result.per_generation), best_text)
 
-    _make_dir(rundir)
+    kernel_io._make_dir(rundir)
     kernel_io._write_file(rundir / "best_expr.txt", best_text + "\n")
     write_evolution_log(rundir / "evolution.csv", result)
     doc = {
@@ -158,11 +149,12 @@ def cmd_evolve(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_run_config(args)
     rundir = _run_dir(config)
+    _output_dir(rundir / "logs")
     bank, labels = _load_bank(config)
     log.info("loaded %d kernels of %d items", len(bank), bank.size)
     report, results = run_comparison(bank, labels, config.protocol, config.gp, config.svm, config_echo=config.echo())
     log.info("search finished: %d repeats", len(results))
-    text = write_comparison_outputs(report, results, _make_dir(rundir))
+    text = write_comparison_outputs(report, results, rundir)
     log.info("wrote outputs to %s", rundir)
     print(text)
     print(f"outputs in {rundir}")

@@ -48,6 +48,9 @@ from .svm import SvmParams, _class_pairs, _fit_pairs, _voted, accuracy
 log = logging.getLogger(__name__)
 FITNESS_MODES = ("validation", "k_fold", "leave_one_out")
 IMPROVEMENT_TOL = 1e-6
+# the deepest initial tree GpParams accepts: a full tree of depth d has 2^d - 1 nodes, so depth 12
+# is at most 4095 (depth 18, 262,143 nodes, took 1.07 s to grow); crossover and mutation stay under max_depth
+MAX_INIT_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,10 @@ class GpParams:
             raise ParameterError(f"invalid init_depth_range {self.init_depth_range}")
         if hi > self.max_depth:
             raise ParameterError("init_depth_range may not exceed max_depth")
+        if hi > MAX_INIT_DEPTH:
+            raise ParameterError(
+                f"init_depth_range may not exceed MAX_INIT_DEPTH = {MAX_INIT_DEPTH} (gp.init_depth_max)"
+            )
         if self.stagnation_limit < 1:
             raise ParameterError("stagnation_limit must be >= 1")
         if self.fitness_mode not in FITNESS_MODES:

@@ -19,10 +19,18 @@ size, starting the threads costs more than the second core saves, and the same
 per-view function runs in a plain loop.  Every array that outlives a view is
 allocated on the calling thread, so that no worker's own malloc arena keeps the
 memory once it is freed: the kernels, and one scratch per worker (two B x m
-tiles for the distances, then the median's m(m-1)/2 copy).  A view's bits do
-not depend on the path or on how many workers run, since each view is computed
-by the same calls on its own arrays; they do depend on how many threads BLAS
-splits ``x @ x.T`` over.
+tiles for the distances, then the median's m(m-1)/2 copy).  A bank's kernels
+are one (views, m, m) block, and the scratches the rows of one array: each is
+one allocation, which numpy advises for huge pages from 4 MB up: at m = 990,
+six views on two workers, a build faulted in about 250 pages, against about
+4700 with an array per kernel and per worker (Linux, transparent huge pages on
+madvise).  Each kernel is a read-only view of the block, and the block is made
+read-only once the pool has joined, so a kernel kept without its bank keeps the
+whole block alive.  The workers run no per-row Python code, which would hold
+the GIL: their loops step over strips of B rows, each a few numpy calls.  A
+view's bits do not depend on the path or on how many workers run, since each
+view is computed by the same calls on its own arrays; they do depend on how
+many threads BLAS splits ``x @ x.T`` over.
 
 A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
 enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The scan
@@ -54,6 +62,7 @@ SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
 _ASYMMETRY_STRIP = 64  # B, the rows per strip of the m x m loops here, whose temporaries are B x m
 _STRICT_LOWER = np.tri(_ASYMMETRY_STRIP, k=-1, dtype=bool)  # the part of a strip's diagonal block below it
+_STRICT_UPPER = _STRICT_LOWER.T  # and the part above it
 # build_bank's pool starts here (6 views of 2 features on 2 cores: a tie at m = 256-320, the pool 10 % faster at 400)
 _POOL_MIN_ITEMS = 384
 
@@ -206,7 +215,7 @@ def _pairwise_sq_dists(x: np.ndarray, where: str, out: np.ndarray, scratch: np.n
         np.copyto(strip, n[s : s + b, None])
         np.add(strip, n_j[: len(rows)], out=strip)
         np.subtract(strip, rows, out=rows)
-        np.clip(rows, 0.0, None, out=rows)
+        np.maximum(rows, 0.0, out=rows)
     return sq
 
 
@@ -219,24 +228,28 @@ def _exact_median(a: np.ndarray, skip: int = 0) -> float:
     return float((a[:k].max() + a[k]) / 2.0)
 
 
-def _upper_start(row: int, m: int) -> int:
-    """How many strict-upper-triangle entries of an m x m matrix lie in the rows before ``row``."""
-    return row * (2 * m - row - 1) // 2
-
-
 def _median_gamma(sq: np.ndarray, scratch: np.ndarray, where: str) -> float:
     """1 / median of the nonzero strict-upper-triangle entries of a distance matrix.
 
     The entries are copied into the first m(m-1)/2 floats of the caller's
-    ``scratch``, B rows at a time so that the list of row views stays short, and
-    the zeros sort first there.  A bandwidth that cannot be used raises
-    DataError naming ``where``.
+    ``scratch`` in two numpy calls per strip of B rows: the rectangle right of
+    the strip's B x B diagonal block, then the block's strict upper part through
+    one fixed mask.  The order of the copy differs from the triangle's row order,
+    but the median is a selection over the same entries, so its bits do not
+    depend on it; the zeros sort first there.  A bandwidth that cannot be used
+    raises DataError naming ``where``.
     """
     m = sq.shape[0]
-    pair = scratch[: _upper_start(m - 1, m)]
-    for s in range(0, m - 1, _ASYMMETRY_STRIP):
-        e = min(s + _ASYMMETRY_STRIP, m - 1)
-        np.concatenate([sq[i, i + 1 :] for i in range(s, e)], out=pair[_upper_start(s, m) : _upper_start(e, m)])
+    pair = scratch[: m * (m - 1) // 2]
+    at = 0
+    for s in range(0, m, _ASYMMETRY_STRIP):
+        e = min(s + _ASYMMETRY_STRIP, m)
+        right = sq[s:e, e:]
+        np.copyto(pair[at : at + right.size].reshape(right.shape), right)
+        at += right.size
+        upper = sq[s:e, s:e][_STRICT_UPPER[: e - s, : e - s]]
+        pair[at : at + upper.size] = upper
+        at += upper.size
     zeros = pair.size - np.count_nonzero(pair)
     if zeros == pair.size:
         raise DataError(f"{where}: all pairwise distances are zero; no usable bandwidth")
@@ -254,7 +267,7 @@ def _gaussian_from_sq(sq: np.ndarray, gamma: float, name: str) -> GramMatrix:
     with np.errstate(over="ignore"):  # a product past -inf is -inf, and exp(-inf) = 0 is the limit
         np.multiply(sq, -gamma, out=sq)
     g = np.exp(sq, out=sq)
-    np.fill_diagonal(g, 1.0)
+    g.ravel()[:: len(g) + 1] = 1.0  # a view of its diagonal: sq is C-contiguous
     return GramMatrix._checked(g, name)
 
 
@@ -364,7 +377,8 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
     all descriptors, or a sequence with one entry per descriptor where None
     entries again fall back to the median heuristic.  From ``_POOL_MIN_ITEMS``
     items up the views are built on worker threads, with the same bits; an error
-    is the first failing view's, as in the loop.
+    is the first failing view's, as in the loop.  The kernels are read-only views
+    of one (views, m, m) block.
     """
     feature_sets = list(feature_sets)
     names = [f"K{i + 1}" for i in range(len(feature_sets))] if names is None else list(names)
@@ -384,13 +398,15 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
 
     m = len(views[0])
     workers = min(len(views), _usable_cpus()) if m >= _POOL_MIN_ITEMS else 1
-    # every array that outlives a view is allocated here, on the calling thread:
-    # the kernels, and one scratch per worker for two B x m tiles and the median's m(m-1)/2 copy
-    size = _upper_start(m - 1, m) if any(g is None for g in gammas) else 0
+    # every array that outlives a view is allocated here, on the calling thread: the
+    # kernels, as one (views, m, m) block, and one scratch per worker, as the rows of
+    # one array, for two B x m tiles and the median's m(m-1)/2 copy
+    block = np.empty((len(views), m, m))
+    size = m * (m - 1) // 2 if any(g is None for g in gammas) else 0
     scratches = queue.SimpleQueue()
-    for _ in range(workers):
-        scratches.put(np.empty(max(size, 2 * min(_ASYMMETRY_STRIP, m) * m)))
-    jobs = (range(len(views)), views, names, gammas, [np.empty((m, m)) for _ in views], repeat(scratches))
+    for scratch in np.empty((workers, max(size, 2 * min(_ASYMMETRY_STRIP, m) * m))):
+        scratches.put(scratch)
+    jobs = (range(len(views)), views, names, gammas, block, repeat(scratches))
     if workers == 1:
         built = list(map(_gaussian_view, *jobs))
     else:
@@ -399,6 +415,7 @@ def build_bank(feature_sets, names=None, gammas=None) -> tuple[KernelBank, list[
         with ThreadPoolExecutor(workers) as pool:
             contexts = [contextvars.copy_context() for _ in views]
             built = list(pool.map(contextvars.Context.run, contexts, repeat(_gaussian_view), *jobs))
+    block.flags.writeable = False  # each kernel is a read-only view of it
     kernels, used = zip(*built)
     return KernelBank(kernels), list(used)
 

@@ -31,7 +31,7 @@ from .errors import DataError, KernelForgeError, ParameterError, check_field_typ
 from .expr import Add, KernelExpr, Leaf, _folded, canonical_string
 from .gp import EvolutionResult, GpParams, SplitFitness, evolve
 from .gram import GramMatrix, KernelBank
-from .kernel_io import _write_file, dump_json, parse_json
+from .kernel_io import _make_dir, _write_file, dump_json, parse_json
 from .rng import derive_seed
 from .svm import MulticlassModel, SvmParams, accuracy, fit_predict_rows
 
@@ -309,7 +309,7 @@ def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionRe
     logs/evolution_r<r>.csv  one evolution log per repeat
     """
     outdir = Path(outdir)
-    (outdir / "logs").mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir / "logs")
     _write_file(outdir / "report.json", report_to_json(report))
     rows = ["method,mean_accuracy_pct,std_pct"]
     rows += [f"{m},{_pct(report.mean[m])},{_pct(report.std[m])}" for m in METHODS]

@@ -1,6 +1,6 @@
 """File formats (kernel binaries, which only ``read_kernel`` reads; feature and label CSVs; manifests), the
 bank loader, ``reading``, where input files' errors are typed and named, ``_write_file``, the one writer of every
-file the package writes, and the shape check of JSON documents.
+file the package writes, ``_make_dir``, which makes every output directory, and the shape check of JSON documents.
 
 Binary kernel layout (little-endian throughout):
     magic "KGM1" | u32 m | m*m float64 entries, row-major | u32 name length | name utf-8
@@ -95,6 +95,15 @@ def _write_file(path, *chunks) -> None:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _make_dir(path) -> None:
+    """Make the directory at path and its parents, if missing, as every output directory is made.  An OSError
+    (a file in the way, no permission) is a ConfigError naming the path and the reason, as in ``_write_file``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc.strerror or exc}") from exc
 
 
 def write_kernel(path, gram: GramMatrix) -> None:

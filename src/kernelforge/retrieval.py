@@ -50,7 +50,7 @@ def build_index(expr: KernelExpr, bank: KernelBank, item_ids) -> SimilarityIndex
     values = _folded(expr, [k.values for k in bank.kernels], tag)
     if not values.flags.writeable:
         values = values.copy()
-    return SimilarityIndex(_normalized(values, values, tag), tuple(str(v) for v in item_ids), expr)
+    return SimilarityIndex(_normalized(values, values, tag), tuple(map(str, item_ids)), expr)
 
 
 def query(index: SimilarityIndex, i: int, k: int, order: str = "similarity") -> list[tuple[int, float]]:
@@ -107,13 +107,22 @@ def save_index(path, index: SimilarityIndex) -> None:
     The sidecar holds one id per line, so an empty id or one that
     ``str.splitlines`` would split is rejected before anything is written.
     """
-    for v in map(str, index.item_ids):
-        if v.splitlines() != [v]:
-            raise DataError(f"item id {v!r} cannot be stored one per line")
     path = Path(path)
+    lines = _id_lines(index.item_ids)
     write_kernel(path, index.matrix.with_tag(canonical_string(index.expr)))
-    sidecar = path.with_name(path.name + ".ids")
-    _write_file(sidecar, "".join(f"{v}\n" for v in index.item_ids))
+    _write_file(path.with_name(path.name + ".ids"), lines)
+
+
+def _id_lines(item_ids) -> str:
+    """The ids one per line, each ending in a newline, checked in one pass: the text splits back into
+    exactly the ids only if none holds a line boundary, and none may be empty.  The per-id loop runs
+    only to name the first id that fails."""
+    ids = list(map(str, item_ids))
+    text = "\n".join(ids) + "\n"
+    if text.splitlines() != ids or "" in ids:
+        bad = next(v for v in ids if v.splitlines() != [v])
+        raise DataError(f"item id {bad!r} cannot be stored one per line")
+    return text
 
 
 def load_index(path) -> SimilarityIndex:

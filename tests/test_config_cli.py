@@ -2,9 +2,11 @@ import hashlib
 import json
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -32,7 +34,8 @@ import kernelforge.cli as cli
 from kernelforge.cli import main
 from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import SYMMETRY_TOL, GramMatrix, KernelBank
-from kernelforge.harness import _select_c
+from kernelforge.gp import MAX_INIT_DEPTH
+from kernelforge.harness import _select_c, write_comparison_outputs
 from kernelforge.kernel_io import MAGIC, load_bank_from_manifest, read_kernel, save_feature_csv, write_kernel
 from kernelforge.synthetic import xor_views
 
@@ -206,6 +209,22 @@ class TestConfigKeys:
     def test_init_depth_bound_alone_is_config_error(self, tmp_path, key):
         with pytest.raises(ConfigError, match="must be set together"):
             build_run_config({"seed": 5, key: 3}, tmp_path)
+
+    def test_init_depth_past_the_bound_exits_2_naming_the_key(self, capsys):
+        # a full tree of depth 30 has about 10^9 nodes; the config is refused before any tree is grown
+        depth = ["--set", "gp.init_depth_min=30", "--set", "gp.init_depth_max=30", "--set", "gp.max_depth=30"]
+        start = time.perf_counter()
+        assert main(["evolve", "--set", "seed=1", *depth]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "gp.init_depth_max" in err["message"]
+        assert f"MAX_INIT_DEPTH = {MAX_INIT_DEPTH}" in err["message"]
+
+    def test_init_depth_bound_admits_every_depth_up_to_it(self):
+        assert MAX_INIT_DEPTH == 12  # the value README gives
+        assert GpParams(max_depth=12, init_depth_range=(12, 12)).init_depth_range == (12, 12)
+        with pytest.raises(ParameterError, match="MAX_INIT_DEPTH"):
+            GpParams(max_depth=MAX_INIT_DEPTH + 1, init_depth_range=(1, MAX_INIT_DEPTH + 1))
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -572,6 +591,27 @@ class TestOutputCannotBeWritten:
         args = ["--set", "data.manifest=kernels/manifest.json", "--set", "run_dir=cmp", "--output", "runs"]
         code = run_cli(["compare", "--config", cfg, *args])
         self._assert_exit_2_naming(capsys, code, blocked)
+
+    def test_compare_with_a_file_at_logs_exits_2_before_the_search(self, xor_workspace, capsys, fitness_calls):
+        cfg = xor_workspace / "run.cfg"
+        assert run_cli(["gram", "--config", cfg]) == 0
+        capsys.readouterr()
+        blocked = xor_workspace / "runs" / "cmp" / "logs"
+        blocked.parent.mkdir(parents=True)
+        blocked.write_text("kept\n")
+        args = ["--set", "data.manifest=kernels/manifest.json", "--set", "run_dir=cmp", "--output", "runs"]
+        assert run_cli(["compare", "--config", cfg, *args]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["exit_code"] == 2 and str(blocked) in err["message"]
+        assert fitness_calls == [] and blocked.read_text() == "kept\n"
+
+    def test_write_comparison_outputs_maps_a_file_at_logs_to_config_error(self, tmp_path):
+        # the same file reached after the search, as a library caller can, is exit 2 too, not a traceback
+        (tmp_path / "logs").write_text("kept\n")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot make directory {tmp_path / 'logs'}: ")):
+            write_comparison_outputs(None, [], tmp_path)
 
 
 def _digests(rundir: Path) -> dict[str, str]:

@@ -218,6 +218,19 @@ class TestMedianHeuristic:
         if nonzero.size:  # the zeros are the smallest entries, so skipping them leaves the rest
             assert _exact_median(a.copy(), a.size - nonzero.size) == np.median(nonzero)
 
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 129])
+    def test_median_gamma_is_one_over_np_median_of_the_nonzero_pairs(self, m, rng):
+        # strips of 64 rows: a partial last strip, one row, an exact fit, one row past it
+        x = rng.standard_normal((m, 2))
+        x[2:4] = x[:2][: m - 2]  # duplicate rows give zero distances, which the median skips
+        sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+        pairs = sq[np.triu_indices(m, 1)]
+        assert (pairs == 0.0).any() == (m > 2)
+        scratch = np.empty(m * (m - 1) // 2)
+        assert gram_mod._median_gamma(sq, scratch, "view") == 1.0 / np.median(pairs[pairs != 0.0])
+        # the copy holds each strict-upper entry once
+        assert np.array_equal(np.sort(scratch), np.sort(pairs))
+
 
 class TestAlgebra:
     def test_add_identity_matrices(self):
@@ -683,6 +696,38 @@ class TestOwnership:
             warnings.simplefilter("error")
             with pytest.raises(ShapeError, match="asymmetric"):
                 GramMatrix(v)
+
+
+class TestBankBlock:
+    """build_bank's kernels are read-only views of one (views, m, m) block."""
+
+    @pytest.mark.parametrize("m", [8, _POOL_MIN_ITEMS], ids=["loop", "pool"])
+    def test_kernels_are_read_only_views_of_one_block(self, m, rng, two_workers):
+        bank, _ = build_bank([rng.standard_normal((m, d)) for d in (2, 5, 3)], gammas=[None, 0.5, None])
+        block = bank[0].values.base
+        assert block.shape == (3, m, m) and not block.flags.writeable
+        for i, k in enumerate(bank.kernels):
+            assert k.values.base is block and k.values.ctypes.data == block[i].ctypes.data
+            assert not k.values.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):  # a view of a read-only block stays read-only
+                k.values.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            block[1, 0, 0] = 0.0
+
+    def test_write_kernel_writes_a_block_view_without_a_copy(self, rng, tmp_path, two_workers):
+        m = _POOL_MIN_ITEMS
+        bank, _ = build_bank([rng.standard_normal((m, 2)), rng.standard_normal((m, 3))])
+        kernel = bank[1]
+        tracemalloc.start()
+        try:
+            write_kernel(tmp_path / "view.kgm", kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * kernel.values.nbytes
+        write_kernel(tmp_path / "own.kgm", GramMatrix(kernel.values, kernel.source_tag))
+        assert (tmp_path / "view.kgm").read_bytes() == (tmp_path / "own.kgm").read_bytes()
+        assert read_kernel(tmp_path / "view.kgm").values.tobytes() == kernel.values.tobytes()
 
 
 class TestBuildBankBitIdentity:

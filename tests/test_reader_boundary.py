@@ -2,8 +2,8 @@
 
 So an ``except`` clause that can catch an OSError or a UnicodeDecodeError
 appears in four scopes only: ``kernel_io.reading``; ``config.load_config_file``,
-whose errors stay a ConfigError (exit 2); ``cli._make_dir``, which makes the
-output directory; and ``kernel_io._write_file``, the one writer of output files,
+whose errors stay a ConfigError (exit 2); ``kernel_io._make_dir``, which makes
+every output directory; and ``kernel_io._write_file``, the one writer of output files,
 whose errors are a ConfigError too.  ValueError, a base of UnicodeDecodeError, is left out: it is
 every parser's error, and ``reading`` types the ones raised while a file is read."""
 
@@ -45,7 +45,9 @@ def test_file_errors_are_caught_only_at_the_reader_boundary():
         for path in sorted(PACKAGE.glob("*.py"))
         for where in file_error_handlers(path.read_text(encoding="utf-8"))
     }
-    assert sorted(found) == ["cli._make_dir", "config.load_config_file", "kernel_io._write_file", "kernel_io.reading"]
+    assert sorted(found) == [
+        "config.load_config_file", "kernel_io._make_dir", "kernel_io._write_file", "kernel_io.reading"
+    ]
 
 
 def test_the_finder_flags_every_clause_that_can_catch_a_file_error():

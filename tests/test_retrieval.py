@@ -21,6 +21,7 @@ from kernelforge import (
     save_index,
 )
 from kernelforge.harness import _addition_expr
+from kernelforge.retrieval import _id_lines
 
 from oracles import random_psd
 
@@ -223,6 +224,31 @@ class TestPersistence:
         with pytest.raises(DataError):
             save_index(tmp_path / "sims.kgm", index)
         assert list(tmp_path.iterdir()) == []
+
+    # every character str.splitlines splits at, "\r\n" included, and an empty id
+    BOUNDARIES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @staticmethod
+    def first_bad_id_per_id(ids):
+        """The per-id loop the one-pass check replaced: the first id that is not one whole line."""
+        return next((v for v in map(str, ids) if v.splitlines() != [v]), None)
+
+    @pytest.mark.parametrize("bad", ["", *BOUNDARIES])
+    def test_one_pass_id_check_names_the_id_the_per_id_loop_names(self, bad):
+        for ids in ([f"a{bad}b", "x"], [f"{bad}a", "x"], [f"a{bad}", "x"], ["x", f"a{bad}"], ["x", bad, "y"], [bad],
+                    ["x", "y", f"a{bad}b", bad]):
+            first = self.first_bad_id_per_id(ids)
+            if first is None:  # "" inside another id leaves it one whole line
+                assert bad == "" and _id_lines(ids) == "".join(f"{v}\n" for v in ids)
+                continue
+            with pytest.raises(DataError) as raised:
+                _id_lines(ids)
+            assert str(raised.value) == f"item id {first!r} cannot be stored one per line"
+
+    def test_one_pass_id_text_is_one_line_per_id(self):
+        ids = ["a", "b c", "\t", "d\u00e9", 7]
+        assert self.first_bad_id_per_id(ids) is None
+        assert _id_lines(ids) == "".join(f"{v}\n" for v in ids)
 
     def test_missing_sidecar(self, rng, tmp_path):
         bank = bank_of([random_psd(4, rng)])

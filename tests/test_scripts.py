@@ -33,3 +33,12 @@ def test_run_xor_comparison_has_no_threads_flag(tmp_path):
     done = run_script("run_xor_comparison.py", "--threads", 2, "--out", tmp_path)
     assert done.returncode == 2
     assert "--threads" in done.stderr
+
+
+def test_convergence_sweep_runs_one_case():
+    # the smallest case, one that completes; the full 12-case sweep is no gate (README)
+    done = run_script("convergence_sweep.py", "--m", 180, "--seeds", 1)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "m,seed,outcome,fitness_failures,wall_s"
+    assert lines[1].startswith("180,1,ok,0,") and lines[2] == "aborted 0 of 1"

@@ -11,16 +11,20 @@ gathers each pair's block with ``np.ix_``.
 ``gp.fitness`` folds the chromosome over its split's plan and cuts nothing, and
 ``evolve`` scores each generation with one ``score_all`` call.  ``harness`` never
 calls ``evaluate``: the final fits fold over the split's row blocks, so no
-comparison builds a combined m x m kernel."""
+comparison builds a combined m x m kernel.  The functions ``gram.build_bank``'s
+pool workers run hold no comprehension or generator expression, so no worker runs
+Python code per row while it holds the GIL."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
-SVM, HARNESS, GP = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py"
+SVM, HARNESS, GP, GRAM = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py", SRC / "gram.py"
 CLIPPING_BUILTINS = {"min", "max", "abs"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 FITNESS_CUTS = {"evaluate", "submatrix", "ix_", "train_multiclass", "fit_predict_rows"}
+COMPREHENSIONS = LOOPS[2:]
+POOLED = ("_gaussian_view", "_pairwise_sq_dists", "_median_gamma", "_gaussian_from_sq", "_exact_median")
 
 
 def function(source: str, name: str) -> ast.FunctionDef:
@@ -74,6 +78,11 @@ def generation_loop_calls(source: str, name: str) -> tuple[list[str], list[str]]
     fn = function(source, name)
     loops = [n for n in ast.walk(fn) if isinstance(n, ast.For)]
     return [c for loop in loops for c in called_names(loop)], called_names(fn)
+
+
+def comprehensions(source: str, name: str) -> set[str]:
+    """The kinds of comprehension and generator expression in name's body."""
+    return {type(n).__name__ for n in ast.walk(function(source, name)) if isinstance(n, COMPREHENSIONS)}
 
 
 def test_platt_loop_calls_no_clipping_builtin():
@@ -133,3 +142,18 @@ def test_the_finders_flag_what_they_guard():
     evolve = "def evolve(s, pop):\n    s.score_all(pop)\n    for g in range(3):\n        fits = [s.score_all([e]) for e in pop]\n"
     in_loops, everywhere = generation_loop_calls(evolve, "evolve")
     assert in_loops.count(".score_all") == 1 and everywhere.count(".score_all") == 2
+
+
+def test_the_pool_workers_run_no_comprehension():
+    source = GRAM.read_text(encoding="utf-8")
+    assert {name: comprehensions(source, name) for name in POOLED} == {name: set() for name in POOLED}
+
+
+def test_the_comprehension_finder_flags_a_planted_one():
+    planted = (
+        "def _median_gamma(sq, pair):\n    np.concatenate([sq[i, i + 1:] for i in range(3)], out=pair)\n"
+        "    return 1 / sum(v for v in pair if v)\n"
+        "def _gaussian_view(x):\n    return {i: v for i, v in enumerate(x)}, {v for v in x}\n"
+    )
+    assert comprehensions(planted, "_median_gamma") == {"ListComp", "GeneratorExp"}
+    assert comprehensions(planted, "_gaussian_view") == {"DictComp", "SetComp"}
