@@ -4,10 +4,13 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 ``evolve`` is ``harness.run_repeat`` at r = 0: ``compare``'s first repeat by construction.
 KF_LOG=debug|info|warning|error sets the level of the ``kernelforge`` logger
 (default warning; any other value exits 2); at info, gram, evolve and compare
-log one line per phase to stderr, and at debug the search also logs one line per
-generation and per repeat.  Every command is
-deterministic given the same config and seed; timestamps appear only in
-run-directory names, never inside output files.
+log one line per phase to stderr; at debug each of them also logs one line with
+the BLAS thread variables and ``os.cpu_count()``, which a byte-identical rerun
+assumes unchanged, and the search one line per generation and per repeat.
+Every command is deterministic given the same config and seed; timestamps appear
+only in run-directory names, never inside output files.  gram, evolve and compare
+check every file they will write before they read their input, so a directory in
+the way is exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ from .config import RunConfig, build_run_config, load_config_file, parse_overrid
 from .errors import ConfigError, DataError, KernelForgeError, ParameterError
 from .expr import Leaf, canonical_string, depth, node_count, parse_expr
 from .gram import KernelBank, build_bank
-from .harness import run_comparison, run_repeat, write_comparison_outputs, write_evolution_log
+from .harness import comparison_files, run_comparison, run_repeat, write_comparison_outputs, write_evolution_log
 from .retrieval import ORDERS, load_index, query
 from .svm import save_multiclass
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+EVOLVE_FILES = ("best_expr.txt", "evolution.csv", "result.json", "model.json")
 log = logging.getLogger("kernelforge")
 
 
@@ -45,6 +50,9 @@ def _setup_logging() -> None:
 
 
 def _load_run_config(args) -> RunConfig:
+    """The config of gram, evolve or compare; at debug, first one line with what the run's bits assume of the host."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    log.debug("BLAS threads: %s; os.cpu_count()=%s", threads, os.cpu_count())
     values = load_config_file(args.config) if args.config else {}
     values.update(parse_overrides(args.set))
     if args.seed is not None:
@@ -86,6 +94,9 @@ def cmd_gram(args) -> int:
         raise ConfigError("gram needs data.features (one CSV per descriptor)")
     require_paths(config.features)
     outdir = _output_dir(config.output_dir)
+    names = [p.stem for p in config.features]
+    files = (*(f"k_{name}.kgm" for name in names), "labels.csv", "manifest.json")
+    kernel_io._check_writable(outdir / file for file in files)
 
     feature_sets, label_sets = [], []
     for path in config.features:
@@ -100,18 +111,17 @@ def cmd_gram(args) -> int:
         if not np.array_equal(labels, label_sets[0]):
             raise DataError(f"labels in {path.name} disagree with {config.features[0].name}")
 
-    names = [p.stem for p in config.features]
     log.info("loaded %d descriptor files of %d items", len(feature_sets), len(label_sets[0]))
     bank, gammas = build_bank(feature_sets, names=names, gammas=config.gamma)
 
     kernel_io._make_dir(outdir)
+    *kernel_files, labels_file, manifest_file = files
     entries = []
-    for kernel, name, gamma in zip(bank.kernels, names, gammas):
-        filename = f"k_{name}.kgm"
+    for kernel, name, gamma, filename in zip(bank.kernels, names, gammas, kernel_files):
         kernel_io.write_kernel(outdir / filename, kernel)
         entries.append({"name": name, "file": filename, "gamma": gamma})
-    kernel_io.save_labels_csv(outdir / "labels.csv", label_sets[0])
-    kernel_io.write_manifest(outdir / "manifest.json", bank.size, entries, "labels.csv")
+    kernel_io.save_labels_csv(outdir / labels_file, label_sets[0])
+    kernel_io.write_manifest(outdir / manifest_file, bank.size, entries, labels_file)
     log.info("wrote %d kernels to %s", len(entries), outdir)
     print(f"wrote {len(entries)} kernels (m={bank.size}) and manifest to {outdir}")
     return 0
@@ -120,6 +130,8 @@ def cmd_gram(args) -> int:
 def cmd_evolve(args) -> int:
     config = _load_run_config(args)
     rundir = _run_dir(config)
+    best_path, log_path, result_path, model_path = files = [rundir / name for name in EVOLVE_FILES]
+    kernel_io._check_writable(files)
     bank, labels = _load_bank(config)
     log.info("loaded %d kernels of %d items", len(bank), bank.size)
     _, result, (test_acc, model, _) = run_repeat(bank, labels, config.protocol, config.gp, config.svm, 0)
@@ -127,8 +139,8 @@ def cmd_evolve(args) -> int:
     log.info("search finished after %d generations: %s", len(result.per_generation), best_text)
 
     kernel_io._make_dir(rundir)
-    kernel_io._write_file(rundir / "best_expr.txt", best_text + "\n")
-    write_evolution_log(rundir / "evolution.csv", result)
+    kernel_io._write_file(best_path, best_text + "\n")
+    write_evolution_log(log_path, result)
     doc = {
         "schema": "kf-evolve-1",
         "best_expr": best_text,
@@ -137,8 +149,8 @@ def cmd_evolve(args) -> int:
         "generations": [[g, b, m] for g, b, m in result.per_generation],
         "config": config.echo(),
     }
-    kernel_io._write_file(rundir / "result.json", kernel_io.dump_json(doc))
-    save_multiclass(rundir / "model.json", model)
+    kernel_io._write_file(result_path, kernel_io.dump_json(doc))
+    save_multiclass(model_path, model)
     log.info("wrote outputs to %s", rundir)
     print(f"best expression: {best_text}")
     print(f"test accuracy: {100.0 * test_acc:.2f}")
@@ -150,6 +162,7 @@ def cmd_compare(args) -> int:
     config = _load_run_config(args)
     rundir = _run_dir(config)
     _output_dir(rundir / "logs")
+    kernel_io._check_writable(comparison_files(rundir, config.protocol.repeats))
     bank, labels = _load_bank(config)
     log.info("loaded %d kernels of %d items", len(bank), bank.size)
     report, results = run_comparison(bank, labels, config.protocol, config.gp, config.svm, config_echo=config.echo())

@@ -298,6 +298,17 @@ def write_evolution_log(path, result: EvolutionResult) -> None:
     _write_lines(path, lines)
 
 
+COMPARISON_FILES = ("report.json", "summary.csv", "iterations.csv", "generations.csv", "binary_problems.csv")
+
+
+def comparison_files(outdir, repeats: int) -> list[Path]:
+    """The files ``write_comparison_outputs`` writes for a comparison of that many repeats, in its order:
+    ``COMPARISON_FILES``, then ``logs/evolution_r<r>.csv`` for each repeat."""
+    outdir = Path(outdir)
+    logs = [outdir / "logs" / f"evolution_r{r}.csv" for r in range(repeats)]
+    return [outdir / name for name in COMPARISON_FILES] + logs
+
+
 def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionResult], outdir) -> str:
     """Write a comparison's files under outdir, made if missing, and return summarize(report).
 
@@ -308,31 +319,31 @@ def write_comparison_outputs(report: ComparisonReport, results: list[EvolutionRe
     binary_problems.csv      per class-pair mean accuracy per method
     logs/evolution_r<r>.csv  one evolution log per repeat
     """
-    outdir = Path(outdir)
-    _make_dir(outdir / "logs")
-    _write_file(outdir / "report.json", report_to_json(report))
+    report_path, summary, iterations, generations, binary_problems, *logs = comparison_files(outdir, len(results))
+    _make_dir(Path(outdir) / "logs")
+    _write_file(report_path, report_to_json(report))
     rows = ["method,mean_accuracy_pct,std_pct"]
     rows += [f"{m},{_pct(report.mean[m])},{_pct(report.std[m])}" for m in METHODS]
-    _write_lines(outdir / "summary.csv", rows)
+    _write_lines(summary, rows)
 
     rows = ["repeat," + ",".join(METHODS)]
     for r in range(len(report.best_exprs)):
         rows.append(f"{r}," + ",".join(repr(report.methods[m][r]) for m in METHODS))
-    _write_lines(outdir / "iterations.csv", rows)
+    _write_lines(iterations, rows)
 
     rows = ["repeat,generation,best_fitness,mean_fitness"]
     for r, series in enumerate(report.generations):
         for gen, best, mean in series:
             rows.append(f"{r},{int(gen)},{best!r},{mean!r}")
-    _write_lines(outdir / "generations.csv", rows)
+    _write_lines(generations, rows)
 
     pairs = sorted({p for m in METHODS for p in report.binary_problems[m]})
     rows = ["pair," + ",".join(METHODS)]
     for pair in pairs:
         cells = [repr(float(np.mean(report.binary_problems[m][pair]))) for m in METHODS]
         rows.append(f"{pair}," + ",".join(cells))
-    _write_lines(outdir / "binary_problems.csv", rows)
+    _write_lines(binary_problems, rows)
 
-    for r, result in enumerate(results):
-        write_evolution_log(outdir / "logs" / f"evolution_r{r}.csv", result)
+    for path, result in zip(logs, results):
+        write_evolution_log(path, result)
     return summarize(report)

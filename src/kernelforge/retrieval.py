@@ -8,6 +8,7 @@ inverted ascending rule is available behind order="paper-min".
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,11 +127,11 @@ def _id_lines(item_ids) -> str:
 
 
 def load_index(path) -> SimilarityIndex:
-    path = Path(path)
+    """The index saved at path: the kernel file, then its ``.ids`` sidecar, each read through one unbuffered open."""
     matrix = read_kernel(path)
     with reading(path, "index"):
         expr = parse_expr(matrix.source_tag)
-    sidecar = path.with_name(path.name + ".ids")
-    with reading(sidecar, "item-id sidecar"):
-        ids = [line for line in sidecar.read_text(encoding="utf-8").splitlines() if line]
+    sidecar = os.fspath(path) + ".ids"
+    with reading(sidecar, "item-id sidecar"), open(sidecar, "rb", buffering=0) as fh:
+        ids = [line for line in fh.read().decode("utf-8").splitlines() if line]
         return SimilarityIndex(matrix, tuple(ids), expr)

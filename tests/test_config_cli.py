@@ -31,6 +31,7 @@ from kernelforge import (
     save_index,
 )
 import kernelforge.cli as cli
+import kernelforge.kernel_io as kernel_io
 from kernelforge.cli import main
 from kernelforge.config import KNOWN_KEYS, build_run_config, load_config_file, parse_config_text, parse_overrides
 from kernelforge.gram import SYMMETRY_TOL, GramMatrix, KernelBank
@@ -668,6 +669,39 @@ class TestRunOutputs:
         assert result["final_test_accuracy"] == report["methods"]["evolved"][0]
 
 
+# every file each command writes under its output directory, for xor_workspace's two views and two repeats
+OUTPUT_FILES = {
+    "gram": ["k_view1.kgm", "k_view2.kgm", "labels.csv", "manifest.json"],
+    **{command: sorted(files) for command, files in PINNED_RUN_OUTPUTS.items()},
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, name) for c, names in OUTPUT_FILES.items() for name in names])
+def test_a_directory_at_an_output_file_exits_2_before_the_input_is_read(
+    xor_workspace, capsys, monkeypatch, fitness_calls, command, name
+):
+    cfg = xor_workspace / "run.cfg"
+    outdir, args = xor_workspace / "kernels", []
+    if command != "gram":
+        assert run_cli(["gram", "--config", cfg]) == 0
+        capsys.readouterr()
+        outdir = xor_workspace / "runs" / "r"
+        args = ["--set", "data.manifest=kernels/manifest.json", "--set", "run_dir=r", "--output", "runs"]
+    blocked = outdir / name
+    blocked.mkdir(parents=True)
+    with pytest.raises(ConfigError) as after_the_search:
+        kernel_io._write_file(blocked, "")
+    for loader in ("load_feature_csv", "load_bank"):
+        monkeypatch.setattr(kernel_io, loader, lambda *a, _name=loader, **k: pytest.fail(f"{_name} called"))
+    assert run_cli([command, "--config", cfg, *args]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err == {"error": "ConfigError", "message": str(after_the_search.value), "exit_code": 2}
+    assert err["message"] == f"cannot write {blocked}: Is a directory"
+    assert fitness_calls == [] and [p for p in outdir.rglob("*") if not p.is_dir()] == []
+
+
 def _edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -976,6 +1010,20 @@ class TestLogLevel:
         assert len(quiet) == 7
         for rel in quiet:
             assert (runs / "quiet" / rel).read_bytes() == (runs / "debug" / rel).read_bytes()
+
+    def test_debug_logs_the_blas_threads_once_per_command(self, xor_workspace, monkeypatch, caplog, kf_logger):
+        monkeypatch.setenv("KF_LOG", "debug")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        cfg = xor_workspace / "run.cfg"
+        common = ["--config", cfg, "--set", "data.manifest=kernels/manifest.json", "--output", "runs"]
+        assert run_cli(["gram", "--config", cfg]) == 0
+        assert run_cli(["evolve", *common, "--set", "run_dir=e"]) == 0
+        assert run_cli(["compare", *common, "--set", "run_dir=c"]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "kernelforge" and r.levelno == logging.DEBUG]
+        threads = "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=3"
+        assert lines == [f"BLAS threads: {threads}; os.cpu_count()={os.cpu_count()}"] * 3
 
     @pytest.mark.parametrize("value", ["basic_format", "verbose"])
     def test_unknown_value_exits_2(self, tmp_path, capsys, monkeypatch, kf_logger, value):

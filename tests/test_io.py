@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernelforge.kernel_io as kernel_io
 from kernelforge import ConfigError, DataError, GramMatrix, ShapeError
 from kernelforge.kernel_io import (
     MAGIC,
@@ -75,6 +77,47 @@ class TestKernelBinary:
         write_kernel(a, g)
         write_kernel(b, g)
         assert a.read_bytes() == b.read_bytes()
+
+
+class Trickle(io.FileIO):
+    """A raw reader whose every ``readinto`` returns at most 4096 bytes, standing in for Linux, where one read
+    returns at most about 2 GiB; ``reads`` counts the calls."""
+
+    reads = 0
+
+    def readinto(self, buffer):
+        type(self).reads += 1
+        return super().readinto(memoryview(buffer)[:4096])
+
+
+class TestShortReads:
+    """``read_kernel`` continues short reads until the array is full, and stops at the end of the file."""
+
+    @staticmethod
+    def read_through(monkeypatch, reader, path):
+        reader.reads = 0
+        monkeypatch.setattr(kernel_io, "open", lambda file, mode, buffering: reader(file, mode), raising=False)
+        return read_kernel(path)
+
+    def test_short_reads_give_the_same_bytes(self, rng, monkeypatch, tmp_path):
+        g = GramMatrix(random_psd(60, rng), "short reads")
+        path = tmp_path / "k.kgm"
+        write_kernel(path, g)
+        back = self.read_through(monkeypatch, Trickle, path)
+        assert Trickle.reads == -(-8 * 60 * 60 // 4096)  # 28,800 bytes in 4096-byte reads
+        assert back.values.tobytes() == g.values.tobytes() and back.source_tag == g.source_tag
+
+    def test_a_file_that_shrinks_while_it_is_read_is_truncated(self, rng, monkeypatch, tmp_path):
+        class Shrinking(Trickle):
+            def readinto(self, buffer):
+                os.truncate(self.name, 8 + 4096 + 100)  # after the size check, as another process might
+                return super().readinto(buffer)
+
+        path = tmp_path / "k.kgm"
+        write_kernel(path, GramMatrix(random_psd(60, rng), "k"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: truncated kernel file")):
+            self.read_through(monkeypatch, Shrinking, path)
+        assert Shrinking.reads == 3  # 4096 bytes, 100 bytes, then the end of the file
 
 
 class TestReplacingAFile:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -249,6 +251,22 @@ class TestPersistence:
         ids = ["a", "b c", "\t", "d\u00e9", 7]
         assert self.first_bad_id_per_id(ids) is None
         assert _id_lines(ids) == "".join(f"{v}\n" for v in ids)
+
+    @pytest.mark.parametrize("kind", [str, Path])
+    def test_sidecar_is_found_beside_a_name_with_dots_and_spaces(self, rng, tmp_path, kind):
+        index = build_index(Leaf(0), bank_of([random_psd(4, rng)]), ids_for(4))
+        path = tmp_path / "my index.v2.kgm"
+        save_index(path, index)
+        assert (tmp_path / "my index.v2.kgm.ids").is_file()
+        assert load_index(kind(path)).item_ids == index.item_ids
+
+    def test_crlf_sidecar_reads_to_the_ids_a_text_mode_read_gives(self, rng, tmp_path):
+        path = tmp_path / "sims.kgm"
+        save_index(path, build_index(Leaf(0), bank_of([random_psd(4, rng)]), ids_for(4)))
+        sidecar = tmp_path / "sims.kgm.ids"
+        sidecar.write_bytes(b"item000\r\nitem001\r\n\r\nitem002\ritem003\r\n")
+        text_mode = [line for line in sidecar.read_text(encoding="utf-8").splitlines() if line]
+        assert load_index(path).item_ids == tuple(text_mode) == ids_for(4)
 
     def test_missing_sidecar(self, rng, tmp_path):
         bank = bank_of([random_psd(4, rng)])
