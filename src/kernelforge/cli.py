@@ -10,7 +10,8 @@ assumes unchanged, and the search one line per generation and per repeat.
 Every command is deterministic given the same config and seed; timestamps appear
 only in run-directory names, never inside output files.  gram, evolve and compare
 check every file they will write before they read their input, so a directory in
-the way is exit 2 before any work.
+the way is exit 2 before any work; so are two gram feature files with one stem,
+whose kernels would share one ``k_<stem>.kgm``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def cmd_gram(args) -> int:
     require_paths(config.features)
     outdir = _output_dir(config.output_dir)
     names = [p.stem for p in config.features]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # each kernel file is named after its feature file's stem
+            first = config.features[names.index(name)]
+            raise ConfigError(f"data.features {first} and {config.features[i]} both write {outdir / f'k_{name}.kgm'}")
     files = (*(f"k_{name}.kgm" for name in names), "labels.csv", "manifest.json")
     kernel_io._check_writable(outdir / file for file in files)
 

@@ -34,14 +34,25 @@ many threads BLAS splits ``x @ x.T`` over.
 
 A kernel is checked (square, finite, symmetric to ``SYMMETRY_TOL``) only where it
 enters the package: ``GramMatrix(...)`` and ``kernel_io.read_kernel``.  The scan
-(``_max_asymmetry``) reduces only the strips whose difference is not all zeros, so
-an exactly symmetric kernel, as every file the package writes is, costs about one
-pass over it.  The kernels derived from checked ones are symmetric by construction
-and not scanned again; an overflow or invalid operation, their one way to a
-non-finite entry, raises DataError as it happens (``_stays_finite``).  A kernel file
-loaded into a bank must also be PSD (``require_psd``), which a Cholesky factorisation
-certifies before an eigensolver is asked.  ``_checked_ids`` is the one range check of item ids,
-for ``submatrix``, ``gp.SplitFitness`` and ``svm.train_multiclass``, which gather from the kernel.
+(``_max_asymmetry``) steps over strips of B rows (``_strips_max``).  It copies each
+strip's transposed block once into a contiguous tile, and reduces only the strips
+whose difference is not all zeros, so an exactly symmetric kernel, as every file the
+package writes is, costs about one pass over it.  ``GramMatrix(...)`` scans on the
+calling thread; ``read_kernel``, from ``kernel_io._SPLIT_MIN_ITEMS`` items up, on it
+and one helper thread, which take alternate strips, with both tiles allocated on the
+caller.  The larger of the two partial maxima is the serial value bit for bit, so
+every verdict and message is the same on either path.  The kernels derived from
+checked ones are symmetric by construction and not scanned again; an overflow or
+invalid operation, their one way to a non-finite entry, raises DataError as it
+happens (``_stays_finite``).  A kernel file loaded into a bank must also be PSD
+(``require_psd``), which a Cholesky factorisation certifies before an eigensolver is
+asked.  No ufunc here reads a transposed operand: numpy 2.4.6 allocates a 64 KB
+iterator buffer per call for each operand it cannot step through in one stride, and
+the scan's subtraction of a strip's rows and their transposed mirror took 128 KB.
+The scan's tiles and ``require_psd``'s symmetrised copies (``_symmetrised``) copy
+the transpose first (``tests/test_solver_structure.py``).  ``_checked_ids`` is
+the one range check of item ids, for ``submatrix``, ``gp.SplitFitness`` and
+``svm.train_multiclass``, which gather from the kernel.
 """
 
 from __future__ import annotations
@@ -82,23 +93,43 @@ def validate_features(features) -> np.ndarray:
     return x
 
 
-def _max_asymmetry(v: np.ndarray) -> float:
+def _max_asymmetry(v: np.ndarray, pool: ThreadPoolExecutor | None = None) -> float:
     """max |v - v.T| of a square array, 0.0 when it is empty.
 
-    Compares v[s:s+B, s:] with v[s:, s:s+B].T one strip of B rows at a time,
-    which covers every pair once, so the one temporary is a contiguous B x m
-    scratch, allocated once, instead of two m x m arrays.  A strip whose
-    difference is all zeros is exactly symmetric and adds nothing to the
-    maximum, so only a strip with a nonzero, NaN or infinite difference (an inf
-    pair gives inf - inf = NaN) is reduced: an exactly symmetric kernel, as every
-    file the package writes is, costs one subtraction and one test per strip.
+    The strips of B rows (``_strips_max``) cover every pair once.  With a
+    ``pool``, one of its threads scans the odd strips while the caller scans the
+    even ones, and the larger of the two partial maxima, NaN if either is, is the
+    serial value bit for bit.  The tiles, one per thread, are allocated here on
+    the calling thread.
     """
     m = v.shape[0]
-    scratch = np.empty(min(_ASYMMETRY_STRIP, m) * m)
+    tile = min(_ASYMMETRY_STRIP, m) * m
+    if pool is None:
+        return _strips_max(v, range(0, m, _ASYMMETRY_STRIP), np.empty(tile))
+    mine, theirs = np.empty((2, tile))
+    odd, even = range(_ASYMMETRY_STRIP, m, 2 * _ASYMMETRY_STRIP), range(0, m, 2 * _ASYMMETRY_STRIP)
+    helper = pool.submit(contextvars.copy_context().run, _strips_max, v, odd, theirs)  # with the caller's np.errstate
+    worst = _strips_max(v, even, mine)
+    return float(np.maximum(worst, helper.result()))
+
+
+def _strips_max(v: np.ndarray, starts: range, tile: np.ndarray) -> float:
+    """max |v[s:s+B, s:] - v[s:, s:s+B].T| over the strips that begin at ``starts``.
+
+    Each strip's transposed block is copied once into the contiguous ``tile``
+    (B x m floats), and the strip's difference is taken there, so the
+    subtraction reads no transposed operand.  A strip whose difference is all
+    zeros is exactly symmetric and adds nothing to the maximum, so only a strip
+    with a nonzero, NaN or infinite difference (an inf pair gives inf - inf =
+    NaN) is reduced: an exactly symmetric kernel, as every file the package
+    writes is, costs one copy, one subtraction and one test per strip.
+    """
     worst = 0.0
-    for s in range(0, m, _ASYMMETRY_STRIP):
+    for s in starts:
         rows = v[s : s + _ASYMMETRY_STRIP, s:]
-        d = np.subtract(rows, v[s:, s : s + _ASYMMETRY_STRIP].T, out=scratch[: rows.size].reshape(rows.shape))
+        d = tile[: rows.size].reshape(rows.shape)
+        np.copyto(d, v[s:, s : s + _ASYMMETRY_STRIP].T)
+        np.subtract(rows, d, out=d)
         if d.any():
             worst = np.maximum(worst, np.abs(d, out=d).max())  # a NaN stays NaN
     return float(worst)
@@ -119,15 +150,16 @@ class GramMatrix:
         object.__setattr__(self, "values", self._adopt(np.array(self.values, dtype=float, order="C")).values)
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, tag: str = "") -> "GramMatrix":
-        """Check a fresh float array that nothing else writes to and wrap it without copying.
-        A non-finite entry makes the asymmetry NaN or inf, so the one pass checks finiteness too."""
+    def _adopt(cls, values: np.ndarray, tag: str = "", pool: ThreadPoolExecutor | None = None) -> "GramMatrix":
+        """Check a fresh float array that nothing else writes to and wrap it without copying, scanning it on
+        ``pool``'s thread too if one is given.  A non-finite entry makes the asymmetry NaN or inf, so the one
+        pass checks finiteness too."""
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ShapeError(f"gram matrix must be square, got shape {values.shape}")
         if values.size == 0:
             raise ShapeError("gram matrix must hold at least one item")
         with np.errstate(invalid="ignore", over="ignore"):
-            worst = _max_asymmetry(values)
+            worst = _max_asymmetry(values, pool)
         if not worst <= SYMMETRY_TOL:
             if not np.isfinite(values).all():
                 raise DataError("gram matrix contains non-finite entries")
@@ -335,7 +367,7 @@ def require_psd(g: GramMatrix, what: str) -> None:
     smallest eigenvalue.
 
     A Cholesky factorisation certifies it at a fraction of an eigensolver's cost: the
-    symmetrised copy 0.5 (G + G.T), with delta = ``PSD_TOL`` times the largest diagonal
+    symmetrised copy 0.5 (G + G.T) (``_symmetrised``), with delta = ``PSD_TOL`` times the largest diagonal
     entry added to its diagonal in place, factors only if its smallest eigenvalue is
     above -delta, up to the factorisation's rounding.  When it does not factor, the
     smallest eigenvalue of a fresh symmetrised copy decides, as without the
@@ -344,17 +376,25 @@ def require_psd(g: GramMatrix, what: str) -> None:
     the eigenvalue alone.
     """
     floor = -PSD_TOL * float(g.values.diagonal().max())
-    shifted = np.add(g.values, g.values.T)
-    shifted *= 0.5
+    shifted = _symmetrised(g.values)
     shifted.ravel()[:: len(shifted) + 1] -= floor  # a view of its diagonal
     try:
         np.linalg.cholesky(shifted)
         return
     except np.linalg.LinAlgError:
         del shifted  # freed before the eigensolver's copy is made
-    low = float(np.linalg.eigvalsh(0.5 * (g.values + g.values.T))[0])
+    low = float(np.linalg.eigvalsh(_symmetrised(g.values))[0])
     if not low >= floor:
         raise DataError(f"{what} is not positive semidefinite: smallest eigenvalue {low:.6g} is below {floor:.6g}")
+
+
+def _symmetrised(v: np.ndarray) -> np.ndarray:
+    """0.5 (v.T + v) in one new array: a contiguous copy of v.T, to which v is added in place, so no ufunc
+    reads a transposed operand.  Addition commutes, so this is 0.5 (v + v.T) bit for bit."""
+    out = v.T.copy()
+    np.add(out, v, out=out)
+    out *= 0.5
+    return out
 
 
 def _checked_ids(idx, m: int, name: str) -> np.ndarray:

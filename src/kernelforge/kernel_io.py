@@ -21,6 +21,21 @@ of m >= 16384 arrives in several.  The sidecar is one byte read, decoded as UTF-
 to the same ids.  A buffered open adds a buffer, and a text-mode one a ``TextIOWrapper``, to every load:
 on 2 cores (Python 3.11), ``retrieval.load_index`` at m = 180 took a median 135 us in process with them and
 105 us without, and at m = 990 2.50 ms against 2.26 ms.
+
+Read rule on two threads: from ``_SPLIT_MIN_ITEMS`` = 800 items up, where the process may run on two CPUs and
+``os.preadv`` exists, ``read_kernel`` reads and checks on two threads: the caller and one helper of a
+``ThreadPoolExecutor``, which is joined before it returns or raises.  Each reads half the rows by positional
+reads on the one open descriptor, continuing short reads, so both halves come from one inode even if the path is
+replaced meanwhile; a half that the file ends short of is a truncated file.  Then they scan alternate strips of
+the symmetry check (``gram._max_asymmetry``), whose result, and so every error and bit, is the serial path's.  An
+error of the helper's reaches the caller through its future.  The second core pays where a load faults in the
+array's fresh pages and where the scan runs: on 2 cores (Python 3.11, numpy 2.4.6), median in-process
+``read_kernel`` on the caller alone against on two threads, into fresh pages (the heap trimmed before each load),
+m = 384 0.92 against 1.41 ms, 640 3.66 against 3.28, 768-896 a tie, 990 5.41 against 4.51 and 2001 25.4 against
+14.9; back to back into pages the heap still maps, m = 640 1.02-1.10 against 1.41-1.51 ms, 768-990 up to 14 %
+slower on two threads and 2001 16.8-17.1 against 11.0-11.2 ms.  The threshold lies where a load into fresh pages
+gains and one into mapped pages loses little: in perfbench, whose loads sit between the two, wide-bank's 990-item
+index loaded in a median 3.08 ms before the split and the scan's tiles, and in 2.55 ms with them.
 """
 
 from __future__ import annotations
@@ -31,16 +46,18 @@ import os
 import struct
 import sys
 import warnings
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .gram import GramMatrix, KernelBank, require_psd, validate_features
+from .gram import GramMatrix, KernelBank, _usable_cpus, require_psd, validate_features
 
 MAGIC = b"KGM1"
 MANIFEST_SCHEMA = "kf-manifest-1"
+_SPLIT_MIN_ITEMS = 800  # read_kernel's helper thread starts here (see the Read rule)
 
 
 def check_json(value, template, where: str) -> None:
@@ -150,7 +167,8 @@ def reading(path, what: str):
 
 def read_kernel(path) -> GramMatrix:
     """The kernel in a binary kernel file, read through one unbuffered open straight into the kept array,
-    short reads continued until it is full, and checked there."""
+    short reads continued until it is full, and checked there; from ``_SPLIT_MIN_ITEMS`` items up, the
+    reads and the check are split between the caller and one helper thread."""
     with reading(path, "kernel file"), open(path, "rb", buffering=0) as fh:
         head = fh.read(8)
         if head[:4] != MAGIC:
@@ -162,16 +180,42 @@ def read_kernel(path) -> GramMatrix:
         if os.fstat(fh.fileno()).st_size < body + 4:  # before m x m floats are allocated
             raise DataError("truncated kernel file")
         values = np.empty((m, m), "<f8")
-        rest = values.reshape(-1).view(np.uint8)
+        split = m >= _SPLIT_MIN_ITEMS and _usable_cpus() > 1 and hasattr(os, "preadv")
+        with ThreadPoolExecutor(1) if split else nullcontext() as pool:  # its thread is joined on the way out
+            missing = _read_body(fh, values, pool)
+            tail = fh.read()
+            if missing or len(tail) < 4:  # the file shrank after the size check
+                raise DataError("truncated kernel file")
+            (name_len,) = struct.unpack_from("<I", tail)
+            if len(tail) != 4 + name_len:
+                raise DataError(f"{body + len(tail)} bytes, but the header promises {body + 4 + name_len}")
+            return GramMatrix._adopt(values, tail[4:].decode("utf-8"), pool)
+
+
+def _read_body(fh, values: np.ndarray, pool: ThreadPoolExecutor | None) -> int:
+    """Read the m x m floats after the header into ``values``, and leave ``fh`` at the end of them; the number
+    of bytes the file ended short of them.  Without a ``pool`` they are read from ``fh``'s position; with one,
+    its thread reads the second half of the rows while the caller reads the first, by positional reads on
+    ``fh``'s descriptor."""
+    rest = values.reshape(-1).view(np.uint8)
+    if pool is None:
         while rest.size and (n := fh.readinto(rest)):  # Linux reads at most about 2 GiB at a time
             rest = rest[n:]
-        tail = fh.read()
-        if rest.size or len(tail) < 4:  # the file shrank after the size check
-            raise DataError("truncated kernel file")
-        (name_len,) = struct.unpack_from("<I", tail)
-        if len(tail) != 4 + name_len:
-            raise DataError(f"{body + len(tail)} bytes, but the header promises {body + 4 + name_len}")
-        return GramMatrix._adopt(values, tail[4:].decode("utf-8"))
+        return rest.size
+    cut = len(values) // 2 * values.strides[0]
+    helper = pool.submit(_pread_into, fh.fileno(), rest[cut:], 8 + cut)
+    missing = _pread_into(fh.fileno(), rest[:cut], 8)
+    missing += helper.result()
+    fh.seek(8 + rest.size)
+    return missing
+
+
+def _pread_into(fd: int, buffer: np.ndarray, offset: int) -> int:
+    """Fill the byte array ``buffer`` from the file at ``offset`` by positional reads, continuing short reads;
+    the number of bytes the file ended short of it."""
+    while buffer.size and (n := os.preadv(fd, [buffer], offset)):
+        buffer, offset = buffer[n:], offset + n
+    return buffer.size
 
 
 def load_feature_csv(path, header: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import os
 import platform
+import threading
 
 import hypothesis
 import numpy as np
@@ -74,12 +75,20 @@ def symmetry_passes(monkeypatch):
 
     shapes, real = [], gram_mod._max_asymmetry
 
-    def max_asymmetry(v):
+    def max_asymmetry(v, pool=None):
         shapes.append(v.shape)
-        return real(v)
+        return real(v, pool)
 
     monkeypatch.setattr(gram_mod, "_max_asymmetry", max_asymmetry)
     return shapes
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """List that gains each thread started while the test runs."""
+    started, real = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    return started
 
 
 @pytest.fixture

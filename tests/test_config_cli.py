@@ -365,6 +365,25 @@ class TestGramCommand:
         cfg.write_text("seed = 3\n")
         assert run_cli(["gram", "--config", cfg]) == 2
 
+    def test_two_feature_files_with_one_stem_exit_2_before_either_is_read(self, xor_workspace, capsys, monkeypatch):
+        # both would write k_view.kgm: the second kernel would replace the first, listed twice in the manifest
+        for sub in ("a", "b"):
+            (xor_workspace / sub).mkdir()
+            (xor_workspace / sub / "view.csv").write_bytes((xor_workspace / "view1.csv").read_bytes())
+        cfg = xor_workspace / "same_stem.cfg"
+        cfg.write_text('seed = 1\ndata.features = ["view2.csv", "a/view.csv", "b/view.csv"]\noutput_dir = kernels\n')
+        monkeypatch.setattr(kernel_io, "load_feature_csv", lambda *a, **k: pytest.fail("load_feature_csv called"))
+        assert run_cli(["gram", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        first, second = (xor_workspace.resolve() / sub / "view.csv" for sub in ("a", "b"))
+        assert json.loads(lines[0]) == {
+            "error": "ConfigError",
+            "message": f"data.features {first} and {second} both write {xor_workspace.resolve() / 'kernels' / 'k_view.kgm'}",
+            "exit_code": 2,
+        }
+        assert not (xor_workspace / "kernels").exists()
+
     def test_five_descriptors_give_five_kernels(self, tmp_path):
         views, labels = xor_views(n_per_class=8, seed=1)
         rng = np.random.default_rng(0)

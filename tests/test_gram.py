@@ -1,7 +1,10 @@
+import os
 import re
+import struct
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelforge.gram as gram_mod
+import kernelforge.kernel_io as kernel_io
 import kernelforge.svm as svm_mod
 from kernelforge import (
     Add,
@@ -33,8 +37,18 @@ from kernelforge import (
     submatrix,
     train_multiclass,
 )
-from kernelforge.gram import _POOL_MIN_ITEMS, PSD_TOL, SYMMETRY_TOL, _exact_median, _max_asymmetry, require_psd
-from kernelforge.kernel_io import read_kernel, write_kernel
+from kernelforge.gram import (
+    _ASYMMETRY_STRIP,
+    _POOL_MIN_ITEMS,
+    PSD_TOL,
+    SYMMETRY_TOL,
+    _exact_median,
+    _max_asymmetry,
+    _symmetrised,
+    require_psd,
+)
+from kernelforge.kernel_io import _SPLIT_MIN_ITEMS as SPLIT
+from kernelforge.kernel_io import MAGIC, read_kernel, write_kernel
 
 from oracles import check_psd, random_psd
 
@@ -432,6 +446,13 @@ class TestRequirePsd:
         # delta is 0, so the shifted copy is singular and does not factor; its eigenvalues are 0
         require_psd(gm(np.zeros((3, 3))), "zero")
 
+    @pytest.mark.parametrize("m", [1, 65, 130])
+    def test_the_symmetrised_copy_is_the_formula_bit_for_bit(self, m):
+        # entries of mixed scale and sign, so that each sum rounds
+        v = np.random.default_rng(m).standard_normal((m, m)) * np.logspace(-8, 8, m)
+        got = _symmetrised(v)
+        assert got.flags.c_contiguous and got.tobytes() == (0.5 * (v + v.T)).tobytes()
+
 
 @contextmanager
 def no_warning_data_error():
@@ -558,6 +579,17 @@ class TestMaxAsymmetry:
         assert type(got) is float
         assert got == expected or (np.isnan(got) and np.isnan(expected))  # two NaNs count as equal
 
+    # the case's entries lie in the last strip: the helper's at m = 65, the caller's at m = 130
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    def test_two_threads_give_the_serial_maximum(self, m, case):
+        v = self.case_matrix(m, case)
+        with np.errstate(invalid="ignore", over="ignore"), ThreadPoolExecutor(1) as pool:
+            expected = _max_asymmetry(v)
+            got = _max_asymmetry(v, pool)
+        assert type(got) is float
+        assert got == expected or (np.isnan(got) and np.isnan(expected))  # two NaNs count as equal
+
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     def test_gram_matrix_verdict_in_one_pass(self, m, case, symmetry_passes):
@@ -576,6 +608,31 @@ class TestMaxAsymmetry:
                 GramMatrix(v)
             assert raised.type is error
         assert symmetry_passes == [(m, m)]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("strips", ["caller", "helper"])
+    def test_read_kernel_verdict_on_two_threads(self, strips, case, tmp_path, monkeypatch, thread_starts, symmetry_passes):
+        # the case's entries lie in the last strip of B rows, which the caller scans when its index is even
+        m = SPLIT if strips == "caller" else SPLIT + _ASYMMETRY_STRIP
+        assert ((m - 1) // _ASYMMETRY_STRIP % 2 == 0) == (strips == "caller")
+        v = self.case_matrix(m, case)
+        path = tmp_path / "k.kgm"
+        path.write_bytes(MAGIC + struct.pack("<I", m) + v.tobytes() + struct.pack("<I", 1) + b"k")
+        monkeypatch.setattr(kernel_io, "_usable_cpus", lambda: 2)
+        threads = threading.active_count()
+        error = self.CASES[case][1]
+        if error is None:
+            assert read_kernel(path).values.tobytes() == v.tobytes()
+        else:
+            with pytest.raises(error) as serial:
+                GramMatrix(v)
+            thread_starts.clear()
+            symmetry_passes.clear()
+            with pytest.raises(error) as split:
+                read_kernel(path)
+            assert split.type is error and str(split.value) == f"{path}: {serial.value}"
+        assert len(thread_starts) == hasattr(os, "preadv") and threading.active_count() == threads
+        assert symmetry_passes == [(m, m)]  # one pass, on two threads
 
 
 class TestSubmatrix:

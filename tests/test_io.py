@@ -3,6 +3,9 @@ import json
 import os
 import re
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from kernelforge.kernel_io import (
 from jsondocs import corrupted
 from oracles import random_psd
 
+SPLIT = kernel_io._SPLIT_MIN_ITEMS  # read_kernel reads and checks on two threads from here up
+SPLITS = hasattr(os, "preadv")  # and only where positional reads exist
+
 
 class TestKernelBinary:
     def test_round_trip_exact(self, rng, tmp_path):
@@ -36,6 +42,29 @@ class TestKernelBinary:
         back = read_kernel(path)
         assert back.source_tag == g.source_tag
         assert np.array_equal(back.values, g.values)
+
+    @pytest.mark.parametrize(
+        "m, host, helpers",
+        [
+            (SPLIT - 1, "two cpus", 0),
+            (SPLIT, "two cpus", SPLITS),
+            (SPLIT + 1, "two cpus", SPLITS),  # odd: the halves differ by a row
+            (SPLIT, "one cpu", 0),
+            (SPLIT, "no preadv", 0),
+        ],
+    )
+    def test_round_trip_on_either_side_of_the_split(self, rng, tmp_path, monkeypatch, thread_starts, m, host, helpers):
+        monkeypatch.setattr(kernel_io, "_usable_cpus", lambda: 1 if host == "one cpu" else 2)
+        if host == "no preadv":
+            monkeypatch.delattr(os, "preadv", raising=False)
+        g = GramMatrix(random_psd(m, rng), "view/with unicode é")
+        path = tmp_path / "k.kgm"
+        write_kernel(path, g)
+        threads = threading.active_count()
+        back = read_kernel(path)
+        assert len(thread_starts) == helpers and threading.active_count() == threads
+        assert back.source_tag == g.source_tag
+        assert back.values.tobytes() == g.values.tobytes()
 
     def test_layout(self, tmp_path):
         g = GramMatrix(np.eye(2), "ab")
@@ -80,23 +109,42 @@ class TestKernelBinary:
 
 
 class Trickle(io.FileIO):
-    """A raw reader whose every ``readinto`` returns at most 4096 bytes, standing in for Linux, where one read
-    returns at most about 2 GiB; ``reads`` counts the calls."""
+    """A raw reader whose every ``readinto``, and every ``os.preadv`` through ``preadv``, returns at most 4096
+    bytes, standing in for Linux, where one read returns at most about 2 GiB; ``reads`` counts the calls.  Each
+    call runs ``before_read`` first, under a lock, since read_kernel's helper thread reads too."""
 
     reads = 0
+    lock = threading.Lock()
+
+    @classmethod
+    def before_read(cls):
+        with cls.lock:
+            cls.reads += 1
 
     def readinto(self, buffer):
-        type(self).reads += 1
+        self.before_read()
         return super().readinto(memoryview(buffer)[:4096])
+
+    @classmethod
+    def preadv(cls, fd, buffers, offset, _real=getattr(os, "preadv", None)):
+        cls.before_read()
+        return _real(fd, [memoryview(buffers[0])[:4096]], offset)
+
+
+HALF = 8 * SPLIT * (SPLIT // 2)  # the bytes of the rows the caller reads at m = SPLIT
+needs_preadv = pytest.mark.skipif(not SPLITS, reason="no os.preadv, so read_kernel reads on the caller alone")
 
 
 class TestShortReads:
-    """``read_kernel`` continues short reads until the array is full, and stops at the end of the file."""
+    """``read_kernel`` continues short reads until the array is full, and stops at the end of the file, on
+    the caller alone and, from ``_SPLIT_MIN_ITEMS`` items up, on two threads, each reading half the rows."""
 
     @staticmethod
     def read_through(monkeypatch, reader, path):
         reader.reads = 0
         monkeypatch.setattr(kernel_io, "open", lambda file, mode, buffering: reader(file, mode), raising=False)
+        monkeypatch.setattr(os, "preadv", reader.preadv, raising=False)
+        monkeypatch.setattr(kernel_io, "_usable_cpus", lambda: 2)
         return read_kernel(path)
 
     def test_short_reads_give_the_same_bytes(self, rng, monkeypatch, tmp_path):
@@ -118,6 +166,90 @@ class TestShortReads:
         with pytest.raises(DataError, match=re.escape(f"{path}: truncated kernel file")):
             self.read_through(monkeypatch, Shrinking, path)
         assert Shrinking.reads == 3  # 4096 bytes, 100 bytes, then the end of the file
+
+    @needs_preadv
+    def test_short_positional_reads_give_the_same_bytes(self, rng, monkeypatch, tmp_path):
+        g = GramMatrix(random_psd(SPLIT, rng), "short reads")
+        path = tmp_path / "k.kgm"
+        write_kernel(path, g)
+        threads = threading.active_count()
+        back = self.read_through(monkeypatch, Trickle, path)
+        assert threading.active_count() == threads
+        assert Trickle.reads == -(-HALF // 4096) + -(-(8 * SPLIT * SPLIT - HALF) // 4096)  # each half in its own
+        assert back.values.tobytes() == g.values.tobytes() and back.source_tag == g.source_tag
+
+    @needs_preadv
+    @pytest.mark.parametrize(
+        "kept, reads",
+        [
+            # the caller's 4096 and 100 bytes and the end of the file; the helper's rows start past it
+            pytest.param(4096 + 100, 4, id="first half"),
+            # the caller's whole half, and the helper's 4096 and 100 bytes and the end of the file
+            pytest.param(HALF + 4096 + 100, -(-HALF // 4096) + 3, id="second half"),
+        ],
+    )
+    def test_a_file_that_shrinks_in_either_half_is_truncated(self, rng, monkeypatch, tmp_path, kept, reads):
+        path = tmp_path / "k.kgm"
+
+        class Shrinking(Trickle):
+            @classmethod
+            def before_read(cls):
+                with cls.lock:  # so each thread reads after the truncation
+                    cls.reads += 1
+                    os.truncate(path, 8 + kept)  # after the size check, as another process might
+
+        write_kernel(path, GramMatrix(random_psd(SPLIT, rng), "k"))
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=re.escape(f"{path}: truncated kernel file")):
+            self.read_through(monkeypatch, Shrinking, path)
+        assert threading.active_count() == threads
+        assert Shrinking.reads == reads
+
+    @needs_preadv
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_a_half_read_short_is_truncated_though_the_file_grows_back(self, rng, monkeypatch, tmp_path, half):
+        # rewritten in place while it is read: the tail is whole again, so only the half's short count tells
+        path = tmp_path / "k.kgm"
+        write_kernel(path, GramMatrix(random_psd(SPLIT, rng), "k"))
+        whole = path.read_bytes()
+        end = 8 + (0 if half == "first" else HALF) + 4096  # the offset of that half's second read
+
+        class Rewritten(Trickle):
+            rewriting = threading.Lock()  # every read sees the whole file but the one at ``end``
+
+            @classmethod
+            def preadv(cls, fd, buffers, offset):
+                with cls.rewriting:
+                    if offset != end:
+                        return super().preadv(fd, buffers, offset)
+                    os.truncate(path, end)
+                    n = super().preadv(fd, buffers, offset)
+                    path.write_bytes(whole)
+                    return n
+
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=re.escape(f"{path}: truncated kernel file")):
+            self.read_through(monkeypatch, Rewritten, path)
+        assert threading.active_count() == threads
+
+
+@needs_preadv
+def test_concurrent_loads_under_fast_thread_switching_give_the_same_bytes(rng, tmp_path, monkeypatch):
+    # four callers, each with its own helper: eight threads on however few cores, switching every microsecond
+    monkeypatch.setattr(kernel_io, "_usable_cpus", lambda: 2)
+    g = GramMatrix(random_psd(SPLIT + 1, rng), "k")
+    path = tmp_path / "k.kgm"
+    write_kernel(path, g)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            loads = [callers.submit(read_kernel, path) for _ in range(12)]
+            backs = [load.result(timeout=60) for load in loads]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(back.values.tobytes() == g.values.tobytes() for back in backs)
+    assert threading.active_count() == threads
 
 
 class TestReplacingAFile:

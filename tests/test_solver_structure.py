@@ -13,10 +13,15 @@ gathers each pair's block with ``np.ix_``.
 calls ``evaluate``: the final fits fold over the split's row blocks, so no
 comparison builds a combined m x m kernel.  The functions ``gram.build_bank``'s
 pool workers run hold no comprehension or generator expression, so no worker runs
-Python code per row while it holds the GIL."""
+Python code per row while it holds the GIL.  No elementwise ufunc in ``gram``
+reads a transposed operand (``.T``), through a call or an operator: numpy
+allocates iterator buffers for one, so each is first copied into a contiguous
+tile."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kernelforge"
 SVM, HARNESS, GP, GRAM = SRC / "svm.py", SRC / "harness.py", SRC / "gp.py", SRC / "gram.py"
@@ -24,6 +29,7 @@ CLIPPING_BUILTINS = {"min", "max", "abs"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 FITNESS_CUTS = {"evaluate", "submatrix", "ix_", "train_multiclass", "fit_predict_rows"}
 COMPREHENSIONS = LOOPS[2:]
+ELEMENTWISE_UFUNCS = {name for name, f in vars(np).items() if isinstance(f, np.ufunc) and f.signature is None}
 POOLED = ("_gaussian_view", "_pairwise_sq_dists", "_median_gamma", "_gaussian_from_sq", "_exact_median")
 
 
@@ -157,3 +163,39 @@ def test_the_comprehension_finder_flags_a_planted_one():
     )
     assert comprehensions(planted, "_median_gamma") == {"ListComp", "GeneratorExp"}
     assert comprehensions(planted, "_gaussian_view") == {"DictComp", "SetComp"}
+
+
+def transposed_ufunc_operands(source: str) -> list[str]:
+    """Each elementwise ufunc call in source that takes a ``.T`` operand, as written (``np.add``,
+    ``np.multiply.outer``), and each arithmetic operator but ``@`` applied to one, by its ``ast`` name (``Add``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            target, path = node.func, []
+            while isinstance(target, ast.Attribute):
+                path.insert(0, target.attr)
+                target = target.value
+            if not (isinstance(target, ast.Name) and target.id == "np" and path and path[0] in ELEMENTWISE_UFUNCS):
+                continue
+            operands, name = [*node.args, *(k.value for k in node.keywords)], ".".join(["np", *path])
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and not isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right] if isinstance(node, ast.BinOp) else [node.target, node.value]
+            name = type(node.op).__name__
+        else:
+            continue
+        if any(isinstance(operand, ast.Attribute) and operand.attr == "T" for operand in operands):
+            found.append(name)
+    return found
+
+
+def test_no_ufunc_in_gram_reads_a_transposed_operand():
+    assert transposed_ufunc_operands(GRAM.read_text(encoding="utf-8")) == []
+
+
+def test_the_transpose_finder_flags_what_it_guards():
+    planted = (
+        "def f(v, x, s):\n    d = np.subtract(v, v[s:].T, out=x)\n    np.multiply.outer(a, b, out=x.T)\n"
+        "    w = 0.5 * (v + v.T)\n    w -= x.T\n"
+        "    return np.matmul(x, x.T), x @ x.T, np.copyto(w, v.T), v.T.copy(), np.add(v, w)\n"
+    )
+    assert sorted(transposed_ufunc_operands(planted)) == ["Add", "Sub", "np.multiply.outer", "np.subtract"]
